@@ -5,11 +5,14 @@ the boundary with respect to the pseudo-Euclidean metric.  Where the
 boundary normal is light-like the reflection degenerates to v -> -v,
 which counts as two reflections.  All segment lines of one trajectory
 share the caustic set and the first integrals F_i, which this module
-tracks to quantify numerical drift.
+tracks to quantify numerical drift.  Conversely, the directions through
+a point with a prescribed caustic set are built in closed form from the
+point's generalized Jacobi coordinates.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,9 +24,11 @@ from .confocal import (
     INF,
     Line,
     caustics,
+    chord_quadratic,
     evaluate_quadric,
     integrals_F,
     interlacing_checks,
+    jacobi_coordinates,
     tangency_polynomial,
 )
 from .errors import (
@@ -34,7 +39,7 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LIGHT_TOL, LineType, Signature, dot, line_type, pseudo_normal
+from .metric import LIGHT_TOL, LineType, Signature, dot, line_type, pseudo_normal, reflect_direction
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -53,10 +58,7 @@ def line_quadric_intersections(fam: ConfocalFamily, lam: float, line: Line) -> l
         from .errors import DegenerateParameter
 
         raise DegenerateParameter(f"lambda = {lam} is a degenerate member")
-    x, v = line.base, line.direction
-    q2 = float(np.sum(v * v / den))
-    q1 = float(np.sum(x * v / den))
-    q0 = float(np.sum(x * x / den) - 1.0)
+    q2, q1, q0 = chord_quadratic(den, line.base, line.direction)
     scale = abs(q2) + abs(q1) + abs(q0)
     if abs(q2) <= 1e-14 * scale:
         if abs(q1) <= 1e-14 * scale:
@@ -92,11 +94,10 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v, tol: float = LIGHT_TOL):
     res = evaluate_quadric(fam, 0.0, pv)
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
-    n = boundary_normal(fam, pv)
-    n2 = dot(n, n, fam.sig)
-    if abs(n2) <= tol * float(np.dot(n, n)):
+    try:
+        return reflect_direction(vv, boundary_normal(fam, pv), fam.sig, tol), False
+    except LightLikeNormal:
         return -vv, True
-    return vv - (2.0 * dot(vv, n, fam.sig) / n2) * n, False
 
 
 @dataclass
@@ -122,10 +123,7 @@ class Trajectory:
 
 
 def _next_chord_parameter(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray) -> float:
-    den = fam.axes_f
-    q2 = float(np.sum(v * v / den))
-    q1 = float(np.sum(x * v / den))
-    q0 = float(np.sum(x * x / den) - 1.0)
+    q2, q1, q0 = chord_quadratic(fam.axes_f, x, v)
     disc = q1 * q1 - q2 * q0
     if disc <= 0.0:
         raise NumericalStall("tangent or exterior chord")
@@ -289,14 +287,10 @@ def rectangle_ratio(a: float, b: float) -> float:
 
 def _tangency_residual(fam: ConfocalFamily, x, v, alpha: float) -> tuple[float, float]:
     """Tangency discriminant of the line (x, v) against Q_alpha, with scale."""
-    den = fam.denominators(alpha)
-    xv = np.asarray(x, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    axv = float(np.sum(xv * vv / den))
-    avv = float(np.sum(vv * vv / den))
-    K = float(np.sum(xv * xv / den) - 1.0)
-    val = axv * axv - avv * K
-    scale = axv * axv + abs(avv * K) + 1e-30
+    q2, q1, q0 = chord_quadratic(fam.denominators(alpha), np.asarray(x, dtype=float),
+                                 np.asarray(v, dtype=float))
+    val = q1 * q1 - q2 * q0
+    scale = q1 * q1 + abs(q2 * q0) + 1e-30
     return val, scale
 
 
@@ -332,142 +326,77 @@ def _admissible(fam: ConfocalFamily, params: tuple) -> None:
         raise InadmissibleCaustics(f"caustics {params} violate the interlacing pattern")
 
 
-def _plane_directions(fam: ConfocalFamily, x, alpha: float) -> list:
-    """Closed-form tangent directions from x to the conic Q_alpha."""
-    den = fam.denominators(alpha)
-    xv = np.asarray(x, dtype=float)
-    u = xv / den
-    K = float(np.sum(xv * xv / den) - 1.0)
-    # v^T M v = 0 with M = u u^T - K diag(1/den)
-    m11 = u[0] * u[0] - K / den[0]
-    m12 = u[0] * u[1]
-    m22 = u[1] * u[1] - K / den[1]
-    scale = abs(m11) + abs(m12) + abs(m22)
-    if scale == 0.0:
-        raise NoSolution("tangency condition vanished identically")
-    dirs = []
-    if abs(m11) >= abs(m22):
-        disc = m12 * m12 - m11 * m22
-        if disc < -1e-14 * scale * scale:
-            raise NoSolution("no real tangent direction from this point")
-        rad = math.sqrt(max(disc, 0.0))
-        for sgn in (+1.0, -1.0):
-            s = (-m12 + sgn * rad) / m11
-            dirs.append(np.array([s, 1.0]))
-    else:
-        disc = m12 * m12 - m11 * m22
-        if disc < -1e-14 * scale * scale:
-            raise NoSolution("no real tangent direction from this point")
-        rad = math.sqrt(max(disc, 0.0))
-        for sgn in (+1.0, -1.0):
-            s = (-m12 + sgn * rad) / m22
-            dirs.append(np.array([1.0, s]))
-    return dirs
-
-
-def direction_with_caustics(fam: ConfocalFamily, x, target, seed: int = 0,
-                            restarts: int = 48, iters: int = 80) -> list:
+def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     """Directions v through x whose line has the target caustic set.
 
-    Planar families are solved in closed form (the tangency condition is
-    a homogeneous quadratic in v); higher dimensions run a damped Newton
-    iteration with seeded random restarts on the simultaneous tangency
-    system.  Directions are unit length with a canonical sign.
+    Closed form from the generalized Jacobi coordinates lambda_k of x.
+    With D_i(lambda) = a_i - eps_i lambda, the tangency discriminant of the
+    line (x, v) against Q_lambda, times prod_i D_i(lambda), is a multiple
+    of P(lambda) = prod_j (lambda - alpha_j) over the finite caustics (of
+    degree d - 2 for a light-like line, whose infinite caustic drops out).
+    At lambda_k the discriminant reduces to a square, so
+
+        ((x / D(lambda_k)) . v)^2 = -c P(lambda_k) / prod_i D_i(lambda_k),
+
+    with c = -sign P(0) because the line meets Q_0, which fixes the scale
+    of v.  The rows x / D(lambda_k) are the normals of the pencil members
+    through x; each of the 2^(d-1) sign patterns of the square roots gives
+    one direction by a linear solve.  Directions are unit length with a
+    canonical sign.  NoSolution means that x has a complex pair or a
+    multiple Jacobi coordinate, or that no real line through x has these
+    caustics.
     """
     params = tuple(target) if not isinstance(target, CausticSet) else target.params
     if len(params) != fam.d - 1:
         raise ValueError(f"expected {fam.d - 1} caustic parameters")
     _admissible(fam, params)
     xv = np.asarray(x, dtype=float)
+    d = fam.d
     finite = [p for p in params if math.isfinite(p)]
-    want_light = any(not math.isfinite(p) for p in params)
+    jc = jacobi_coordinates(fam, xv)
+    if not jc.is_simple_real(0.0):
+        raise NoSolution("x has a complex pair or a multiple Jacobi coordinate")
 
-    if fam.d == 2:
-        if want_light:
-            dirs = [np.array([1.0, 1.0]), np.array([1.0, -1.0])]
+    def P(lam: float) -> float:
+        return math.prod(lam - alpha for alpha in finite)
+
+    sign = math.copysign(1.0, P(0.0))  # -c in the formula above
+    N = np.empty((d, d))
+    rhs = np.empty(d)
+    for k, lam in enumerate(jc.real_roots):
+        den = fam.denominators(lam)
+        i = int(np.argmin(np.abs(den)))
+        rest = np.arange(d) != i
+        u = xv[rest] / den[rest]
+        r = 1.0 - float(np.dot(u, xv[rest]))  # x_i^2 / D_i by the pencil equation
+        if abs(den[i]) <= abs(r) * fam.scale:
+            # On or near the hyperplane x_i = 0, D_i is lost to rounding
+            # (relative error eps * scale / |D_i|) but r is not (eps / |r|):
+            # scale row k so that component i is 1, which needs no D_i.
+            N[k, i] = 1.0
+            N[k, rest] = xv[i] / r * u
+            rhs[k] = sign * P(lam) / (r * float(np.prod(den[rest])))
         else:
-            dirs = _plane_directions(fam, xv, finite[0])
-        out = []
-        for v in dirs:
-            v = _canonical_direction(v)
-            if not any(np.linalg.norm(v - w) <= 1e-9 for w in out):
-                out.append(v)
-        for v in out:
-            for alpha in finite:
-                val, scale = _tangency_residual(fam, xv, v, alpha)
-                if abs(val) > 1e-9 * scale:
-                    raise NoSolution("closed-form direction failed residual check")
-        return out
-
-    rng = np.random.default_rng(seed)
-    eps = fam.eps
-    dens = [fam.denominators(alpha) for alpha in finite]
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        g = []
-        for den in dens:
-            axv = float(np.sum(xv * v / den))
-            avv = float(np.sum(v * v / den))
-            K = float(np.sum(xv * xv / den) - 1.0)
-            g.append(axv * axv - avv * K)
-        if want_light:
-            g.append(float(np.sum(eps * v * v)))
-        g.append(float(np.dot(v, v)) - 1.0)
-        return np.array(g)
-
-    def jacobian(v: np.ndarray) -> np.ndarray:
-        rows = []
-        for den in dens:
-            axv = float(np.sum(xv * v / den))
-            K = float(np.sum(xv * xv / den) - 1.0)
-            rows.append(2.0 * axv * (xv / den) - 2.0 * K * (v / den))
-        if want_light:
-            rows.append(2.0 * eps * v)
-        rows.append(2.0 * v)
-        return np.array(rows)
-
-    solutions: list[np.ndarray] = []
-    for _ in range(restarts):
-        v = rng.normal(size=fam.d)
-        v /= np.linalg.norm(v)
-        ok = False
-        for _ in range(iters):
-            g = residual(v)
-            gn = float(np.linalg.norm(g))
-            if gn <= 1e-13:
-                ok = True
-                break
-            J = jacobian(v)
-            try:
-                step = np.linalg.solve(J, -g)
-            except np.linalg.LinAlgError:
-                step, *_ = np.linalg.lstsq(J, -g, rcond=None)
-            damp = 1.0
-            improved = False
-            while damp > 1e-6:
-                v_new = v + damp * step
-                if np.linalg.norm(residual(v_new)) < gn:
-                    v = v_new
-                    improved = True
-                    break
-                damp *= 0.5
-            if not improved:
-                break
-        if not ok:
-            continue
+            N[k] = xv / den
+            rhs[k] = sign * P(lam) / float(np.prod(den))
+    if np.any(rhs < 0.0):
+        raise NoSolution("no real line through x has these caustics")
+    signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
+    try:
+        V = np.linalg.solve(N, np.sqrt(rhs)[:, None] * signs)
+    except np.linalg.LinAlgError as exc:
+        raise NoSolution("normals of the pencil members through x are dependent") from exc
+    out: list[np.ndarray] = []
+    for v in V.T:
         v = _canonical_direction(v)
-        bad = False
-        for alpha in finite:
-            val, scale = _tangency_residual(fam, xv, v, alpha)
-            if abs(val) > 1e-9 * scale:
-                bad = True
-        if bad:
+        if any(np.linalg.norm(v - w) <= 1e-9 for w in out):
             continue
-        if not any(np.linalg.norm(v - w) <= 1e-7 for w in solutions):
-            solutions.append(v)
-    if not solutions:
-        raise NoSolution("no direction found within the restart budget")
-    return solutions
+        residuals = (_tangency_residual(fam, xv, v, alpha) for alpha in finite)
+        if all(abs(val) <= 1e-9 * scale for val, scale in residuals):
+            out.append(v)
+    if not out:
+        raise NoSolution("no constructed direction passed the tangency check")
+    return out
 
 
 def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray:

@@ -204,6 +204,19 @@ def evaluate_quadric(fam: ConfocalFamily, lam: float, x) -> float:
     return float(np.sum(xv * xv / fam.denominators(lam)) - 1.0)
 
 
+def chord_quadratic(den: np.ndarray, x, v) -> tuple:
+    """Coefficients (q2, q1, q0) of the line x + t v against a pencil member.
+
+    The member with denominators ``den`` meets the line where
+    q2 t^2 + 2 q1 t + q0 = 0, with q2 = sum v_i^2/den_i,
+    q1 = sum x_i v_i/den_i and q0 = sum x_i^2/den_i - 1.
+    """
+    q2 = float(np.sum(v * v / den))
+    q1 = float(np.sum(x * v / den))
+    q0 = float(np.sum(x * x / den) - 1.0)
+    return q2, q1, q0
+
+
 def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
     """The d first integrals F_i of the billiard within Q_0.
 
@@ -319,11 +332,7 @@ def jacobi_coordinates(
 
 def _chord_interval(fam: ConfocalFamily, line: Line):
     """Parameters (t1, t2) of the intersection with Q_0, or NoIntersection."""
-    inv = 1.0 / fam.axes_f
-    x, v = line.base, line.direction
-    q2 = float(np.sum(v * v * inv))
-    q1 = float(np.sum(x * v * inv))
-    q0 = float(np.sum(x * x * inv) - 1.0)
+    q2, q1, q0 = chord_quadratic(fam.axes_f, line.base, line.direction)
     disc = q1 * q1 - q2 * q0
     scale = q1 * q1 + abs(q2 * q0) + 1e-300
     if disc < -1e-12 * scale:

@@ -113,10 +113,13 @@ def reflect_direction(v, n, sig: Signature, tol: float = LIGHT_TOL) -> np.ndarra
         v' = v - 2 (<v, n> / <n, n>) n
 
     Raises ``LightLikeNormal`` when <n, n> vanishes (scale-invariantly), in
-    which case the reflection is not defined.
+    which case the reflection is not defined.  n is first scaled by a power
+    of two to a largest component in [1/2, 1): the scaling is exact, so
+    <n, n> cannot underflow or overflow and the result does not change.
     """
     vv = _as_vector(v, sig.d)
     nn = _as_vector(n, sig.d)
+    nn = np.ldexp(nn, -math.frexp(float(np.max(np.abs(nn))))[1])
     n2 = dot(nn, nn, sig)
     e2 = float(np.dot(nn, nn))
     if e2 == 0.0 or abs(n2) <= tol * e2:

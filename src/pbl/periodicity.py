@@ -16,7 +16,6 @@ is imaginary) and keeps the arithmetic rational for rational input.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -388,11 +387,10 @@ def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
     out of budget raises ConstructionFailure.
     """
     rng = np.random.default_rng([seed, index])
-    for attempt in range(budget):
+    for _ in range(budget):
         p = random_boundary_point(fam, rng)
         try:
-            dirs = direction_with_caustics(fam, p, params,
-                                           seed=seed + budget * index + attempt)
+            dirs = direction_with_caustics(fam, p, params)
             v = inward_direction(fam, p, dirs[0])
             traj = trace(fam, p, v, n)
         except (NoSolution, NumericalStall):
@@ -412,25 +410,20 @@ def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
 
 def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
                     seed: int = 0, tol: float = 1e-6,
-                    budget_factor: int = 60,
-                    max_workers: int | None = None) -> PonceletReport:
+                    budget_factor: int = 60) -> PonceletReport:
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
     Raises CayleyConditionFailed if the analytic condition does not hold.
-    Samples run as concurrent tasks with independent seeded streams, so
-    the aggregated report does not depend on completion order.
+    Sample i draws from its own stream, seeded with (seed, i), so it does
+    not depend on the other samples.
     """
     params = tuple(params)
     if not cayley_condition(fam, params, n):
         raise CayleyConditionFailed(
             f"caustics {params} do not satisfy the period-{n} condition"
         )
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(
-            lambda i: _closure_sample(fam, params, n, seed, i, budget_factor),
-            range(samples),
-        ))
+    results = [_closure_sample(fam, params, n, seed, i, budget_factor) for i in range(samples)]
     worst_pos = max((pos for pos, _ in results), default=0.0)
     worst_dir = max((dirr for _, dirr in results), default=0.0)
     closed = sum(pos <= tol and dirr <= tol for pos, dirr in results)

@@ -268,26 +268,48 @@ def test_direction_recovery_planar_lightlike():
     assert matched == {"up", "down"}
 
 
+#: One family per signature with d >= 3: (k, l) -> axes.
+SPATIAL_FAMILIES = {
+    (2, 1): (5.0, 3.0, 2.0),
+    (1, 2): (4.0, 1.0, 3.0),
+    (2, 2): (5.0, 3.0, 1.0, 2.0),
+    (3, 1): (6.0, 4.0, 3.0, 2.0),
+}
+
+
+def _direction_of_type(rng, k: int, l: int, kind: str) -> np.ndarray:
+    """Unit sign blocks scaled so that <v, v> is 0, >= 0.36 or <= -0.36."""
+    plus, minus = rng.normal(size=k), rng.normal(size=l)
+    p = rng.uniform(0.0, 0.8) if kind == "time" else 1.0
+    q = rng.uniform(0.0, 0.8) if kind == "space" else 1.0
+    return np.concatenate([p * plus / np.linalg.norm(plus), q * minus / np.linalg.norm(minus)])
+
+
 def test_direction_recovery_3d():
-    rng = np.random.default_rng(11)
-    hits = 0
-    for _ in range(4):
-        p = random_boundary_point(FAM3, rng)
-        v = rng.uniform(-1, 1, 3)
-        if abs(sq_norm(v, FAM3.sig)) < 0.05 * float(np.dot(v, v)):
-            continue
-        cs = caustics(FAM3, Line(p, v))
-        try:
-            dirs = direction_with_caustics(FAM3, p, tuple(cs.params), seed=1)
-        except InadmissibleCaustics:
-            continue
-        vn = v / np.linalg.norm(v)
-        best = min(
-            min(np.linalg.norm(d - vn), np.linalg.norm(d + vn)) for d in dirs
-        )
-        assert best <= 1e-6
-        hits += 1
-    assert hits >= 2
+    for (k, l), axes in SPATIAL_FAMILIES.items():
+        fam = ConfocalFamily(Signature(k, l), axes)
+        rng = np.random.default_rng(11)
+        for trial in range(12):
+            p = random_boundary_point(fam, rng)
+            if trial % 4 == 3:
+                # next to the coordinate hyperplane x_i = 0, back on Q_0
+                p[trial % fam.d] *= 1e-7
+                p /= math.sqrt(evaluate_quadric(fam, 0.0, p) + 1.0)
+            v = _direction_of_type(rng, k, l, ("space", "time", "light")[trial % 3])
+            cs = caustics(fam, Line(p, v))
+            assert cs.has_infinite == (trial % 3 == 2)
+            dirs = direction_with_caustics(fam, p, cs)
+            vn = v / np.linalg.norm(v)
+            best = min(
+                min(np.linalg.norm(d - vn), np.linalg.norm(d + vn)) for d in dirs
+            )
+            assert best <= 1e-6, f"signature ({k}, {l}), trial {trial}"
+
+
+def test_direction_recovery_no_real_line():
+    # (0.1, 0.1) lies inside the caustic conic: no tangent line through it
+    with pytest.raises(NoSolution, match="no real line"):
+        direction_with_caustics(FAM2, [0.1, 0.1], (2.0 / 3.0,))
 
 
 def test_direction_recovery_rejects_bad_sets():

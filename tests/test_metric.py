@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbl.errors import LightLikeNormal
@@ -105,6 +105,7 @@ def test_reflect_lightlike_normal_raises():
 
 @settings(max_examples=200)
 @given(vec3, vec3)
+@example(v=(1.0, 0.5, 0.3), n=(1.3e-158, 0.7e-158, 0.2e-158))  # <n, n> underflows unscaled
 def test_reflect_involution_and_invariants(v, n):
     varr, narr = np.asarray(v), np.asarray(n)
     n2 = sq_norm(narr, SIG21)

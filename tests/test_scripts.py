@@ -1,0 +1,36 @@
+"""The experiment scripts in scripts/ run end to end with small arguments."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_spatial_period_search():
+    out = run_script("spatial_period_search.py", "--n", "6", "--attempts", "6", "--samples", "3")
+    assert out.returncode == 0, out.stderr
+    assert "pair (-2.320953597016259, +2.154286930349592): closed 3/3" in out.stdout
+
+
+def test_planar_period_scan():
+    out = run_script("planar_period_scan.py", "--min-n", "4", "--max-n", "5", "--samples", "3")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.count("closed 3/3") == 3
+
+
+def test_tropic_surface_export(tmp_path):
+    csv_path = tmp_path / "tropic.csv"
+    out = run_script("tropic_surface_export.py", "--out", str(csv_path), "--grid", "4x8")
+    assert out.returncode == 0, out.stderr
+    assert csv_path.read_text().startswith("kind,sheet,lambda,t,x,y,z")
