@@ -64,38 +64,3 @@ def newton_polish(coeffs, x0: float, steps: int = 3) -> float:
             break
         x, fx = x_new, f_new
     return x
-
-
-def bisect_root(f, lo: float, hi: float, iters: int = 200) -> float:
-    """Bisection on [lo, hi]; requires a sign change at the endpoints."""
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError("no sign change on bracket")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if hi - lo <= 1e-15 * max(1.0, abs(lo), abs(hi)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def cauchy_root_bound(coeffs) -> float:
-    """Upper bound on the absolute value of all roots."""
-    c = np.asarray(coeffs, dtype=float)
-    lead = c[-1]
-    if lead == 0.0:
-        raise ValueError("leading coefficient is zero")
-    return 1.0 + float(np.max(np.abs(c[:-1] / lead))) if len(c) > 1 else 1.0

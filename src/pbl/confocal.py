@@ -23,22 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import (
-    bisect_root,
-    cauchy_root_bound,
-    companion_roots,
-    linear_product,
-    newton_polish,
-    poly_eval,
-    poly_mul,
-)
+from ._poly import companion_roots, linear_product, newton_polish
 from .errors import (
     AmbiguousSign,
     DegenerateParameter,
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LIGHT_TOL, LineType, Signature, dot, line_type
+from .metric import LIGHT_TOL, LineType, Signature, line_type
 
 INF = math.inf
 
@@ -244,17 +236,20 @@ def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
     return out
 
 
+def _cofactor_products(fam: ConfocalFamily) -> list:
+    """For each i, prod_{j != i} (a_j - eps_j lambda); ascending coefficients."""
+    a = fam.axes_f
+    eps = fam.eps
+    return [linear_product(np.delete(a, i), -np.delete(eps, i)) for i in range(fam.d)]
+
+
 def jacobi_polynomial(fam: ConfocalFamily, x) -> list:
     """Pencil equation through x, denominators cleared; ascending, degree d."""
     xv = np.asarray(x, dtype=float)
-    a = fam.axes_f
-    eps = fam.eps
-    d = fam.d
-    coeffs = linear_product(a, -eps)
-    for i in range(d):
+    coeffs = linear_product(fam.axes_f, -fam.eps)
+    for i, others in enumerate(_cofactor_products(fam)):
         if xv[i] == 0.0:
             continue
-        others = linear_product(np.delete(a, i), -np.delete(eps, i))
         term = [xv[i] ** 2 * c for c in others]
         coeffs = [c - t for c, t in zip(coeffs, term + [0.0] * (len(coeffs) - len(term)))]
     return coeffs
@@ -270,12 +265,9 @@ def tangency_polynomial(fam: ConfocalFamily, x, v) -> list:
     caustic escapes to infinity).
     """
     F = integrals_F(fam, x, v)
-    a = fam.axes_f
     eps = fam.eps
-    d = fam.d
-    coeffs = [0.0] * d
-    for i in range(d):
-        others = linear_product(np.delete(a, i), -np.delete(eps, i))
+    coeffs = [0.0] * fam.d
+    for i, others in enumerate(_cofactor_products(fam)):
         w = eps[i] * F[i]
         for j, c in enumerate(others):
             coeffs[j] += w * c
@@ -341,88 +333,8 @@ def _chord_interval(fam: ConfocalFamily, line: Line):
     return (-q1 - rad) / q2, (-q1 + rad) / q2
 
 
-class _BracketFailure(Exception):
-    """Internal: structured bracketing not applicable, use the fallback."""
-
-
-def _zeta_breakpoints(fam: ConfocalFamily, v: np.ndarray, is_light: bool) -> list:
-    """Roots of R(lambda) = sum v_i^2 prod_{j != i}(a_j - eps_j lambda).
-
-    They separate the caustic roots.  One sits in every gap between
-    consecutive degenerate parameters of the same sign block, plus an
-    outer root below -a_d (space-like) or above a_1 (time-like).
-    Requires all v_i nonzero; otherwise roots collide with the gap
-    endpoints and the caller must fall back to the companion matrix.
-    """
-    v2 = v * v
-    if np.min(v2) <= 1e-22 * np.max(v2):
-        raise _BracketFailure
-    a = fam.axes_f
-    eps = fam.eps
-    d, k = fam.d, fam.k
-    s = fam.signed_axes
-    coeffs = [0.0] * d
-    for i in range(d):
-        others = linear_product(np.delete(a, i), -np.delete(eps, i))
-        for j, c in enumerate(others):
-            coeffs[j] += v2[i] * c
-
-    def R(lam: float) -> float:
-        return poly_eval(coeffs, lam)
-
-    gaps = [(s[i + 1], s[i]) for i in range(0, k - 1)]
-    gaps += [(s[i + 1], s[i]) for i in range(k, d - 1)]
-    zetas = []
-    for lo, hi in gaps:
-        try:
-            zetas.append(bisect_root(R, lo, hi))
-        except ValueError as exc:
-            raise _BracketFailure from exc
-    if not is_light:
-        bound = cauchy_root_bound(coeffs) + 1.0
-        vv = float(np.sum(eps * v2))
-        lo, hi = (min(-bound, s[-1] - 1.0), s[-1]) if vv > 0 else (s[0], max(bound, s[0] + 1.0))
-        try:
-            zetas.append(bisect_root(R, lo, hi))
-        except ValueError as exc:
-            raise _BracketFailure from exc
-    return zetas
-
-
-def _structured_roots(fam: ConfocalFamily, v: np.ndarray, pc: list, is_light: bool) -> list:
-    """Bracketed bisection for the tangency roots.
-
-    Between consecutive breakpoints (the zeta separators and 0) the
-    tangency discriminant is positive at both ends and flips sign across
-    the single degenerate parameter inside, so the cleared polynomial has
-    a guaranteed sign change either left or right of that pole.
-    """
-    zetas = _zeta_breakpoints(fam, v, is_light)
-    breakpoints = sorted(zetas + [0.0])
-    s = fam.signed_axes
-    scale_p = max(abs(c) for c in pc) + 1e-300
-    roots = []
-    for u, w in zip(breakpoints[:-1], breakpoints[1:]):
-        poles = [si for si in s if u < si < w]
-        if len(poles) != 1:
-            raise _BracketFailure
-        pole = poles[0]
-        fu = poly_eval(pc, u)
-        fp = poly_eval(pc, pole)
-        fw = poly_eval(pc, w)
-        if abs(fp) <= 1e-13 * scale_p:
-            roots.append(pole)
-        elif (fu > 0) != (fp > 0):
-            roots.append(bisect_root(lambda t: poly_eval(pc, t), u, pole))
-        elif (fp > 0) != (fw > 0):
-            roots.append(bisect_root(lambda t: poly_eval(pc, t), pole, w))
-        else:
-            raise _BracketFailure
-    return roots
-
-
-def _fallback_roots(fam: ConfocalFamily, pc: list, expected: int) -> list:
-    """Companion-matrix roots with a Newton polish; chords have real roots."""
+def _tangency_roots(fam: ConfocalFamily, pc: list, expected: int) -> list:
+    """Companion-matrix roots of the tangency polynomial, Newton-polished."""
     roots = companion_roots(pc)
     scale = fam.scale
     real = []
@@ -444,21 +356,21 @@ def caustics(fam: ConfocalFamily, line: Line, tol: float = LIGHT_TOL) -> Caustic
     The line must meet the reference ellipsoid.  A non-light-like line has
     d - 1 finite caustics; a light-like line has d - 2 finite ones plus the
     hyperplane at infinity, reported as math.inf.
+
+    The finite caustics are the roots of the tangency polynomial, taken
+    from its companion matrix and each polished by a few Newton steps.
+    For a line that meets the ellipsoid they are all real (a theorem of
+    Dragovic and Radnovic), so a complex root or a wrong root count means
+    the line is too degenerate and raises RootIsolationError.
     """
     _chord_interval(fam, line)
     x, v = line.base, line.direction
-    vv = dot(v, v, fam.sig)
-    is_light = abs(vv) <= tol * float(np.dot(v, v))
+    is_light = line_type(v, fam.sig, tol) is LineType.LIGHT_LIKE
     pc = tangency_polynomial(fam, x, v)
     if is_light:
         pc = pc[:-1]
     expected = fam.d - 2 if is_light else fam.d - 1
-    try:
-        roots = _structured_roots(fam, v, pc, is_light)
-    except _BracketFailure:
-        roots = _fallback_roots(fam, pc, expected)
-    if len(roots) != expected:
-        roots = _fallback_roots(fam, pc, expected)
+    roots = _tangency_roots(fam, pc, expected)
     params = tuple(sorted(roots)) + ((INF,) if is_light else ())
     return CausticSet(params)
 

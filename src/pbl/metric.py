@@ -74,6 +74,15 @@ def _as_vector(x, d: int) -> np.ndarray:
     return v
 
 
+def _pow2_scaled(v: np.ndarray) -> np.ndarray:
+    """v scaled by a power of two to a largest component in [1/2, 1).
+
+    The scaling is exact, so <v, v> and |v|^2 cannot underflow or overflow,
+    and scale-invariant tests on them do not change.
+    """
+    return np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+
+
 def dot(x, y, sig: Signature) -> float:
     """Pseudo-Euclidean scalar product of x and y."""
     xv = _as_vector(x, sig.d)
@@ -88,7 +97,7 @@ def sq_norm(x, sig: Signature) -> float:
 
 def line_type(v, sig: Signature, tol: float = LIGHT_TOL) -> LineType:
     """Classify a direction vector as space-, time- or light-like."""
-    vv = _as_vector(v, sig.d)
+    vv = _pow2_scaled(_as_vector(v, sig.d))
     e2 = float(np.dot(vv, vv))
     if e2 == 0.0:
         raise ValueError("zero vector has no line type")
@@ -114,12 +123,10 @@ def reflect_direction(v, n, sig: Signature, tol: float = LIGHT_TOL) -> np.ndarra
 
     Raises ``LightLikeNormal`` when <n, n> vanishes (scale-invariantly), in
     which case the reflection is not defined.  n is first scaled by a power
-    of two to a largest component in [1/2, 1): the scaling is exact, so
-    <n, n> cannot underflow or overflow and the result does not change.
+    of two (see ``_pow2_scaled``), which does not change the result.
     """
     vv = _as_vector(v, sig.d)
-    nn = _as_vector(n, sig.d)
-    nn = np.ldexp(nn, -math.frexp(float(np.max(np.abs(nn))))[1])
+    nn = _pow2_scaled(_as_vector(n, sig.d))
     n2 = dot(nn, nn, sig)
     e2 = float(np.dot(nn, nn))
     if e2 == 0.0 or abs(n2) <= tol * e2:

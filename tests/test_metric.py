@@ -73,6 +73,7 @@ def test_line_type_zero_vector():
 
 
 @given(vec3, st.floats(1e-3, 1e3))
+@example(v=(0.0, 0.0, 6.891676279098351e-161), s=0.015625)
 def test_line_type_scale_invariant(v, s):
     arr = np.asarray(v)
     if _euclid(arr) == 0.0:
