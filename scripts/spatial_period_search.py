@@ -13,6 +13,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,10 +57,16 @@ def parse_args() -> SearchConfig:
 
 
 def closure_residual(fam: ConfocalFamily, params: np.ndarray, n: int) -> np.ndarray:
-    """Entries of the closure matrix; zero at a periodic caustic pair."""
+    """Maximal minors of the closure matrix; all zero at a periodic pair.
+
+    The period condition is rank < cols, which holds exactly where every
+    cols x cols minor vanishes.  Asking every entry to vanish instead has
+    no solution once the matrix has two columns (n >= 7 in dimension 3).
+    """
     B = normalized_sqrt_series(fam, tuple(params), n)
-    M = cayley_matrix(B, fam.d, n)
-    return np.asarray(M, dtype=float).ravel()
+    M = np.asarray(cayley_matrix(B, fam.d, n), dtype=float)
+    rows, cols = M.shape
+    return np.linalg.det(M[list(itertools.combinations(range(rows), cols))])
 
 
 def chord_seed(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray | None:

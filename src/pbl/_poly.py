@@ -49,12 +49,16 @@ def companion_roots(coeffs) -> np.ndarray:
     return npoly.polyroots(c)
 
 
-def newton_polish(coeffs, x0: float, steps: int = 3) -> float:
+#: Newton steps in ``newton_polish``.
+NEWTON_STEPS = 3
+
+
+def newton_polish(coeffs, x0: float) -> float:
     """A few guarded Newton steps on a float polynomial."""
     der = poly_der(list(coeffs))
     x = float(x0)
     fx = abs(poly_eval(coeffs, x))
-    for _ in range(steps):
+    for _ in range(NEWTON_STEPS):
         dfx = poly_eval(der, x)
         if dfx == 0.0:
             break

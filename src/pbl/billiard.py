@@ -23,13 +23,14 @@ from .confocal import (
     ConfocalFamily,
     INF,
     Line,
+    _caustic_set,
     caustics,
     chord_quadratic,
     evaluate_quadric,
     integrals_F,
     interlacing_checks,
     jacobi_coordinates,
-    tangency_polynomial,
+    trajectory_type_from_caustics,
 )
 from .errors import (
     InadmissibleCaustics,
@@ -39,7 +40,7 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LIGHT_TOL, LineType, Signature, dot, line_type, pseudo_normal, reflect_direction
+from .metric import LineType, Signature, dot, line_type, pseudo_normal, reflect_direction
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -83,7 +84,7 @@ def boundary_normal(fam: ConfocalFamily, p) -> np.ndarray:
     return pseudo_normal(pv / fam.axes_f, fam.sig)
 
 
-def reflect_at_boundary(fam: ConfocalFamily, p, v, tol: float = LIGHT_TOL):
+def reflect_at_boundary(fam: ConfocalFamily, p, v):
     """Reflect direction v at the boundary point p of Q_0.
 
     Returns (v_out, double_flag).  At points with light-like normal the
@@ -95,7 +96,7 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v, tol: float = LIGHT_TOL):
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
     try:
-        return reflect_direction(vv, boundary_normal(fam, pv), fam.sig, tol), False
+        return reflect_direction(vv, boundary_normal(fam, pv), fam.sig), False
     except LightLikeNormal:
         return -vv, True
 
@@ -145,12 +146,14 @@ def _snap_to_boundary(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, t: floa
     return p
 
 
-def trace(fam: ConfocalFamily, start, direction, n_reflections: int,
-          tol: float = LIGHT_TOL) -> Trajectory:
+def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajectory:
     """Trace the billiard flow until n_reflections have occurred.
 
     The start point must lie inside Q_0, or on it with an inward
-    direction.  Double reflections advance the counter by two.  The
+    direction.  Double reflections advance the counter by two.  Reflection
+    preserves the line type, the first integrals and the caustics, so the
+    line type is fixed once from the start direction and every segment's
+    caustics come from its own first integrals with that type.  The
     returned trajectory records per-bounce data, the caustic set of the
     initial segment, and the worst relative drift of the first integrals
     (``invariant_drift``) and of the per-segment caustics
@@ -168,38 +171,26 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int,
         if inward >= 0.0:
             raise ValueError("start on the boundary needs an inward direction")
 
-    ltype = line_type(v, fam.sig, tol)
-    cs0 = caustics(fam, Line(x, v), tol)
+    ltype = line_type(v, fam.sig)
+    cs0 = caustics(fam, Line(x, v))
     ref_finite = np.array(cs0.finite)
 
     bounces: list[Bounce] = []
     refl = 0
-    F0 = None
-    vv0 = None
-    fscale = 1.0
-    drift = 0.0
-    cdrift = 0.0
     while refl < n_reflections:
         t = _next_chord_parameter(fam, x, v)
         p = _snap_to_boundary(fam, x, v, t)
-        v_out, double = reflect_at_boundary(fam, p, v, tol)
+        v_out, double = reflect_at_boundary(fam, p, v)
         refl += 2 if double else 1
         bounces.append(Bounce(p, v.copy(), v_out, double, refl))
-        if F0 is None:
-            F0 = integrals_F(fam, p, v)
-            vv0 = dot(v, v, fam.sig)
-            fscale = max(float(np.max(np.abs(F0))), abs(vv0), 1e-300)
-        F = integrals_F(fam, p, v_out)
-        vv = dot(v_out, v_out, fam.sig)
-        drift = max(drift, float(np.max(np.abs(F - F0))) / fscale, abs(vv - vv0) / fscale)
-        cs = caustics(fam, Line(p, v_out), tol)
-        if len(cs.finite) == len(ref_finite):
-            seg = np.array(cs.finite)
-            rel = np.abs(seg - ref_finite) / np.maximum(1.0, np.abs(ref_finite))
-            cdrift = max(cdrift, float(np.max(rel)) if rel.size else 0.0)
-        else:
-            cdrift = math.inf
         x, v = p, v_out
+
+    integrals, drift = _segment_integrals(fam, bounces)
+    cdrift = 0.0
+    for F in integrals:
+        seg = np.array(_caustic_set(fam, F, ltype).finite)
+        rel = np.abs(seg - ref_finite) / np.maximum(1.0, np.abs(ref_finite))
+        cdrift = max(cdrift, float(np.max(rel)) if rel.size else 0.0)
     return Trajectory(
         family=fam,
         start_point=np.asarray(start, dtype=float),
@@ -211,6 +202,27 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int,
         caustic_drift=cdrift,
         reflections=refl,
     )
+
+
+def _segment_integrals(fam: ConfocalFamily, bounces: list) -> tuple:
+    """First integrals of each bounce's outgoing segment, and their drift.
+
+    The drift is the worst deviation of F and of <v, v> from their values
+    on the incoming segment of the first bounce, relative to the largest
+    of those values.
+    """
+    b0 = bounces[0]
+    F0 = integrals_F(fam, b0.point, b0.v_in)
+    vv0 = dot(b0.v_in, b0.v_in, fam.sig)
+    fscale = max(float(np.max(np.abs(F0))), abs(vv0), 1e-300)
+    integrals = []
+    drift = 0.0
+    for b in bounces:
+        F = integrals_F(fam, b.point, b.v_out)
+        vv = dot(b.v_out, b.v_out, fam.sig)
+        drift = max(drift, float(np.max(np.abs(F - F0))) / fscale, abs(vv - vv0) / fscale)
+        integrals.append(F)
+    return integrals, drift
 
 
 @dataclass(frozen=True)
@@ -286,12 +298,22 @@ def rectangle_ratio(a: float, b: float) -> float:
 
 
 def _tangency_residual(fam: ConfocalFamily, x, v, alpha: float) -> tuple[float, float]:
-    """Tangency discriminant of the line (x, v) against Q_alpha, with scale."""
-    q2, q1, q0 = chord_quadratic(fam.denominators(alpha), np.asarray(x, dtype=float),
-                                 np.asarray(v, dtype=float))
-    val = q1 * q1 - q2 * q0
-    scale = q1 * q1 + abs(q2 * q0) + 1e-30
-    return val, scale
+    """Tangency discriminant of the line (x, v) against Q_alpha, with scale.
+
+    The scale is the same discriminant built from the absolute values of
+    its terms.  Terms of opposite metric sign cancel inside q2 and q1, so
+    the rounding error of the discriminant follows this scale, not the
+    size of q2, q1 and q0.
+    """
+    den = fam.denominators(alpha)
+    xv = np.asarray(x, dtype=float)
+    vv = np.asarray(v, dtype=float)
+    q2, q1, q0 = chord_quadratic(den, xv, vv)
+    aden = np.abs(den)
+    s2 = float(np.sum(vv * vv / aden))
+    s1 = float(np.sum(np.abs(xv * vv) / aden))
+    s0 = float(np.sum(xv * xv / aden)) + 1.0
+    return q1 * q1 - q2 * q0, s1 * s1 + s2 * s0
 
 
 def _canonical_direction(v: np.ndarray) -> np.ndarray:
@@ -304,25 +326,10 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
 
 def _admissible(fam: ConfocalFamily, params: tuple) -> None:
     finite = [p for p in params if math.isfinite(p)]
-    n_inf = len(params) - len(finite)
-    n_pos = sum(1 for p in finite if p > 0)
-    n_neg = sum(1 for p in finite if p < 0)
-    k, l = fam.k, fam.l
-    if n_inf > 1 or any(abs(p) <= 1e-12 * fam.scale for p in finite):
+    if len(params) - len(finite) > 1 or any(abs(p) <= 1e-12 * fam.scale for p in finite):
         raise InadmissibleCaustics("degenerate caustic parameters")
-    if n_inf == 1:
-        ltype = LineType.LIGHT_LIKE
-        ok = n_pos == k - 1 and n_neg == l - 1
-    elif (-1) ** (l + n_neg) > 0:
-        ltype = LineType.SPACE_LIKE
-        ok = n_pos == k - 1 and n_neg == l
-    else:
-        ltype = LineType.TIME_LIKE
-        ok = n_pos == k and n_neg == l - 1
-    if ok:
-        checks, *_ = interlacing_checks(fam, params, ltype)
-        ok = all(checks.values())
-    if not ok:
+    checks, *_ = interlacing_checks(fam, params, trajectory_type_from_caustics(fam, params))
+    if not all(checks.values()):
         raise InadmissibleCaustics(f"caustics {params} violate the interlacing pattern")
 
 
@@ -477,16 +484,6 @@ def trajectory_from_dict(data: dict) -> Trajectory:
 
 def recompute_drift(traj: Trajectory) -> float:
     """Invariant drift recomputed from the recorded bounces alone."""
-    fam = traj.family
     if not traj.bounces:
         raise ValueError("trajectory has no bounces")
-    b0 = traj.bounces[0]
-    F0 = integrals_F(fam, b0.point, b0.v_in)
-    vv0 = dot(b0.v_in, b0.v_in, fam.sig)
-    fscale = max(float(np.max(np.abs(F0))), abs(vv0), 1e-300)
-    drift = 0.0
-    for b in traj.bounces:
-        F = integrals_F(fam, b.point, b.v_out)
-        vv = dot(b.v_out, b.v_out, fam.sig)
-        drift = max(drift, float(np.max(np.abs(F - F0))) / fscale, abs(vv - vv0) / fscale)
-    return drift
+    return _segment_integrals(traj.family, traj.bounces)[1]

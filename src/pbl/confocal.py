@@ -30,7 +30,7 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LIGHT_TOL, LineType, Signature, line_type
+from .metric import LineType, Signature, line_type
 
 INF = math.inf
 
@@ -264,7 +264,11 @@ def tangency_polynomial(fam: ConfocalFamily, x, v) -> list:
     (the leading coefficient vanishes for light-like lines, where one
     caustic escapes to infinity).
     """
-    F = integrals_F(fam, x, v)
+    return _tangency_coefficients(fam, integrals_F(fam, x, v))
+
+
+def _tangency_coefficients(fam: ConfocalFamily, F) -> list:
+    """Tangency polynomial of a line from its first integrals F; ascending."""
     eps = fam.eps
     coeffs = [0.0] * fam.d
     for i, others in enumerate(_cofactor_products(fam)):
@@ -278,14 +282,12 @@ def tangency_polynomial(fam: ConfocalFamily, x, v) -> list:
 # ------------------------------------------------------ jacobi coordinates
 
 
-def jacobi_coordinates(
-    fam: ConfocalFamily, x, mult_tol: float = MULTIPLE_ROOT_TOL
-) -> GeneralizedJacobi:
+def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     """Generalized Jacobi coordinates of x: all pencil members through x.
 
     Either all d solutions are real, or d - 2 are real plus one conjugate
-    complex pair.  Real roots closer than ``mult_tol * (a_1 + a_d)`` are
-    collapsed into a multiple root.
+    complex pair.  Real roots closer than ``MULTIPLE_ROOT_TOL * (a_1 + a_d)``
+    are collapsed into a multiple root.
     """
     coeffs = jacobi_polynomial(fam, x)
     roots = companion_roots(coeffs)
@@ -310,7 +312,7 @@ def jacobi_coordinates(
     i = 0
     while i < len(polished):
         j = i
-        while j + 1 < len(polished) and polished[j + 1] - polished[i] <= mult_tol * scale:
+        while j + 1 < len(polished) and polished[j + 1] - polished[i] <= MULTIPLE_ROOT_TOL * scale:
             j += 1
         cluster = polished[i : j + 1]
         centre = sum(cluster) / len(cluster)
@@ -322,35 +324,31 @@ def jacobi_coordinates(
 # -------------------------------------------------------------- caustics
 
 
-def _chord_interval(fam: ConfocalFamily, line: Line):
-    """Parameters (t1, t2) of the intersection with Q_0, or NoIntersection."""
-    q2, q1, q0 = chord_quadratic(fam.axes_f, line.base, line.direction)
-    disc = q1 * q1 - q2 * q0
-    scale = q1 * q1 + abs(q2 * q0) + 1e-300
-    if disc < -1e-12 * scale:
-        raise NoIntersection("line does not meet the reference ellipsoid")
-    rad = math.sqrt(max(disc, 0.0))
-    return (-q1 - rad) / q2, (-q1 + rad) / q2
+def _caustic_set(fam: ConfocalFamily, F, ltype: LineType) -> CausticSet:
+    """Caustics of a line from its first integrals F and its line type.
 
-
-def _tangency_roots(fam: ConfocalFamily, pc: list, expected: int) -> list:
-    """Companion-matrix roots of the tangency polynomial, Newton-polished."""
-    roots = companion_roots(pc)
+    See ``caustics``; a light-like line drops the vanishing leading
+    coefficient of the tangency polynomial.
+    """
+    light = ltype is LineType.LIGHT_LIKE
+    pc = _tangency_coefficients(fam, F)
+    if light:
+        pc = pc[:-1]
     scale = fam.scale
-    real = []
-    for z in roots:
+    roots = []
+    for z in companion_roots(pc):
         if abs(z.imag) <= 1e-6 * max(scale, abs(z)):
-            real.append(newton_polish(pc, z.real))
+            roots.append(newton_polish(pc, z.real))
         else:
             raise RootIsolationError(
                 f"complex tangency root {z}; the line is too degenerate to isolate caustics"
             )
-    if len(real) != expected:
-        raise RootIsolationError(f"expected {expected} tangency roots, found {len(real)}")
-    return real
+    if len(roots) != len(pc) - 1:
+        raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
+    return CausticSet(tuple(sorted(roots)) + ((INF,) if light else ()))
 
 
-def caustics(fam: ConfocalFamily, line: Line, tol: float = LIGHT_TOL) -> CausticSet:
+def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     """Caustic parameters of the line: pencil members tangent to it.
 
     The line must meet the reference ellipsoid.  A non-light-like line has
@@ -363,16 +361,11 @@ def caustics(fam: ConfocalFamily, line: Line, tol: float = LIGHT_TOL) -> Caustic
     Dragovic and Radnovic), so a complex root or a wrong root count means
     the line is too degenerate and raises RootIsolationError.
     """
-    _chord_interval(fam, line)
     x, v = line.base, line.direction
-    is_light = line_type(v, fam.sig, tol) is LineType.LIGHT_LIKE
-    pc = tangency_polynomial(fam, x, v)
-    if is_light:
-        pc = pc[:-1]
-    expected = fam.d - 2 if is_light else fam.d - 1
-    roots = _tangency_roots(fam, pc, expected)
-    params = tuple(sorted(roots)) + ((INF,) if is_light else ())
-    return CausticSet(params)
+    q2, q1, q0 = chord_quadratic(fam.axes_f, x, v)
+    if q1 * q1 - q2 * q0 < -1e-12 * (q1 * q1 + abs(q2 * q0) + 1e-300):
+        raise NoIntersection("line does not meet the reference ellipsoid")
+    return _caustic_set(fam, integrals_F(fam, x, v), line_type(v, fam.sig))
 
 
 def trajectory_type_from_caustics(
@@ -495,10 +488,10 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     return checks, tuple(b), tuple(c), tuple(pos_positions), tuple(neg_positions)
 
 
-def interlacing_report(fam: ConfocalFamily, line: Line, tol: float = LIGHT_TOL) -> InterlacingReport:
+def interlacing_report(fam: ConfocalFamily, line: Line) -> InterlacingReport:
     """Verify the interlacing of caustics and degenerate parameters."""
-    cs = caustics(fam, line, tol)
-    ltype = line_type(line.direction, fam.sig, tol)
+    cs = caustics(fam, line)
+    ltype = line_type(line.direction, fam.sig)
     checks, b, c, pos_positions, neg_positions = interlacing_checks(fam, tuple(cs), ltype)
     return InterlacingReport(
         line_type=ltype,

@@ -6,7 +6,7 @@ The scalar product of signature (k, l) on R^d, d = k + l, is
 
 Lines are space-, time- or light-like according to the sign of <v, v> for a
 direction vector v.  The sign test is scale invariant: |<v, v>| is compared
-against ``tol`` times the squared Euclidean norm of v.
+against ``LIGHT_TOL`` times the squared Euclidean norm of v.
 """
 
 from __future__ import annotations
@@ -95,14 +95,14 @@ def sq_norm(x, sig: Signature) -> float:
     return dot(x, x, sig)
 
 
-def line_type(v, sig: Signature, tol: float = LIGHT_TOL) -> LineType:
+def line_type(v, sig: Signature) -> LineType:
     """Classify a direction vector as space-, time- or light-like."""
     vv = _pow2_scaled(_as_vector(v, sig.d))
     e2 = float(np.dot(vv, vv))
     if e2 == 0.0:
         raise ValueError("zero vector has no line type")
     s = dot(vv, vv, sig)
-    if abs(s) <= tol * e2:
+    if abs(s) <= LIGHT_TOL * e2:
         return LineType.LIGHT_LIKE
     return LineType.SPACE_LIKE if s > 0 else LineType.TIME_LIKE
 
@@ -116,7 +116,7 @@ def pseudo_normal(w, sig: Signature) -> np.ndarray:
     return sig.eps * _as_vector(w, sig.d)
 
 
-def reflect_direction(v, n, sig: Signature, tol: float = LIGHT_TOL) -> np.ndarray:
+def reflect_direction(v, n, sig: Signature) -> np.ndarray:
     """Billiard reflection of direction v off a hyperplane with pseudo-normal n.
 
         v' = v - 2 (<v, n> / <n, n>) n
@@ -129,7 +129,7 @@ def reflect_direction(v, n, sig: Signature, tol: float = LIGHT_TOL) -> np.ndarra
     nn = _pow2_scaled(_as_vector(n, sig.d))
     n2 = dot(nn, nn, sig)
     e2 = float(np.dot(nn, nn))
-    if e2 == 0.0 or abs(n2) <= tol * e2:
+    if e2 == 0.0 or abs(n2) <= LIGHT_TOL * e2:
         raise LightLikeNormal("normal is light-like; reflection undefined")
     return vv - (2.0 * dot(vv, nn, sig) / n2) * nn
 

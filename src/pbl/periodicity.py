@@ -45,6 +45,12 @@ from ._poly import poly_mul
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
 ANGLE_TOL = 1e-12
 
+#: Relative width at which the bisection of a determinant sign change stops.
+BISECT_TOL = 1e-13
+
+#: Boundary points a Poncelet sample may draw before it gives up.
+SAMPLE_BUDGET = 60
+
 
 def _exact_sqrt(q) -> Fraction | None:
     """Exact square root of a rational, or None if it is not a square."""
@@ -210,8 +216,7 @@ def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: boo
     return sqrt_series([c / q0 for c in p1], n_terms)
 
 
-def cayley_condition(fam: ConfocalFamily, params, n: int, rel_tol: float = 1e-9,
-                     exact: bool = False) -> bool:
+def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -> bool:
     """Analytic n-periodicity test for trajectories with the given caustics.
 
     Builds the closure matrix from the normalized square-root series and
@@ -225,7 +230,7 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, rel_tol: float = 1e-9,
     if exact:
         return _exact_rank(M) < cols
     scale = max(1.0, max(abs(float(b)) for b in B))
-    return numerical_rank(np.asarray(M, dtype=float), rel_tol, scale=scale) < cols
+    return numerical_rank(np.asarray(M, dtype=float), scale=scale) < cols
 
 
 def planar_cayley_det(fam: ConfocalFamily, alpha: float, n: int) -> float:
@@ -295,8 +300,7 @@ def default_search_window(fam: ConfocalFamily, samples: int = 4001) -> SearchWin
 
 
 def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
-                                 window: SearchWindow | None = None,
-                                 rel_tol: float = 1e-13) -> list:
+                                 window: SearchWindow | None = None) -> list:
     """All caustic parameters in the window whose planar trajectories are
     n-periodic, found as sign changes of the closure determinant.
 
@@ -344,7 +348,7 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
                 for _ in range(200):
                     mid = 0.5 * (lo_i + hi_i)
                     f_mid = g(mid)
-                    if math.isnan(f_mid) or hi_i - lo_i <= rel_tol * max(1.0, abs(mid)):
+                    if math.isnan(f_mid) or hi_i - lo_i <= BISECT_TOL * max(1.0, abs(mid)):
                         break
                     if f_lo * f_mid <= 0.0:
                         hi_i = mid
@@ -379,7 +383,7 @@ class PonceletReport:
 
 
 def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
-                    index: int, budget: int) -> tuple:
+                    index: int) -> tuple:
     """One closure experiment with its own deterministic random stream.
 
     Returns (position_error, direction_error).  Boundary points with no
@@ -387,7 +391,7 @@ def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
     out of budget raises ConstructionFailure.
     """
     rng = np.random.default_rng([seed, index])
-    for _ in range(budget):
+    for _ in range(SAMPLE_BUDGET):
         p = random_boundary_point(fam, rng)
         try:
             dirs = direction_with_caustics(fam, p, params)
@@ -404,13 +408,12 @@ def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
         dir_err = float(np.linalg.norm(wn - vn))
         return pos_err, dir_err
     raise ConstructionFailure(
-        f"sample {index} not constructed within {budget} attempts"
+        f"sample {index} not constructed within {SAMPLE_BUDGET} attempts"
     )
 
 
 def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
-                    seed: int = 0, tol: float = 1e-6,
-                    budget_factor: int = 60) -> PonceletReport:
+                    seed: int = 0, tol: float = 1e-6) -> PonceletReport:
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
@@ -423,7 +426,7 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         raise CayleyConditionFailed(
             f"caustics {params} do not satisfy the period-{n} condition"
         )
-    results = [_closure_sample(fam, params, n, seed, i, budget_factor) for i in range(samples)]
+    results = [_closure_sample(fam, params, n, seed, i) for i in range(samples)]
     worst_pos = max((pos for pos, _ in results), default=0.0)
     worst_dir = max((dirr for _, dirr in results), default=0.0)
     closed = sum(pos <= tol and dirr <= tol for pos, dirr in results)

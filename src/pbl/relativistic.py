@@ -121,8 +121,7 @@ def geometric_type_3d(fam: ConfocalFamily, lam: float) -> GeomType3:
     a, b, c = _abc(fam)
     if not math.isfinite(lam):
         raise DegenerateParameter("lambda must be finite")
-    tol = 1e-12 * fam.scale
-    if min(abs(lam - a), abs(lam - b), abs(lam + c)) <= tol:
+    if fam.is_degenerate_parameter(lam):
         return GeomType3.DEGENERATE_PLANE
     if lam < -c:
         return GeomType3.ONE_SHEET_Z
@@ -191,8 +190,7 @@ def tropic_cone_residual(fam: ConfocalFamily, lam: float, p) -> float:
     Zero exactly on the light-like-normal curve of Q_lambda.
     """
     a, b, c = _abc(fam)
-    tol = 1e-12 * fam.scale
-    if min(abs(lam - a), abs(lam - b), abs(lam + c)) <= tol:
+    if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is degenerate for the cone")
     pv = np.asarray(p, dtype=float)
     if pv.shape != (3,):
@@ -326,8 +324,7 @@ def focal_residual(fam: ConfocalFamily, lam: float, x) -> FocalResidual:
     """
     a, b = _ab(fam)
     xv = np.asarray(x, dtype=float)
-    tol = 1e-12 * fam.scale
-    if min(abs(lam - a), abs(lam + b)) <= tol:
+    if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is degenerate")
     val = xv[0] ** 2 / (a - lam) + xv[1] ** 2 / (b + lam) - 1.0
     if abs(val) > 1e-9 * max(1.0, abs(xv[0]) + abs(xv[1])):

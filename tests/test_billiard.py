@@ -135,6 +135,26 @@ def test_trace_conserves_integrals_and_caustics():
     assert traj.line_type is line_type([1.0, 0.4, -0.3], FAM3.sig)
 
 
+@pytest.mark.parametrize(
+    "fam, x, v, n",
+    [
+        (FAM3, [0.1664457192747821, 0.6366869951106585, 0.3517658457942263],
+         [0.27485474176571484, 0.9614857622081058, 1.0], 120),
+        (ConfocalFamily(Signature(1, 1), (math.tan(5 * math.pi / 12) ** 2, 1.0)),
+         [1.0142444092957907, 0.9137586002495084], [1.0, -1.0], 240),
+    ],
+    ids=["spatial", "planar"],
+)
+def test_trace_lightlike_keeps_its_line_type(fam, x, v, n):
+    # <v, v> / |v|^2 drifts past LIGHT_TOL along these orbits; the line
+    # type is fixed from the start, so every segment keeps d - 2 finite
+    # caustics and the caustic drift stays finite and small
+    traj = trace(fam, x, v, n)
+    assert traj.line_type is LineType.LIGHT_LIKE
+    assert traj.invariant_drift <= 1e-9
+    assert traj.caustic_drift <= 1e-9
+
+
 def test_trace_boundary_start_needs_inward_direction():
     p = np.array([math.sqrt(5.0), 0.0, 0.0])
     traj = trace(FAM3, p, [-1.0, 0.1, 0.1], 10)
@@ -304,6 +324,20 @@ def test_direction_recovery_3d():
                 min(np.linalg.norm(d - vn), np.linalg.norm(d + vn)) for d in dirs
             )
             assert best <= 1e-6, f"signature ({k}, {l}), trial {trial}"
+
+
+def test_direction_recovery_cancelling_signs():
+    # The tangency check measures its residual against the absolute terms:
+    # in signature (1, 3) the terms of q2 and q1 cancel, and a check scaled
+    # by |q2 q0| + q1^2 rejected correct directions here
+    fam = ConfocalFamily(Signature(1, 3), (3.0, 1.0, 2.0, 4.0))
+    x = np.array([0.96790, -0.47026, 6.43e-11, -1.36613])
+    for target in [(-2.1523206425706043, -0.1825341560162707, 1.596280753499),
+                   (-8.843040601670955, -2.0000027857357328, -0.06001058848357177)]:
+        dirs = direction_with_caustics(fam, x, target)
+        assert len(dirs) == 8
+        for v in dirs:
+            assert caustics(fam, Line(x, v)).params == pytest.approx(target, rel=1e-10)
 
 
 def test_direction_recovery_no_real_line():

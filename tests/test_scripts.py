@@ -32,6 +32,15 @@ def test_spatial_period_search():
     assert pair == pytest.approx((-2.320953597016259, 2.154286930349592), abs=1e-12)
 
 
+def test_spatial_period_search_two_column_matrix():
+    # at n = 8 the closure matrix is 3 x 2: the search must reach rank 1,
+    # not a zero matrix
+    out = run_script("spatial_period_search.py", "--n", "8", "--attempts", "6", "--samples", "3")
+    assert out.returncode == 0, out.stderr
+    pairs = [line for line in out.stdout.splitlines() if line.startswith("pair (")]
+    assert pairs and all("closed 3/3" in line for line in pairs), out.stdout
+
+
 def test_planar_period_scan():
     out = run_script("planar_period_scan.py", "--min-n", "4", "--max-n", "5", "--samples", "3")
     assert out.returncode == 0, out.stderr
