@@ -51,6 +51,8 @@ def parse_args() -> SearchConfig:
     ap.add_argument("--samples", type=int, default=6)
     ap.add_argument("--seed", type=int, default=4)
     ns = ap.parse_args()
+    if ns.n < 6 or ns.n % 2:
+        ap.error(f"--n must be an even period >= 6, got {ns.n}")
     k, l = (int(s) for s in ns.sig.split(","))
     axes = tuple(float(s) for s in ns.axes.split(","))
     return SearchConfig(Signature(k, l), axes, ns.n, ns.attempts, ns.samples, ns.seed)

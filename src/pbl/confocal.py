@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LineType, Signature, line_type
+from .metric import LineType, Signature, line_type, _read_only
 
 INF = math.inf
 
@@ -48,7 +49,8 @@ class ConfocalFamily:
 
     Axis values may be floats or exact ``fractions.Fraction`` values; the
     latter are preserved so that the rational closure tests can work
-    exactly.  All geometric routines coerce to float.
+    exactly.  All geometric routines coerce to float.  The float arrays
+    ``eps``, ``axes_f`` and ``signed_axes`` are built once and read-only.
     """
 
     sig: Signature
@@ -79,7 +81,7 @@ class ConfocalFamily:
     def l(self) -> int:
         return self.sig.l
 
-    @property
+    @cached_property
     def eps(self) -> np.ndarray:
         return self.sig.eps
 
@@ -88,14 +90,14 @@ class ConfocalFamily:
         """Metric signs as plain ints, for exact rational arithmetic."""
         return tuple([1] * self.k + [-1] * self.l)
 
-    @property
+    @cached_property
     def axes_f(self) -> np.ndarray:
-        return np.asarray([float(a) for a in self.axes])
+        return _read_only(np.asarray([float(a) for a in self.axes]))
 
-    @property
+    @cached_property
     def signed_axes(self) -> np.ndarray:
         """eps_i a_i in index order; strictly decreasing."""
-        return self.eps * self.axes_f
+        return _read_only(self.eps * self.axes_f)
 
     @property
     def scale(self) -> float:

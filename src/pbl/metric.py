@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -47,12 +48,15 @@ class Signature:
     def d(self) -> int:
         return self.k + self.l
 
-    @property
+    @cached_property
     def eps(self) -> np.ndarray:
-        """Diagonal of the metric matrix: k ones followed by l minus ones."""
+        """Diagonal of the metric matrix: k ones followed by l minus ones.
+
+        Built once and read-only, like the arrays of ``ConfocalFamily``.
+        """
         e = np.ones(self.d)
         e[self.k:] = -1.0
-        return e
+        return _read_only(e)
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,12 @@ class MDistance:
 
     magnitude: float
     imaginary: bool
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """``a`` with its write flag cleared, for arrays cached on frozen objects."""
+    a.setflags(write=False)
+    return a
 
 
 def _as_vector(x, d: int) -> np.ndarray:

@@ -51,6 +51,13 @@ BISECT_TOL = 1e-13
 #: Boundary points a Poncelet sample may draw before it gives up.
 SAMPLE_BUDGET = 60
 
+#: Distance, relative to a_1 + a_d, at which a caustic parameter collides
+#: with another one or with a degenerate pencil value.
+COLLISION_TOL = 1e-12
+
+#: |P1(0)| below which the normalized series does not exist.
+P1_ZERO = 1e-300
+
 
 def _exact_sqrt(q) -> Fraction | None:
     """Exact square root of a rational, or None if it is not a square."""
@@ -70,6 +77,8 @@ def sqrt_series(q, n_terms: int) -> list:
         B_n = (q_n - sum_{i=1}^{n-1} B_i B_{n-i}) / (2 B_0)
     stays in exact rational arithmetic when every coefficient is an int or
     Fraction and q[0] is a perfect square; otherwise it runs in floats.
+    Float coefficients may be arrays of one shape: the recurrence then runs
+    on every entry at once, B[k][j] being coefficient k of series j.
     """
     if not q:
         raise ValueError("empty coefficient list")
@@ -82,11 +91,11 @@ def sqrt_series(q, n_terms: int) -> list:
         if b0 is None:
             exact_in = False
     if not exact_in:
-        q = [float(c) for c in q]
+        q = [np.asarray(c, dtype=float) if np.ndim(c) else float(c) for c in q]
         q0 = q[0]
-        if q0 <= 0.0:
+        if np.any(q0 <= 0.0):
             raise NonpositiveConstantTerm(f"constant term {q0} is not positive")
-        b0 = math.sqrt(q0)
+        b0 = np.sqrt(q0) if np.ndim(q0) else math.sqrt(q0)
     coeffs = list(q) + [0 * q0] * max(0, n_terms - len(q))
     B = [b0]
     for n in range(1, n_terms):
@@ -110,7 +119,7 @@ def build_P1(fam: ConfocalFamily, params) -> list:
         raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
     finite = [p for p in params if isinstance(p, Fraction) or math.isfinite(p)]
     signed = list(fam.signed_axes)
-    tol = 1e-12 * fam.scale
+    tol = COLLISION_TOL * fam.scale
     vals = [float(p) for p in finite]
     for i, p in enumerate(vals):
         for other in vals[:i] + signed:
@@ -118,10 +127,17 @@ def build_P1(fam: ConfocalFamily, params) -> list:
                 raise DegenerateConfiguration(
                     f"caustic parameter {p} collides with {other}"
                 )
+    return _pencil_product(finite, fam.axes, fam.eps_exact)
+
+
+def _pencil_product(finite, axes, eps) -> list:
+    """Ascending coefficients of prod_i (alpha_i - lam) * prod_j (a_j - eps_j lam),
+    unchecked.  A caustic may be an array, which gives array coefficients:
+    one product per entry."""
     poly = [1]
     for alpha in finite:
         poly = poly_mul(poly, [alpha, -1])
-    for a, e in zip(fam.axes, fam.eps_exact):
+    for a, e in zip(axes, eps):
         poly = poly_mul(poly, [a, -e])
     return poly
 
@@ -131,7 +147,9 @@ def cayley_matrix(B, d: int, n: int) -> np.ndarray:
 
     Even n = 2m: shape (m-1, m-d+1) with entries B[d+1+i+j]; odd n = 2m+1:
     shape (m, m-d+2) with entries B[d+i+j].  Periodicity holds iff the
-    columns are dependent, i.e. rank < number of columns.
+    columns are dependent, i.e. rank < number of columns.  Array
+    coefficients (a batch of float series) give a stack of matrices with
+    the batch axes first.
     """
     if n < 3:
         raise ValueError("period must be at least 3")
@@ -148,13 +166,10 @@ def cayley_matrix(B, d: int, n: int) -> np.ndarray:
     need = base + rows - 1 + cols - 1
     if len(B) <= need:
         raise InsufficientOrder(f"need series terms up to index {need}, got {len(B) - 1}")
-    exact = all(isinstance(b, (int, Fraction)) for b in B)
-    dtype = object if exact else float
-    M = np.empty((rows, cols), dtype=dtype)
-    for i in range(rows):
-        for j in range(cols):
-            M[i, j] = B[base + i + j]
-    return M
+    index = base + np.add.outer(np.arange(rows), np.arange(cols))
+    if all(isinstance(b, (int, Fraction)) for b in B):
+        return np.array(B, dtype=object)[index]
+    return np.moveaxis(np.asarray(B, dtype=float), 0, -1)[..., index]
 
 
 def _exact_rank(M: np.ndarray) -> int:
@@ -211,7 +226,7 @@ def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: boo
         )
     p1 = build_P1(fam, params)
     q0 = p1[0]
-    if q0 == 0 or (not exact and abs(float(q0)) < 1e-300):
+    if q0 == 0 or (not exact and abs(float(q0)) < P1_ZERO):
         raise DegenerateConfiguration("pencil product vanishes at lambda = 0")
     return sqrt_series([c / q0 for c in p1], n_terms)
 
@@ -233,13 +248,32 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
     return numerical_rank(np.asarray(M, dtype=float), scale=scale) < cols
 
 
-def planar_cayley_det(fam: ConfocalFamily, alpha: float, n: int) -> float:
-    """Determinant of the (square, planar) closure matrix at caustic alpha."""
+def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
+    """Determinant of the (square, planar) closure matrix at caustic alpha.
+
+    A scalar alpha gives a float and raises DegenerateConfiguration where
+    the normalized series does not exist: at alpha = 0 and within
+    COLLISION_TOL * (a + b) of the degenerate pencil values a and -b.  An
+    array alpha gives an array of determinants, bit for bit the scalar
+    values: P1, the series and the matrices are built for every entry at
+    once, and one determinant call runs on the stack.  Where a scalar alpha
+    would raise, and where alpha is not finite, the array holds nan.
+    """
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
-    B = normalized_sqrt_series(fam, (alpha,), n)
-    M = cayley_matrix(B, 2, n)
-    return float(np.linalg.det(np.asarray(M, dtype=float)))
+    if np.ndim(alpha) == 0:
+        B = normalized_sqrt_series(fam, (alpha,), n)
+        return float(np.linalg.det(np.asarray(cayley_matrix(B, 2, n), dtype=float)))
+    alpha = np.asarray(alpha, dtype=float)
+    near = np.abs(np.subtract.outer(alpha, fam.signed_axes)) <= COLLISION_TOL * fam.scale
+    bad = near.any(axis=-1) | ~np.isfinite(alpha)
+    p1 = _pencil_product((np.where(bad, math.nan, alpha),), fam.axes_f, fam.eps_exact)
+    q0 = np.where(np.abs(p1[0]) < P1_ZERO, math.nan, p1[0])
+    M = cayley_matrix(sqrt_series([c / q0 for c in p1], n), 2, n)
+    good = ~np.isnan(q0)
+    det = np.full(alpha.shape, math.nan)
+    det[good] = np.linalg.det(M[good])
+    return det
 
 
 # ------------------------------------------------------ light-like closure
@@ -308,6 +342,13 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
     drops roots that coincide with the degenerate pencil values a and -b.
     Roots of even multiplicity would not flip the determinant sign and
     would be missed; the classical period conditions have simple roots.
+    Each side of 0 is sampled in one array call of ``planar_cayley_det``
+    (nan at degenerate samples, which bound no sign change).  A sample
+    where the determinant is exactly 0 is a root.  Every sign change is
+    then bisected, all at once: each step makes one array call on the
+    brackets still open, and a bracket stops when it is narrower than
+    ``BISECT_TOL`` relative to its midpoint, at a nan midpoint, or after
+    200 steps.
     """
     if fam.d != 2:
         raise ValueError("this search is specific to the planar case")
@@ -317,13 +358,8 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
         window = default_search_window(fam)
     delta = 1e-9 * span
 
-    def g(alpha: float) -> float:
-        try:
-            return planar_cayley_det(fam, alpha, n)
-        except (DegenerateConfiguration, NonpositiveConstantTerm):
-            return math.nan
-
     roots: list[float] = []
+    brackets = []
     segments = []
     if window.lo < -delta:
         segments.append((window.lo, min(-delta, window.hi)))
@@ -334,29 +370,15 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
             continue
         m = max(16, int(window.samples * (hi - lo) / (window.hi - window.lo)))
         xs = np.linspace(lo, hi, m)
-        vals = np.array([g(x) for x in xs])
-        for i in range(m - 1):
-            v0, v1 = vals[i], vals[i + 1]
-            if math.isnan(v0) or math.isnan(v1):
-                continue
-            if v0 == 0.0:
-                roots.append(float(xs[i]))
-                continue
-            if v0 * v1 < 0.0:
-                lo_i, hi_i = float(xs[i]), float(xs[i + 1])
-                f_lo = v0
-                for _ in range(200):
-                    mid = 0.5 * (lo_i + hi_i)
-                    f_mid = g(mid)
-                    if math.isnan(f_mid) or hi_i - lo_i <= BISECT_TOL * max(1.0, abs(mid)):
-                        break
-                    if f_lo * f_mid <= 0.0:
-                        hi_i = mid
-                    else:
-                        lo_i, f_lo = mid, f_mid
-                roots.append(0.5 * (lo_i + hi_i))
-        if not math.isnan(vals[-1]) and vals[-1] == 0.0:
-            roots.append(float(xs[-1]))
+        vals = planar_cayley_det(fam, xs, n)
+        zero = vals == 0.0
+        zero[:-1] &= ~np.isnan(vals[1:])
+        roots.extend(xs[zero].tolist())
+        with np.errstate(invalid="ignore"):
+            change = vals[:-1] * vals[1:] < 0.0
+        brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change]))
+    if brackets:
+        roots.extend(_bisect_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
 
     keep: list[float] = []
     for r in sorted(roots):
@@ -366,6 +388,29 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
             continue
         keep.append(r)
     return keep
+
+
+def _bisect_sign_changes(fam: ConfocalFamily, n: int, lo: np.ndarray, hi: np.ndarray,
+                         f_lo: np.ndarray) -> list:
+    """Midpoints of the brackets [lo, hi] of determinant sign changes
+    (f_lo at lo), each bisected as ``find_periodic_caustics_plane`` says.
+    The three arrays are updated in place."""
+    active = np.ones(lo.shape, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active &= hi - lo > BISECT_TOL * np.maximum(1.0, np.abs(mid))
+        idx = np.flatnonzero(active)
+        if idx.size == 0:
+            break
+        f_mid = planar_cayley_det(fam, mid[idx], n)
+        active[idx[np.isnan(f_mid)]] = False
+        with np.errstate(invalid="ignore"):
+            left = f_lo[idx] * f_mid <= 0.0
+        right = ~left & ~np.isnan(f_mid)
+        hi[idx[left]] = mid[idx[left]]
+        lo[idx[right]] = mid[idx[right]]
+        f_lo[idx[right]] = f_mid[right]
+    return (0.5 * (lo + hi)).tolist()
 
 
 # ----------------------------------------------------- simulated closure

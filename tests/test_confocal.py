@@ -141,6 +141,17 @@ def test_signed_axes_decreasing():
     assert all(sa[i] > sa[i + 1] for i in range(len(sa) - 1))
 
 
+def test_family_arrays_built_once_and_read_only():
+    for name in ("eps", "axes_f", "signed_axes"):
+        arr = getattr(FAM3, name)
+        assert getattr(FAM3, name) is arr
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    with pytest.raises(ValueError):
+        FAM3.sig.eps[0] = 7.0
+    assert list(FAM3.signed_axes) == [5.0, 3.0, -2.0]
+
+
 def test_degenerate_parameters():
     assert FAM3.is_degenerate_parameter(3.0)
     assert FAM3.is_degenerate_parameter(-2.0)

@@ -194,6 +194,37 @@ def test_planar_determinant_tracks_condition():
         assert cayley_condition(fam, (alpha,), 4) == (abs(det) <= 1e-9 * max(1.0, abs(det)))
 
 
+def test_planar_det_array_matches_scalar():
+    # one array call gives the scalar determinants bit for bit, and nan
+    # where a scalar call raises: at 0 and at the degenerate values a, -b
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        b = rng.uniform(0.5, 2.0)
+        a = b * rng.uniform(1.1, 3.0)
+        fam = ConfocalFamily(Signature(1, 1), (a, b))
+        alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40),
+                                 [0.0, a, -b]])
+        for n in range(3, 10):
+            dets = planar_cayley_det(fam, alphas, n)
+            assert dets.shape == alphas.shape
+            for alpha, det in zip(alphas[:-3], dets[:-3]):
+                assert det == planar_cayley_det(fam, float(alpha), n)
+            assert np.isnan(dets[-3:]).all()
+            for alpha in alphas[-3:]:
+                with pytest.raises(DegenerateConfiguration):
+                    planar_cayley_det(fam, float(alpha), n)
+
+
+def test_planar_det_fraction_axes_match_float_twin():
+    exact = ConfocalFamily(Signature(1, 1), (Fraction(2), Fraction(1)))
+    alphas = np.linspace(-4.95, 4.95, 34)
+    for n in (4, 5, 8):
+        dets = planar_cayley_det(FAM2, alphas, n)
+        assert np.array_equal(planar_cayley_det(exact, alphas, n), dets)
+        for alpha, det in zip(alphas, dets):
+            assert planar_cayley_det(exact, float(alpha), n) == det
+
+
 def test_scaling_covariance():
     # scaling all axes by s scales periodic caustics by s
     s = 2.7
@@ -210,6 +241,20 @@ def test_find_periodic_n4():
 
 def test_find_periodic_n3_empty():
     assert find_periodic_caustics_plane(FAM2, 3) == []
+
+
+def test_find_periodic_pinned_roots():
+    # the period-6 and period-8 caustics of the (2, 1) table, to the last
+    # digit; every one closes when simulated with poncelet_verify
+    want = {
+        6: [-1.0531972647421592, -0.9536672493620673, -0.3094010767585167,
+            0.25319726474220694, 1.3981116938065083, 4.3094010767585775],
+        8: [-2.0000000000000195, -1.0050444441498763, -0.9950455141222119,
+            -0.6666666666666894, -0.17366457382534561, 0.13461960020502176,
+            0.6666666666666587, 1.79022585398284, 2.305588970305063],
+    }
+    for n, roots in want.items():
+        assert find_periodic_caustics_plane(FAM2, n) == pytest.approx(roots, rel=1e-12)
 
 
 def test_find_periodic_respects_window():

@@ -41,6 +41,13 @@ def test_spatial_period_search_two_column_matrix():
     assert pairs and all("closed 3/3" in line for line in pairs), out.stdout
 
 
+@pytest.mark.parametrize("n", ["7", "4"])
+def test_spatial_period_search_rejects_period(n):
+    out = run_script("spatial_period_search.py", "--n", n, "--attempts", "1")
+    assert out.returncode == 2
+    assert "even period >= 6" in out.stderr
+
+
 def test_planar_period_scan():
     out = run_script("planar_period_scan.py", "--min-n", "4", "--max-n", "5", "--samples", "3")
     assert out.returncode == 0, out.stderr
