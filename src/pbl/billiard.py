@@ -24,6 +24,7 @@ from .confocal import (
     INF,
     Line,
     _caustic_set,
+    _tangency_coefficients,
     caustics,
     chord_quadratic,
     evaluate_quadric,
@@ -33,6 +34,7 @@ from .confocal import (
     trajectory_type_from_caustics,
 )
 from .errors import (
+    DegenerateParameter,
     InadmissibleCaustics,
     LightLikeNormal,
     NoSolution,
@@ -40,7 +42,7 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LineType, Signature, dot, line_type, pseudo_normal, reflect_direction
+from .metric import LineType, Signature, line_type, pseudo_normal, reflect_direction
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -54,12 +56,9 @@ def line_quadric_intersections(fam: ConfocalFamily, lam: float, line: Line) -> l
 
     Returns 0, 1 (tangency, double root) or 2 values, ascending.
     """
-    den = fam.denominators(lam)
     if fam.is_degenerate_parameter(lam):
-        from .errors import DegenerateParameter
-
         raise DegenerateParameter(f"lambda = {lam} is a degenerate member")
-    q2, q1, q0 = chord_quadratic(den, line.base, line.direction)
+    q2, q1, q0 = chord_quadratic(fam.denominators(lam), line.base, line.direction)
     scale = abs(q2) + abs(q1) + abs(q0)
     if abs(q2) <= 1e-14 * scale:
         if abs(q1) <= 1e-14 * scale:
@@ -187,8 +186,8 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
 
     integrals, drift = _segment_integrals(fam, bounces)
     cdrift = 0.0
-    for F in integrals:
-        seg = np.array(_caustic_set(fam, F, ltype).finite)
+    for pc in _tangency_coefficients(fam, integrals):
+        seg = np.array(_caustic_set(fam, pc, ltype).finite)
         rel = np.abs(seg - ref_finite) / np.maximum(1.0, np.abs(ref_finite))
         cdrift = max(cdrift, float(np.max(rel)) if rel.size else 0.0)
     return Trajectory(
@@ -207,22 +206,21 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
 def _segment_integrals(fam: ConfocalFamily, bounces: list) -> tuple:
     """First integrals of each bounce's outgoing segment, and their drift.
 
-    The drift is the worst deviation of F and of <v, v> from their values
-    on the incoming segment of the first bounce, relative to the largest
-    of those values.
+    Returns an (m, d) array, row b for bounce b, and the drift: the worst
+    deviation of F and of <v, v> from their values on the incoming segment
+    of the first bounce, relative to the largest of those values.  All
+    m + 1 segments go through one stacked ``integrals_F`` and one stacked
+    <v, v>, each row bit for bit its single-vector value.
     """
     b0 = bounces[0]
-    F0 = integrals_F(fam, b0.point, b0.v_in)
-    vv0 = dot(b0.v_in, b0.v_in, fam.sig)
-    fscale = max(float(np.max(np.abs(F0))), abs(vv0), 1e-300)
-    integrals = []
-    drift = 0.0
-    for b in bounces:
-        F = integrals_F(fam, b.point, b.v_out)
-        vv = dot(b.v_out, b.v_out, fam.sig)
-        drift = max(drift, float(np.max(np.abs(F - F0))) / fscale, abs(vv - vv0) / fscale)
-        integrals.append(F)
-    return integrals, drift
+    X = np.array([b0.point] + [b.point for b in bounces])
+    V = np.array([b0.v_in] + [b.v_out for b in bounces])
+    F = integrals_F(fam, X, V)
+    # rounds as metric.dot does, which einsum and sum(axis=1) do not
+    vv = ((fam.eps * V)[:, None, :] @ V[:, :, None])[:, 0, 0]
+    fscale = max(float(np.max(np.abs(F[0]))), abs(float(vv[0])), 1e-300)
+    worst = max(float(np.max(np.abs(F[1:] - F[0]))), float(np.max(np.abs(vv[1:] - vv[0]))))
+    return F[1:], worst / fscale
 
 
 @dataclass(frozen=True)
@@ -361,7 +359,7 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     d = fam.d
     finite = [p for p in params if math.isfinite(p)]
     jc = jacobi_coordinates(fam, xv)
-    if not jc.is_simple_real(0.0):
+    if not jc.is_simple_real():
         raise NoSolution("x has a complex pair or a multiple Jacobi coordinate")
 
     def P(lam: float) -> float:

@@ -50,7 +50,8 @@ class ConfocalFamily:
     Axis values may be floats or exact ``fractions.Fraction`` values; the
     latter are preserved so that the rational closure tests can work
     exactly.  All geometric routines coerce to float.  The float arrays
-    ``eps``, ``axes_f`` and ``signed_axes`` are built once and read-only.
+    ``eps``, ``axes_f``, ``signed_axes``, ``cofactors`` and
+    ``pair_denominators`` are built once and read-only.
     """
 
     sig: Signature
@@ -98,6 +99,21 @@ class ConfocalFamily:
     def signed_axes(self) -> np.ndarray:
         """eps_i a_i in index order; strictly decreasing."""
         return _read_only(self.eps * self.axes_f)
+
+    @cached_property
+    def cofactors(self) -> np.ndarray:
+        """Row i: ascending coefficients of prod_{j != i} (a_j - eps_j lambda)."""
+        rows = [linear_product(self.axes_f[keep], -self.eps[keep])
+                for keep in ~np.eye(self.d, dtype=bool)]
+        return _read_only(np.array(rows))
+
+    @cached_property
+    def pair_denominators(self) -> np.ndarray:
+        """Entry (i, j): eps_j a_i - eps_i a_j; 1 on the diagonal, where the
+        first integrals have the term j = i, whose numerator is exactly 0."""
+        den = np.outer(self.axes_f, self.eps) - np.outer(self.eps, self.axes_f)
+        np.fill_diagonal(den, 1.0)
+        return _read_only(den)
 
     @property
     def scale(self) -> float:
@@ -178,11 +194,12 @@ class GeneralizedJacobi:
     def count(self) -> int:
         return len(self.real_roots) + (2 if self.complex_pair else 0)
 
-    def is_simple_real(self, tol: float) -> bool:
+    def is_simple_real(self) -> bool:
+        """All d coordinates are real and distinct."""
         if self.complex_pair is not None:
             return False
         r = self.real_roots
-        return all(r[i + 1] - r[i] > tol for i in range(len(r) - 1))
+        return all(r[i + 1] > r[i] for i in range(len(r) - 1))
 
 
 # ----------------------------------------------------------------- basics
@@ -218,67 +235,57 @@ def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
                                          / (eps_j a_i - eps_i a_j)
 
     They are invariant under sliding x along the line and under reflection
-    off Q_0, and they sum to <v, v>.
+    off Q_0, and they sum to <v, v>.  ``x`` and ``v`` are one point and
+    direction of shape (d,), or stacks of them of one shape (..., d); F
+    has the same shape.  Each F_i is summed in the order written above,
+    so a stack gives the row-by-row values bit for bit.
     """
     xv = np.asarray(x, dtype=float)
     vv = np.asarray(v, dtype=float)
-    d = fam.d
-    if xv.shape != (d,) or vv.shape != (d,):
-        raise ValueError(f"expected {d}-vectors")
-    eps = fam.eps
-    a = fam.axes_f
-    out = np.empty(d)
-    for i in range(d):
-        s = eps[i] * vv[i] ** 2
-        for j in range(d):
-            if j == i:
-                continue
-            s += (xv[i] * vv[j] - xv[j] * vv[i]) ** 2 / (eps[j] * a[i] - eps[i] * a[j])
-        out[i] = s
-    return out
+    if xv.shape != vv.shape or xv.shape[-1:] != (fam.d,):
+        raise ValueError(f"expected x and v of one shape (..., {fam.d})")
+    cross = xv[..., :, None] * vv[..., None, :] - xv[..., None, :] * vv[..., :, None]
+    terms = cross * cross / fam.pair_denominators
+    terms = np.concatenate([(fam.eps * (vv * vv))[..., None], terms], axis=-1)
+    # cumsum adds strictly left to right; sum pairs the terms once d > 6
+    return np.cumsum(terms, axis=-1)[..., -1]
 
 
-def _cofactor_products(fam: ConfocalFamily) -> list:
-    """For each i, prod_{j != i} (a_j - eps_j lambda); ascending coefficients."""
-    a = fam.axes_f
-    eps = fam.eps
-    return [linear_product(np.delete(a, i), -np.delete(eps, i)) for i in range(fam.d)]
+def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
+    """Pencil equation through x, denominators cleared; ascending, degree d.
 
-
-def jacobi_polynomial(fam: ConfocalFamily, x) -> list:
-    """Pencil equation through x, denominators cleared; ascending, degree d."""
+    The terms x_i^2 ``fam.cofactors[i]`` are subtracted in index order.
+    """
     xv = np.asarray(x, dtype=float)
-    coeffs = linear_product(fam.axes_f, -fam.eps)
-    for i, others in enumerate(_cofactor_products(fam)):
-        if xv[i] == 0.0:
-            continue
-        term = [xv[i] ** 2 * c for c in others]
-        coeffs = [c - t for c, t in zip(coeffs, term + [0.0] * (len(coeffs) - len(term)))]
-    return coeffs
+    rows = np.zeros((fam.d + 1, fam.d + 1))
+    rows[0] = linear_product(fam.axes_f, -fam.eps)
+    rows[1:, :-1] = (xv * xv)[:, None] * fam.cofactors
+    return np.subtract.reduce(rows, axis=0)
 
 
-def tangency_polynomial(fam: ConfocalFamily, x, v) -> list:
+def tangency_polynomial(fam: ConfocalFamily, x, v) -> np.ndarray:
     """Numerator polynomial of the tangency condition for the line (x, v).
 
     Clearing denominators in sum_i eps_i F_i / (a_i - eps_i lambda) = 0 and
     normalising by (-1)^(k-1) gives a polynomial of degree d - 1 whose
     leading coefficient equals <v, v>; its roots are the caustic parameters
     (the leading coefficient vanishes for light-like lines, where one
-    caustic escapes to infinity).
+    caustic escapes to infinity).  Ascending coefficients, as an array.
     """
     return _tangency_coefficients(fam, integrals_F(fam, x, v))
 
 
-def _tangency_coefficients(fam: ConfocalFamily, F) -> list:
-    """Tangency polynomial of a line from its first integrals F; ascending."""
-    eps = fam.eps
-    coeffs = [0.0] * fam.d
-    for i, others in enumerate(_cofactor_products(fam)):
-        w = eps[i] * F[i]
-        for j, c in enumerate(others):
-            coeffs[j] += w * c
+def _tangency_coefficients(fam: ConfocalFamily, F) -> np.ndarray:
+    """Tangency polynomials of lines from their first integrals.
+
+    ``F`` has shape (..., d); the result has shape (..., d), ascending
+    coefficients along the last axis:
+    (-1)^(k-1) sum_i eps_i F_i prod_{j != i} (a_j - eps_j lambda), summed
+    in index order over the cached ``fam.cofactors``.
+    """
     sign = -1.0 if fam.k % 2 == 0 else 1.0
-    return [sign * c for c in coeffs]
+    w = sign * fam.eps * np.asarray(F, dtype=float)
+    return (w[..., :, None] * fam.cofactors).sum(axis=-2)
 
 
 # ------------------------------------------------------ jacobi coordinates
@@ -326,14 +333,14 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
 # -------------------------------------------------------------- caustics
 
 
-def _caustic_set(fam: ConfocalFamily, F, ltype: LineType) -> CausticSet:
-    """Caustics of a line from its first integrals F and its line type.
+def _caustic_set(fam: ConfocalFamily, pc: np.ndarray, ltype: LineType) -> CausticSet:
+    """Caustics of a line from its tangency coefficients and its line type.
 
-    See ``caustics``; a light-like line drops the vanishing leading
-    coefficient of the tangency polynomial.
+    ``pc`` is the line's row of ``_tangency_coefficients``; see
+    ``caustics``.  A light-like line drops the vanishing leading
+    coefficient.
     """
     light = ltype is LineType.LIGHT_LIKE
-    pc = _tangency_coefficients(fam, F)
     if light:
         pc = pc[:-1]
     scale = fam.scale
@@ -367,7 +374,7 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     q2, q1, q0 = chord_quadratic(fam.axes_f, x, v)
     if q1 * q1 - q2 * q0 < -1e-12 * (q1 * q1 + abs(q2 * q0) + 1e-300):
         raise NoIntersection("line does not meet the reference ellipsoid")
-    return _caustic_set(fam, integrals_F(fam, x, v), line_type(v, fam.sig))
+    return _caustic_set(fam, tangency_polynomial(fam, x, v), line_type(v, fam.sig))
 
 
 def trajectory_type_from_caustics(
@@ -481,9 +488,8 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     if ok_neg:
         for j, alpha in enumerate(neg_caustics, start=1):
             others = neg_poles + [x for x in neg_caustics if x is not alpha]
-            lo = 1 + sum(1 for o in others if o > alpha + tie_tol)
-            hi = 1 + sum(1 for o in others if o >= alpha - tie_tol)
-            rng = set(range(lo, hi + 1))
+            # c is ordered by decreasing value: positions of -alpha among -c
+            rng = _position_range(-alpha, [-o for o in others], tie_tol)
             neg_positions.append(min(rng & {2 * j - 1, 2 * j}, default=min(rng)))
             ok_neg = ok_neg and bool(rng & {2 * j - 1, 2 * j})
     checks["negative_pairs"] = ok_neg

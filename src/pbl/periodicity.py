@@ -40,7 +40,7 @@ from .errors import (
     OddPeriod,
     VacuousCondition,
 )
-from ._poly import poly_mul
+from ._poly import linear_product
 
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
 ANGLE_TOL = 1e-12
@@ -57,6 +57,10 @@ COLLISION_TOL = 1e-12
 
 #: |P1(0)| below which the normalized series does not exist.
 P1_ZERO = 1e-300
+
+#: Singular values below this times the scale do not count toward the
+#: float rank.
+RANK_TOL = 1e-9
 
 
 def _exact_sqrt(q) -> Fraction | None:
@@ -127,19 +131,8 @@ def build_P1(fam: ConfocalFamily, params) -> list:
                 raise DegenerateConfiguration(
                     f"caustic parameter {p} collides with {other}"
                 )
-    return _pencil_product(finite, fam.axes, fam.eps_exact)
-
-
-def _pencil_product(finite, axes, eps) -> list:
-    """Ascending coefficients of prod_i (alpha_i - lam) * prod_j (a_j - eps_j lam),
-    unchecked.  A caustic may be an array, which gives array coefficients:
-    one product per entry."""
-    poly = [1]
-    for alpha in finite:
-        poly = poly_mul(poly, [alpha, -1])
-    for a, e in zip(axes, eps):
-        poly = poly_mul(poly, [a, -e])
-    return poly
+    slopes = [-1] * len(finite) + [-e for e in fam.eps_exact]
+    return linear_product(finite + list(fam.axes), slopes)
 
 
 def cayley_matrix(B, d: int, n: int) -> np.ndarray:
@@ -197,10 +190,10 @@ def _exact_rank(M: np.ndarray) -> int:
     return rank
 
 
-def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9, scale: float | None = None) -> int:
+def numerical_rank(M: np.ndarray, scale: float | None = None) -> int:
     """Rank of M: exact over the rationals, else by SVD thresholding.
 
-    Float path counts singular values above rel_tol * scale, with scale
+    Float path counts singular values above RANK_TOL * scale, with scale
     defaulting to the largest singular value.
     """
     if M.size == 0:
@@ -212,7 +205,7 @@ def numerical_rank(M: np.ndarray, rel_tol: float = 1e-9, scale: float | None = N
     ref = smax if scale is None else float(scale)
     if ref == 0.0:
         return 0
-    return int(np.sum(s > rel_tol * ref))
+    return int(np.sum(s > RANK_TOL * ref))
 
 
 def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: bool = False) -> list:
@@ -267,7 +260,8 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     alpha = np.asarray(alpha, dtype=float)
     near = np.abs(np.subtract.outer(alpha, fam.signed_axes)) <= COLLISION_TOL * fam.scale
     bad = near.any(axis=-1) | ~np.isfinite(alpha)
-    p1 = _pencil_product((np.where(bad, math.nan, alpha),), fam.axes_f, fam.eps_exact)
+    slopes = [-1] + [-e for e in fam.eps_exact]
+    p1 = linear_product([np.where(bad, math.nan, alpha), *fam.axes_f], slopes)
     q0 = np.where(np.abs(p1[0]) < P1_ZERO, math.nan, p1[0])
     M = cayley_matrix(sqrt_series([c / q0 for c in p1], n), 2, n)
     good = ~np.isnan(q0)

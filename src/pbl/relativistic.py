@@ -49,7 +49,7 @@ class RelType:
         return f"{self.kind}^{self.index}"
 
 
-def _type_from_counts(below: int, has_pair: bool, d: int) -> RelType:
+def _type_from_counts(below: int, has_pair: bool) -> RelType:
     if has_pair:
         # 0 <= below <= d - 3 occurs for points off the discriminant set;
         # the full range 0..d-2 is accepted for robustness near it.
@@ -75,7 +75,7 @@ def relativistic_type(fam: ConfocalFamily, x, lam0: float, tol: float = MATCH_TO
         raise MultipleRoot(f"lambda = {lam0} is a multiple coordinate at this point")
     matched = matches[0]
     below = sum(1 for r in gj.real_roots if r < matched and r not in matches)
-    return _type_from_counts(below, gj.complex_pair is not None, fam.d)
+    return _type_from_counts(below, gj.complex_pair is not None)
 
 
 def decorated_coordinates(fam: ConfocalFamily, x) -> tuple:
@@ -87,7 +87,7 @@ def decorated_coordinates(fam: ConfocalFamily, x) -> tuple:
     gj = jacobi_coordinates(fam, x)
     if gj.complex_pair is not None:
         raise NotDecoratable("point has a conjugate pair of coordinates")
-    if not gj.is_simple_real(0.0):
+    if not gj.is_simple_real():
         raise NotDecoratable("point has a multiple coordinate")
     out = []
     for i, r in enumerate(gj.real_roots):

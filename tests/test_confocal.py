@@ -32,6 +32,7 @@ from pbl.confocal import (
     tangency_polynomial,
     trajectory_type_from_caustics,
 )
+from pbl._poly import linear_product
 from pbl.errors import AmbiguousSign, DegenerateParameter, NoIntersection
 from pbl.metric import LineType, Signature, dot, sq_norm
 
@@ -142,7 +143,7 @@ def test_signed_axes_decreasing():
 
 
 def test_family_arrays_built_once_and_read_only():
-    for name in ("eps", "axes_f", "signed_axes"):
+    for name in ("eps", "axes_f", "signed_axes", "cofactors", "pair_denominators"):
         arr = getattr(FAM3, name)
         assert getattr(FAM3, name) is arr
         with pytest.raises(ValueError):
@@ -150,6 +151,10 @@ def test_family_arrays_built_once_and_read_only():
     with pytest.raises(ValueError):
         FAM3.sig.eps[0] = 7.0
     assert list(FAM3.signed_axes) == [5.0, 3.0, -2.0]
+    a, eps = FAM3.axes_f, FAM3.eps
+    for i in range(FAM3.d):
+        others = [j for j in range(FAM3.d) if j != i]
+        assert list(FAM3.cofactors[i]) == linear_product(a[others], -eps[others])
 
 
 def test_degenerate_parameters():
@@ -259,6 +264,46 @@ def test_integrals_sum_is_invariant_norm():
             v = rng.uniform(-2, 2, fam.d)
             F = integrals_F(fam, x, v)
             assert float(np.sum(F)) == pytest.approx(sq_norm(v, fam.sig), abs=1e-9)
+
+
+def integrals_reference(fam, x, v):
+    """F_i term by term: eps_i v_i^2 first, then j ascending, j != i."""
+    eps, a, d = fam.eps, fam.axes_f, fam.d
+    out = np.empty(d)
+    for i in range(d):
+        s = eps[i] * (v[i] * v[i])
+        for j in range(d):
+            if j != i:
+                c = x[i] * v[j] - x[j] * v[i]
+                s += c * c / (eps[j] * a[i] - eps[i] * a[j])
+        out[i] = s
+    return out
+
+
+def test_integrals_stack_matches_rows():
+    rng = np.random.default_rng(11)
+    for k, l in [(1, 1), (2, 1), (1, 2), (2, 2)]:
+        fam = rand_family(rng, k, l)
+        X = rng.uniform(-2, 2, (40, fam.d)) * np.exp(rng.normal(size=(40, 1)))
+        V = rng.uniform(-2, 2, (40, fam.d))
+        X[::5, 0] = 0.0
+        F = integrals_F(fam, X, V)
+        assert F.shape == X.shape
+        for x, v, row in zip(X, V, F):
+            assert np.array_equal(row, integrals_F(fam, x, v))
+            assert np.array_equal(row, integrals_reference(fam, x, v))
+        assert np.array_equal(integrals_F(fam, X.reshape(8, 5, -1), V.reshape(8, 5, -1)),
+                              F.reshape(8, 5, -1))
+
+
+def test_integrals_reject_mismatched_shapes():
+    x = np.zeros((4, 3))
+    assert integrals_F(FAM3, x, np.ones((4, 3))).shape == (4, 3)
+    for v in (np.ones(3), np.ones((5, 3)), np.ones((4, 2))):
+        with pytest.raises(ValueError):
+            integrals_F(FAM3, x, v)
+    with pytest.raises(ValueError):
+        integrals_F(FAM3, [0.0, 1.0], [1.0, 0.0])
 
 
 def test_integrals_examples():
