@@ -11,7 +11,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-from dataclasses import dataclass
 
 from pbl import (
     ConfocalFamily,
@@ -22,17 +21,7 @@ from pbl import (
 from pbl.errors import NumericalError, ValidationError
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    a: float
-    b: float
-    min_n: int = 3
-    max_n: int = 10
-    samples: int = 8
-    seed: int = 0
-
-
-def parse_args() -> ScanConfig:
+def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--axes", default="2,1", help="a,b of the reference ellipse")
     ap.add_argument("--min-n", type=int, default=3)
@@ -41,8 +30,8 @@ def parse_args() -> ScanConfig:
                     help="boundary starts per verified caustic")
     ap.add_argument("--seed", type=int, default=0)
     ns = ap.parse_args()
-    a, b = (float(s) for s in ns.axes.split(","))
-    return ScanConfig(a, b, ns.min_n, ns.max_n, ns.samples, ns.seed)
+    ns.a, ns.b = (float(s) for s in ns.axes.split(","))
+    return ns
 
 
 def main() -> int:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,18 +30,11 @@ from pbl.errors import InadmissibleCaustics, NumericalError, ValidationError
 from pbl.periodicity import cayley_matrix, normalized_sqrt_series
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    sig: Signature
-    axes: tuple
-    n: int = 6
-    attempts: int = 40
-    samples: int = 6
-    seed: int = 4
-    newton_iters: int = 60
+#: Damped Newton steps per seed before it counts as not converged.
+NEWTON_ITERS = 60
 
 
-def parse_args() -> SearchConfig:
+def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--sig", default="2,1")
     ap.add_argument("--axes", default="5,3,2")
@@ -53,9 +45,9 @@ def parse_args() -> SearchConfig:
     ns = ap.parse_args()
     if ns.n < 6 or ns.n % 2:
         ap.error(f"--n must be an even period >= 6, got {ns.n}")
-    k, l = (int(s) for s in ns.sig.split(","))
-    axes = tuple(float(s) for s in ns.axes.split(","))
-    return SearchConfig(Signature(k, l), axes, ns.n, ns.attempts, ns.samples, ns.seed)
+    ns.sig = Signature(*(int(s) for s in ns.sig.split(",")))
+    ns.axes = tuple(float(s) for s in ns.axes.split(","))
+    return ns
 
 
 def closure_residual(fam: ConfocalFamily, params: np.ndarray, n: int) -> np.ndarray:
@@ -130,7 +122,7 @@ def main() -> int:
         seed = chord_seed(fam, rng)
         if seed is None:
             continue
-        pair = newton(fam, seed, cfg.n, cfg.newton_iters)
+        pair = newton(fam, seed, cfg.n, NEWTON_ITERS)
         if pair is None:
             continue
         key = tuple(round(float(v), 6) for v in sorted(pair))

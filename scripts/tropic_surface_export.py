@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,23 +26,15 @@ from pbl.relativistic import (
 )
 
 
-@dataclass(frozen=True)
-class ExportConfig:
-    axes: tuple
-    out: str
-    n_lam: int = 80
-    n_t: int = 200
-
-
-def parse_args() -> ExportConfig:
+def parse_args() -> argparse.Namespace:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--axes", default="5,3,2")
     ap.add_argument("--out", default="tropic.csv")
     ap.add_argument("--grid", default="80x200", help="lambda x angle resolution")
     ns = ap.parse_args()
-    axes = tuple(float(s) for s in ns.axes.split(","))
-    n_lam, n_t = (int(s) for s in ns.grid.split("x"))
-    return ExportConfig(axes, ns.out, n_lam, n_t)
+    ns.axes = tuple(float(s) for s in ns.axes.split(","))
+    ns.n_lam, ns.n_t = (int(s) for s in ns.grid.split("x"))
+    return ns
 
 
 def main() -> int:

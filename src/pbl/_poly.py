@@ -8,6 +8,8 @@ rational rank mode relies on.  Root finding is float only.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -55,7 +57,8 @@ NEWTON_STEPS = 3
 
 def newton_polish(coeffs, x0: float) -> float:
     """A few guarded Newton steps on a float polynomial."""
-    der = poly_der(list(coeffs))
+    coeffs = np.asarray(coeffs, dtype=float).tolist()  # same bits, faster than numpy scalars
+    der = poly_der(coeffs)
     x = float(x0)
     fx = abs(poly_eval(coeffs, x))
     for _ in range(NEWTON_STEPS):
@@ -64,7 +67,7 @@ def newton_polish(coeffs, x0: float) -> float:
             break
         x_new = x - poly_eval(coeffs, x) / dfx
         f_new = abs(poly_eval(coeffs, x_new))
-        if not np.isfinite(x_new) or f_new > fx:
+        if not math.isfinite(x_new) or f_new > fx:
             break
         x, fx = x_new, f_new
     return x

@@ -21,11 +21,13 @@ import numpy as np
 from .confocal import (
     CausticSet,
     ConfocalFamily,
+    DEGENERATE_TOL,
     INF,
     Line,
     _caustic_set,
     _tangency_coefficients,
     caustics,
+    chord_discriminant,
     chord_quadratic,
     evaluate_quadric,
     integrals_F,
@@ -54,27 +56,25 @@ BOUNDARY_TOL = 1e-8
 def line_quadric_intersections(fam: ConfocalFamily, lam: float, line: Line) -> list:
     """Parameters t of the intersections of the line with Q_lambda.
 
-    Returns 0, 1 (tangency, double root) or 2 values, ascending.
+    Returns 0, 1 (tangency, double root) or 2 values, ascending; the
+    count is read from ``chord_discriminant`` with ``DEGENERATE_TOL``.
     """
     if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is a degenerate member")
-    q2, q1, q0 = chord_quadratic(fam.denominators(lam), line.base, line.direction)
+    den = fam.denominators(lam)
+    q2, q1, q0 = chord_quadratic(den, line.base, line.direction)
     scale = abs(q2) + abs(q1) + abs(q0)
     if abs(q2) <= 1e-14 * scale:
         if abs(q1) <= 1e-14 * scale:
             return []
         return [-q0 / (2.0 * q1)]
-    disc = q1 * q1 - q2 * q0
-    # scale from the coefficients, not their product: a tangency has both
-    # q1 and q0 near zero and the product would vanish with the residual
-    dscale = q1 * q1 + abs(q2) * (1.0 + abs(q0)) + 1e-300
-    if disc < -1e-12 * dscale:
+    disc, dscale = chord_discriminant(den, line.base, line.direction)
+    if disc < -DEGENERATE_TOL * dscale:
         return []
-    if disc <= 1e-12 * dscale:
+    if disc <= DEGENERATE_TOL * dscale:
         return [-q1 / q2]
     rad = math.sqrt(disc)
-    roots = sorted([(-q1 - rad) / q2, (-q1 + rad) / q2])
-    return roots
+    return sorted([(-q1 - rad) / q2, (-q1 + rad) / q2])
 
 
 def boundary_normal(fam: ConfocalFamily, p) -> np.ndarray:
@@ -295,25 +295,6 @@ def rectangle_ratio(a: float, b: float) -> float:
 # ---------------------------------------------------- direction construction
 
 
-def _tangency_residual(fam: ConfocalFamily, x, v, alpha: float) -> tuple[float, float]:
-    """Tangency discriminant of the line (x, v) against Q_alpha, with scale.
-
-    The scale is the same discriminant built from the absolute values of
-    its terms.  Terms of opposite metric sign cancel inside q2 and q1, so
-    the rounding error of the discriminant follows this scale, not the
-    size of q2, q1 and q0.
-    """
-    den = fam.denominators(alpha)
-    xv = np.asarray(x, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    q2, q1, q0 = chord_quadratic(den, xv, vv)
-    aden = np.abs(den)
-    s2 = float(np.sum(vv * vv / aden))
-    s1 = float(np.sum(np.abs(xv * vv) / aden))
-    s0 = float(np.sum(xv * xv / aden)) + 1.0
-    return q1 * q1 - q2 * q0, s1 * s1 + s2 * s0
-
-
 def _canonical_direction(v: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     for comp in v:
@@ -324,7 +305,7 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
 
 def _admissible(fam: ConfocalFamily, params: tuple) -> None:
     finite = [p for p in params if math.isfinite(p)]
-    if len(params) - len(finite) > 1 or any(abs(p) <= 1e-12 * fam.scale for p in finite):
+    if len(params) - len(finite) > 1 or np.any(fam.is_zero_caustic(finite)):
         raise InadmissibleCaustics("degenerate caustic parameters")
     checks, *_ = interlacing_checks(fam, params, trajectory_type_from_caustics(fam, params))
     if not all(checks.values()):
@@ -346,8 +327,9 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     with c = -sign P(0) because the line meets Q_0, which fixes the scale
     of v.  The rows x / D(lambda_k) are the normals of the pencil members
     through x; each of the 2^(d-1) sign patterns of the square roots gives
-    one direction by a linear solve.  Directions are unit length with a
-    canonical sign.  NoSolution means that x has a complex pair or a
+    one direction by a linear solve, kept if ``chord_discriminant`` is
+    within 1e-9 of its scale for every finite caustic.  Directions are unit
+    length with a canonical sign.  NoSolution means that x has a complex pair or a
     multiple Jacobi coordinate, or that no real line through x has these
     caustics.
     """
@@ -396,7 +378,7 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
         v = _canonical_direction(v)
         if any(np.linalg.norm(v - w) <= 1e-9 for w in out):
             continue
-        residuals = (_tangency_residual(fam, xv, v, alpha) for alpha in finite)
+        residuals = (chord_discriminant(fam.denominators(alpha), xv, v) for alpha in finite)
         if all(abs(val) <= 1e-9 * scale for val, scale in residuals):
             out.append(v)
     if not out:

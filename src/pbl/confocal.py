@@ -38,8 +38,9 @@ INF = math.inf
 #: Roots closer than this (times a_1 + a_d) are reported as a multiple root.
 MULTIPLE_ROOT_TOL = 1e-9
 
-#: Relative tolerance for treating the parameter of a pencil member as
-#: degenerate (equal to some eps_i a_i).
+#: Relative tolerance of the degeneracy rules: a pencil parameter at some
+#: eps_i a_i, a zero caustic and two colliding caustics (times a_1 + a_d),
+#: and a line touching a member (times the scale of ``chord_discriminant``).
 DEGENERATE_TOL = 1e-12
 
 
@@ -123,10 +124,20 @@ class ConfocalFamily:
     def denominators(self, lam: float) -> np.ndarray:
         return self.axes_f - self.eps * lam
 
-    def is_degenerate_parameter(self, lam: float, tol: float = DEGENERATE_TOL) -> bool:
-        if not math.isfinite(lam):
-            return True
-        return bool(np.min(np.abs(self.signed_axes - lam)) <= tol * self.scale)
+    def is_degenerate_parameter(self, lam, tol: float = DEGENERATE_TOL):
+        """lam within tol * (a_1 + a_d) of some eps_i a_i, or not finite.
+
+        Elementwise: a scalar gives a numpy bool, an array a bool array.
+        """
+        lam = np.asarray(lam, dtype=float)
+        near = np.abs(lam[..., None] - self.signed_axes) <= tol * self.scale
+        return near.any(axis=-1) | ~np.isfinite(lam)
+
+    def is_zero_caustic(self, alpha):
+        """|alpha| <= DEGENERATE_TOL * (a_1 + a_d): the line touches Q_0, the
+        line-type sign rule is undecided and P1(0) of the Cayley condition
+        vanishes.  Elementwise, like ``is_degenerate_parameter``."""
+        return np.abs(np.asarray(alpha, dtype=float)) <= DEGENERATE_TOL * self.scale
 
 
 @dataclass
@@ -226,6 +237,22 @@ def chord_quadratic(den: np.ndarray, x, v) -> tuple:
     q1 = float(np.sum(x * v / den))
     q0 = float(np.sum(x * x / den) - 1.0)
     return q2, q1, q0
+
+
+def chord_discriminant(den: np.ndarray, x, v) -> tuple:
+    """(disc, scale): disc = q1^2 - q2 q0 of ``chord_quadratic`` is < 0 where
+    the line misses the member, 0 where it touches, > 0 where it cuts.
+
+    The scale is disc built from the absolute values of the terms.  Terms
+    of opposite metric sign cancel inside q2 and q1, and a tangency has q1
+    and q0 near 0, so the rounding error of disc follows this scale.
+    """
+    q2, q1, q0 = chord_quadratic(den, x, v)
+    aden = np.abs(den)
+    s2 = float(np.sum(v * v / aden))
+    s1 = float(np.sum(np.abs(x * v) / aden))
+    s0 = float(np.sum(x * x / aden)) + 1.0
+    return q1 * q1 - q2 * q0, s1 * s1 + s2 * s0
 
 
 def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
@@ -360,9 +387,11 @@ def _caustic_set(fam: ConfocalFamily, pc: np.ndarray, ltype: LineType) -> Causti
 def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     """Caustic parameters of the line: pencil members tangent to it.
 
-    The line must meet the reference ellipsoid.  A non-light-like line has
-    d - 1 finite caustics; a light-like line has d - 2 finite ones plus the
-    hyperplane at infinity, reported as math.inf.
+    The line must meet or touch the reference ellipsoid (by
+    ``chord_discriminant`` and ``DEGENERATE_TOL``); one that touches it
+    has a zero caustic.  A non-light-like line has d - 1 finite caustics; a
+    light-like line has d - 2 finite ones plus the hyperplane at infinity,
+    reported as math.inf.
 
     The finite caustics are the roots of the tangency polynomial, taken
     from its companion matrix and each polished by a few Newton steps.
@@ -371,8 +400,8 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     the line is too degenerate and raises RootIsolationError.
     """
     x, v = line.base, line.direction
-    q2, q1, q0 = chord_quadratic(fam.axes_f, x, v)
-    if q1 * q1 - q2 * q0 < -1e-12 * (q1 * q1 + abs(q2 * q0) + 1e-300):
+    disc, scale = chord_discriminant(fam.axes_f, x, v)
+    if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")
     return _caustic_set(fam, tangency_polynomial(fam, x, v), line_type(v, fam.sig))
 
@@ -384,16 +413,15 @@ def trajectory_type_from_caustics(
 
     Infinity among the caustics means light-like; otherwise the sign of
     (-1)^l * prod(alpha_i) decides: positive space-like, negative
-    time-like.  A zero caustic parameter (line tangent to Q_0) leaves the
-    sign ambiguous.
+    time-like.  A zero caustic (``ConfocalFamily.is_zero_caustic``) leaves
+    the sign ambiguous.
     """
     params = tuple(caustic_set)
     if len(params) != fam.d - 1:
         raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
     if any(not math.isfinite(p) for p in params):
         return LineType.LIGHT_LIKE
-    scale = fam.scale
-    if any(abs(p) <= 1e-12 * scale for p in params):
+    if np.any(fam.is_zero_caustic(params)):
         raise AmbiguousSign("a caustic parameter is zero; sign rule undecided")
     negatives = sum(1 for p in params if p < 0)
     sign = (-1) ** (fam.l + negatives)

@@ -28,7 +28,7 @@ from .billiard import (
     random_boundary_point,
     trace,
 )
-from .confocal import INF, ConfocalFamily
+from .confocal import DEGENERATE_TOL, INF, ConfocalFamily
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -50,13 +50,6 @@ BISECT_TOL = 1e-13
 
 #: Boundary points a Poncelet sample may draw before it gives up.
 SAMPLE_BUDGET = 60
-
-#: Distance, relative to a_1 + a_d, at which a caustic parameter collides
-#: with another one or with a degenerate pencil value.
-COLLISION_TOL = 1e-12
-
-#: |P1(0)| below which the normalized series does not exist.
-P1_ZERO = 1e-300
 
 #: Singular values below this times the scale do not count toward the
 #: float rank.
@@ -115,22 +108,20 @@ def build_P1(fam: ConfocalFamily, params) -> list:
 
     P1(lam) = prod_finite (alpha_i - lam) * prod_j (a_j - eps_j lam); an
     infinite caustic contributes no factor.  Rational input stays rational.
-    Caustic parameters colliding with each other or with a degenerate pencil
-    value would give the square root an even factor, so they are rejected.
+    Caustic parameters colliding with each other (within DEGENERATE_TOL
+    times a_1 + a_d) or with a degenerate member would give the square root
+    an even factor, so they raise DegenerateConfiguration.
     """
     params = tuple(params)
     if len(params) != fam.d - 1:
         raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
     finite = [p for p in params if isinstance(p, Fraction) or math.isfinite(p)]
-    signed = list(fam.signed_axes)
-    tol = COLLISION_TOL * fam.scale
-    vals = [float(p) for p in finite]
-    for i, p in enumerate(vals):
-        for other in vals[:i] + signed:
-            if abs(p - float(other)) <= tol:
-                raise DegenerateConfiguration(
-                    f"caustic parameter {p} collides with {other}"
-                )
+    vals = sorted(float(p) for p in finite)
+    if (np.any(fam.is_degenerate_parameter(vals))
+            or np.any(np.diff(vals) <= DEGENERATE_TOL * fam.scale)):
+        raise DegenerateConfiguration(
+            f"caustic parameters {vals} collide with each other or a degenerate member"
+        )
     slopes = [-1] * len(finite) + [-e for e in fam.eps_exact]
     return linear_product(finite + list(fam.axes), slopes)
 
@@ -210,7 +201,8 @@ def numerical_rank(M: np.ndarray, scale: float | None = None) -> int:
 
 def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: bool = False) -> list:
     """Series of sqrt(P1/P1(0)); rank computations are insensitive to the
-    dropped sqrt(P1(0)) factor, so a negative constant term is harmless."""
+    dropped sqrt(P1(0)) factor, so a negative constant term is harmless.
+    A zero caustic makes P1(0) vanish and raises DegenerateConfiguration."""
     if exact:
         fam = ConfocalFamily(fam.sig, tuple(Fraction(a) for a in fam.axes))
         params = tuple(
@@ -218,10 +210,9 @@ def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: boo
             for p in params
         )
     p1 = build_P1(fam, params)
-    q0 = p1[0]
-    if q0 == 0 or (not exact and abs(float(q0)) < P1_ZERO):
-        raise DegenerateConfiguration("pencil product vanishes at lambda = 0")
-    return sqrt_series([c / q0 for c in p1], n_terms)
+    if fam.is_zero_caustic(params).any():
+        raise DegenerateConfiguration("a caustic parameter is 0: P1 vanishes at lambda = 0")
+    return sqrt_series([c / p1[0] for c in p1], n_terms)
 
 
 def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -> bool:
@@ -234,23 +225,20 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
     """
     B = normalized_sqrt_series(fam, params, n, exact=exact)
     M = cayley_matrix(B, fam.d, n)
-    cols = M.shape[1]
-    if exact:
-        return _exact_rank(M) < cols
     scale = max(1.0, max(abs(float(b)) for b in B))
-    return numerical_rank(np.asarray(M, dtype=float), scale=scale) < cols
+    return numerical_rank(M, scale=scale) < M.shape[1]
 
 
 def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     """Determinant of the (square, planar) closure matrix at caustic alpha.
 
     A scalar alpha gives a float and raises DegenerateConfiguration where
-    the normalized series does not exist: at alpha = 0 and within
-    COLLISION_TOL * (a + b) of the degenerate pencil values a and -b.  An
-    array alpha gives an array of determinants, bit for bit the scalar
-    values: P1, the series and the matrices are built for every entry at
-    once, and one determinant call runs on the stack.  Where a scalar alpha
-    would raise, and where alpha is not finite, the array holds nan.
+    the normalized series does not exist: where ``fam.is_zero_caustic`` or
+    ``fam.is_degenerate_parameter`` holds.  An array alpha gives an array
+    of determinants, bit for bit the scalar values: P1, the series and the
+    matrices are built for every entry at once, and one determinant call
+    runs on the stack.  Where a scalar alpha would raise, and where alpha
+    is not finite, the array holds nan.
     """
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
@@ -258,13 +246,10 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
         B = normalized_sqrt_series(fam, (alpha,), n)
         return float(np.linalg.det(np.asarray(cayley_matrix(B, 2, n), dtype=float)))
     alpha = np.asarray(alpha, dtype=float)
-    near = np.abs(np.subtract.outer(alpha, fam.signed_axes)) <= COLLISION_TOL * fam.scale
-    bad = near.any(axis=-1) | ~np.isfinite(alpha)
+    good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
     slopes = [-1] + [-e for e in fam.eps_exact]
-    p1 = linear_product([np.where(bad, math.nan, alpha), *fam.axes_f], slopes)
-    q0 = np.where(np.abs(p1[0]) < P1_ZERO, math.nan, p1[0])
-    M = cayley_matrix(sqrt_series([c / q0 for c in p1], n), 2, n)
-    good = ~np.isnan(q0)
+    p1 = linear_product([np.where(good, alpha, math.nan), *fam.axes_f], slopes)
+    M = cayley_matrix(sqrt_series([c / p1[0] for c in p1], n), 2, n)
     det = np.full(alpha.shape, math.nan)
     det[good] = np.linalg.det(M[good])
     return det

@@ -33,6 +33,7 @@ from pbl.confocal import (
     trajectory_type_from_caustics,
 )
 from pbl._poly import linear_product
+from pbl.billiard import line_quadric_intersections, random_boundary_point
 from pbl.errors import AmbiguousSign, DegenerateParameter, NoIntersection
 from pbl.metric import LineType, Signature, dot, sq_norm
 
@@ -162,6 +163,17 @@ def test_degenerate_parameters():
     assert FAM3.is_degenerate_parameter(-2.0)
     assert FAM3.is_degenerate_parameter(INF)
     assert not FAM3.is_degenerate_parameter(1.0)
+    # both rules work elementwise and agree with the scalar calls
+    tol = 1e-12 * FAM3.scale
+    lams = np.array([[5.0, 3.0 + 0.5 * tol, -2.0 - 2 * tol, INF],
+                     [math.nan, 0.0, 0.5 * tol, -2 * tol]])
+    degenerate = FAM3.is_degenerate_parameter(lams)
+    zero = FAM3.is_zero_caustic(lams)
+    assert degenerate.tolist() == [[True, True, False, True], [True, False, False, False]]
+    assert zero.tolist() == [[False, False, False, False], [False, True, True, False]]
+    for lam, deg, z in zip(lams.ravel(), degenerate.ravel(), zero.ravel()):
+        assert FAM3.is_degenerate_parameter(lam) == deg
+        assert FAM3.is_zero_caustic(lam) == z
 
 
 def test_evaluate_quadric_examples():
@@ -369,6 +381,21 @@ def test_caustics_planar_examples():
     assert cs.has_infinite and cs.finite == ()
     with pytest.raises(NoIntersection):
         caustics(FAM2, Line((10.0, 10.0), (0.0, 1.0)))
+
+
+def test_caustics_of_lines_tangent_to_the_table():
+    # a line that touches Q_0 at its base point meets it: caustics returns,
+    # with one zero caustic, and the chord quadratic has one (double) root
+    rng = np.random.default_rng(29)
+    for fam in (FAM3, FAM2):
+        for _ in range(1000):
+            p = random_boundary_point(fam, rng)
+            g = p / fam.axes_f
+            u = rng.normal(size=fam.d)
+            line = Line(p, u - (u @ g) / (g @ g) * g)
+            cs = caustics(fam, line)
+            assert np.count_nonzero(np.abs(cs.finite) <= 1e-12 * fam.scale) == 1
+            assert len(line_quadric_intersections(fam, 0.0, line)) == 1
 
 
 def test_caustics_chord_frozen():

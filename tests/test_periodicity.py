@@ -108,6 +108,9 @@ def test_build_P1_lightlike_omits_infinite():
 def test_build_P1_collision_guard():
     with pytest.raises(DegenerateConfiguration):
         build_P1(FAM2, (2.0,))  # alpha collides with a degenerate parameter
+    for alpha, n in ((1e-13, 6), (-1e-13, 6), (1e-200, 4)):
+        with pytest.raises(DegenerateConfiguration):
+            cayley_condition(FAM2, (alpha,), n)  # a zero caustic: P1(0) = 0
     with pytest.raises(ValueError):
         build_P1(FAM2, (0.5, 0.7))  # wrong count for d = 2
 
@@ -196,21 +199,22 @@ def test_planar_determinant_tracks_condition():
 
 def test_planar_det_array_matches_scalar():
     # one array call gives the scalar determinants bit for bit, and nan
-    # where a scalar call raises: at 0 and at the degenerate values a, -b
+    # where a scalar call raises: at (or within 1e-12 (a + b) of) 0 and at
+    # the degenerate values a, -b
     rng = np.random.default_rng(11)
     for _ in range(4):
         b = rng.uniform(0.5, 2.0)
         a = b * rng.uniform(1.1, 3.0)
         fam = ConfocalFamily(Signature(1, 1), (a, b))
-        alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40),
-                                 [0.0, a, -b]])
+        tail = [0.0, a, -b, 1e-13 * (a + b), -1e-13 * (a + b)]
+        alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40), tail])
         for n in range(3, 10):
             dets = planar_cayley_det(fam, alphas, n)
             assert dets.shape == alphas.shape
-            for alpha, det in zip(alphas[:-3], dets[:-3]):
+            for alpha, det in zip(alphas[:-len(tail)], dets[:-len(tail)]):
                 assert det == planar_cayley_det(fam, float(alpha), n)
-            assert np.isnan(dets[-3:]).all()
-            for alpha in alphas[-3:]:
+            assert np.isnan(dets[-len(tail):]).all()
+            for alpha in tail:
                 with pytest.raises(DegenerateConfiguration):
                     planar_cayley_det(fam, float(alpha), n)
 
