@@ -3,7 +3,7 @@
 Coefficients are stored in ascending order: p[i] multiplies lambda**i.
 The generic routines (`poly_mul`, `poly_eval`, `poly_der`) work for any
 number type that supports + and * (floats, Fractions), which the exact
-rational rank mode relies on.  Root finding is float only.
+rational rank mode relies on.  Root polishing is float only.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 
 def poly_mul(p, q):
@@ -44,12 +43,6 @@ def linear_product(constants, slopes):
 
 
 # ------------------------------------------------------------ float roots
-
-def companion_roots(coeffs) -> np.ndarray:
-    """All complex roots of a float polynomial (companion-matrix method)."""
-    c = np.asarray(coeffs, dtype=float)
-    return npoly.polyroots(c)
-
 
 #: Newton steps in ``newton_polish``.
 NEWTON_STEPS = 3

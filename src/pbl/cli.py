@@ -34,6 +34,7 @@ from .confocal import (
 from .errors import NumericalError, ValidationError
 from .metric import Signature
 from .periodicity import (
+    SCAN_SAMPLES,
     SearchWindow,
     cayley_condition,
     default_search_window,
@@ -193,7 +194,7 @@ def _cmd_tropic(args) -> int:
     for sheet, label in ((1, "+"), (-1, "-")):
         for i in range(n_lam):
             lam = lo + (i + 0.5) * step
-            if fam.is_degenerate_parameter(lam, 1e-9):
+            if fam.is_degenerate_parameter(lam):
                 lam += 1e-3 * step
             for j in range(n_t):
                 t = (j + 0.5) * 2.0 * math.pi / n_t
@@ -295,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--window", help="scan interval lo,hi")
-    sp.add_argument("--samples", type=int, default=4001)
+    sp.add_argument("--samples", type=int, default=SCAN_SAMPLES)
     sp.set_defaults(func=_cmd_search_periodic)
 
     sp = sub.add_parser("lightlike", help="light-like period of a planar table")

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.polynomial.polynomial import polyroots
 
-from ._poly import companion_roots, linear_product, newton_polish
+from ._poly import linear_product, newton_polish
 from .errors import (
     AmbiguousSign,
     DegenerateParameter,
@@ -124,13 +125,14 @@ class ConfocalFamily:
     def denominators(self, lam: float) -> np.ndarray:
         return self.axes_f - self.eps * lam
 
-    def is_degenerate_parameter(self, lam, tol: float = DEGENERATE_TOL):
-        """lam within tol * (a_1 + a_d) of some eps_i a_i, or not finite.
+    def is_degenerate_parameter(self, lam):
+        """lam within DEGENERATE_TOL * (a_1 + a_d) of some eps_i a_i, or not
+        finite.  DEGENERATE_TOL is the one tolerance of this rule.
 
         Elementwise: a scalar gives a numpy bool, an array a bool array.
         """
         lam = np.asarray(lam, dtype=float)
-        near = np.abs(lam[..., None] - self.signed_axes) <= tol * self.scale
+        near = np.abs(lam[..., None] - self.signed_axes) <= DEGENERATE_TOL * self.scale
         return near.any(axis=-1) | ~np.isfinite(lam)
 
     def is_zero_caustic(self, alpha):
@@ -326,7 +328,7 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     are collapsed into a multiple root.
     """
     coeffs = jacobi_polynomial(fam, x)
-    roots = companion_roots(coeffs)
+    roots = polyroots(coeffs)
     scale = fam.scale
     by_imag = sorted(roots, key=lambda z: abs(z.imag))
     real_part = list(by_imag[:-2]) if len(by_imag) > 2 else []
@@ -372,7 +374,7 @@ def _caustic_set(fam: ConfocalFamily, pc: np.ndarray, ltype: LineType) -> Causti
         pc = pc[:-1]
     scale = fam.scale
     roots = []
-    for z in companion_roots(pc):
+    for z in polyroots(pc):
         if abs(z.imag) <= 1e-6 * max(scale, abs(z)):
             roots.append(newton_polish(pc, z.real))
         else:
@@ -451,18 +453,32 @@ class InterlacingReport:
     passed: bool
 
 
-def _position_range(value: float, others: list, tol: float) -> set:
-    """Possible 1-based sorted positions of `value` among `others` + itself."""
-    lo = 1 + sum(1 for o in others if o < value - tol)
-    hi = 1 + sum(1 for o in others if o <= value + tol)
-    return set(range(lo, hi + 1))
+def _pair_positions(caustics: list, fixed: list, n_pairs: int, sign: int,
+                    tol: float) -> tuple:
+    """(ok, positions) of one side: its n_pairs caustics, in the order of
+    sign * value, among themselves and ``fixed`` (poles, infinite caustics).
+    Caustic i must sit at 1-based position 2i - 1 or 2i, up to ties."""
+    if len(caustics) != n_pairs:
+        return False, ()
+    ok, positions = True, []
+    for i, alpha in enumerate(caustics, start=1):
+        value = sign * alpha
+        others = [sign * o for o in fixed + [x for x in caustics if x is not alpha]]
+        lo = 1 + sum(1 for o in others if o < value - tol)
+        hi = 1 + sum(1 for o in others if o <= value + tol)
+        pair = set(range(lo, hi + 1)) & {2 * i - 1, 2 * i}
+        positions.append(min(pair, default=lo))
+        ok = ok and bool(pair)
+    return ok, tuple(positions)
 
 
 def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     """Interlacing clauses for raw caustic parameters and a line type.
 
     Returns (checks, b, c, positive_positions, negative_positions); see
-    InterlacingReport for the meaning of the pieces.
+    InterlacingReport for the meaning of the pieces.  A space-like line has
+    k - 1 positive and l negative caustics, a time-like one k and l - 1, a
+    light-like one k - 1 and l - 1 plus infinity, which b counts.
     """
     k, l = fam.k, fam.l
     s = fam.signed_axes
@@ -477,51 +493,27 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     c = sorted(neg_poles + list(neg_caustics), reverse=True)
     tie_tol = 1e-9 * fam.scale
 
+    n_pos_pairs = k - (ltype is not LineType.TIME_LIKE)
+    n_neg_pairs = l - (ltype is not LineType.SPACE_LIKE)
+    exp_p, exp_q = k + n_pos_pairs + (ltype is LineType.LIGHT_LIKE), l + n_neg_pairs
     if ltype is LineType.SPACE_LIKE:
-        exp_p, exp_q = 2 * k - 1, 2 * l
-        n_pos_pairs, n_neg_pairs = k - 1, l
         anchor = len(b) == exp_p and abs(b[-1] - s[0]) <= tie_tol
     elif ltype is LineType.TIME_LIKE:
-        exp_p, exp_q = 2 * k, 2 * l - 1
-        n_pos_pairs, n_neg_pairs = k, l - 1
         anchor = len(c) == exp_q and abs(c[-1] - s[-1]) <= tie_tol
     else:
-        exp_p, exp_q = 2 * k, 2 * l - 1
-        n_pos_pairs, n_neg_pairs = k - 1, l - 1
-        anchor = (
-            len(b) == exp_p
-            and not math.isfinite(b[-1])
-            and abs(b[-2] - s[0]) <= tie_tol
-        )
+        anchor = len(b) == exp_p and b[-1] == INF and abs(b[-2] - s[0]) <= tie_tol
 
+    ok_pos, pos_positions = _pair_positions(pos_caustics, pos_poles + [INF] * inf_count,
+                                            n_pos_pairs, 1, tie_tol)
+    ok_neg, neg_positions = _pair_positions(neg_caustics, neg_poles, n_neg_pairs, -1, tie_tol)
     checks = {
         "count_p": len(b) == exp_p,
         "count_q": len(c) == exp_q,
         "anchor": bool(anchor),
+        "positive_pairs": ok_pos,
+        "negative_pairs": ok_neg,
     }
-
-    pos_positions = []
-    ok_pos = len(pos_caustics) == n_pos_pairs
-    if ok_pos:
-        for i, alpha in enumerate(pos_caustics, start=1):
-            others = (pos_poles + [x for x in pos_caustics if x is not alpha]
-                      + [INF] * inf_count)
-            rng = _position_range(alpha, others, tie_tol)
-            pos_positions.append(min(rng & {2 * i - 1, 2 * i}, default=min(rng)))
-            ok_pos = ok_pos and bool(rng & {2 * i - 1, 2 * i})
-    checks["positive_pairs"] = ok_pos
-
-    neg_positions = []
-    ok_neg = len(neg_caustics) == n_neg_pairs
-    if ok_neg:
-        for j, alpha in enumerate(neg_caustics, start=1):
-            others = neg_poles + [x for x in neg_caustics if x is not alpha]
-            # c is ordered by decreasing value: positions of -alpha among -c
-            rng = _position_range(-alpha, [-o for o in others], tie_tol)
-            neg_positions.append(min(rng & {2 * j - 1, 2 * j}, default=min(rng)))
-            ok_neg = ok_neg and bool(rng & {2 * j - 1, 2 * j})
-    checks["negative_pairs"] = ok_neg
-    return checks, tuple(b), tuple(c), tuple(pos_positions), tuple(neg_positions)
+    return checks, tuple(b), tuple(c), pos_positions, neg_positions
 
 
 def interlacing_report(fam: ConfocalFamily, line: Line) -> InterlacingReport:

@@ -48,6 +48,9 @@ ANGLE_TOL = 1e-12
 #: Relative width at which the bisection of a determinant sign change stops.
 BISECT_TOL = 1e-13
 
+#: Scan points of a planar search window, unless it says otherwise.
+SCAN_SAMPLES = 4001
+
 #: Boundary points a Poncelet sample may draw before it gives up.
 SAMPLE_BUDGET = 60
 
@@ -106,21 +109,22 @@ def sqrt_series(q, n_terms: int) -> list:
 def build_P1(fam: ConfocalFamily, params) -> list:
     """Ascending coefficients of the pencil product for the caustic set.
 
-    P1(lam) = prod_finite (alpha_i - lam) * prod_j (a_j - eps_j lam); an
-    infinite caustic contributes no factor.  Rational input stays rational.
-    Caustic parameters colliding with each other (within DEGENERATE_TOL
-    times a_1 + a_d) or with a degenerate member would give the square root
-    an even factor, so they raise DegenerateConfiguration.
+    P1(lam) = prod_finite (alpha_i - lam) * prod_j (a_j - eps_j lam); the
+    light-like caustic +inf contributes no factor.  Rational input stays
+    rational.  Any other parameter that is degenerate
+    (``fam.is_degenerate_parameter``: also nan and -inf) or collides with
+    another (within DEGENERATE_TOL times a_1 + a_d, an even factor under
+    the square root) raises DegenerateConfiguration.
     """
     params = tuple(params)
     if len(params) != fam.d - 1:
         raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
-    finite = [p for p in params if isinstance(p, Fraction) or math.isfinite(p)]
+    finite = [p for p in params if p != INF]
     vals = sorted(float(p) for p in finite)
     if (np.any(fam.is_degenerate_parameter(vals))
             or np.any(np.diff(vals) <= DEGENERATE_TOL * fam.scale)):
         raise DegenerateConfiguration(
-            f"caustic parameters {vals} collide with each other or a degenerate member"
+            f"caustic parameters {vals} are degenerate or collide with each other"
         )
     slopes = [-1] * len(finite) + [-e for e in fam.eps_exact]
     return linear_product(finite + list(fam.axes), slopes)
@@ -232,19 +236,15 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
 def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     """Determinant of the (square, planar) closure matrix at caustic alpha.
 
-    A scalar alpha gives a float and raises DegenerateConfiguration where
-    the normalized series does not exist: where ``fam.is_zero_caustic`` or
-    ``fam.is_degenerate_parameter`` holds.  An array alpha gives an array
-    of determinants, bit for bit the scalar values: P1, the series and the
-    matrices are built for every entry at once, and one determinant call
-    runs on the stack.  Where a scalar alpha would raise, and where alpha
-    is not finite, the array holds nan.
+    ``alpha`` is a scalar or an array; P1, the series and the matrices are
+    built for every entry at once, and one determinant call runs on the
+    stack.  Where ``fam.is_zero_caustic`` or ``fam.is_degenerate_parameter``
+    holds (also at +-inf and nan) the series does not exist: an array holds
+    nan, a scalar raises DegenerateConfiguration.  Light-like closure is
+    ``cayley_condition(fam, (inf,), n)``.
     """
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
-    if np.ndim(alpha) == 0:
-        B = normalized_sqrt_series(fam, (alpha,), n)
-        return float(np.linalg.det(np.asarray(cayley_matrix(B, 2, n), dtype=float)))
     alpha = np.asarray(alpha, dtype=float)
     good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
     slopes = [-1] + [-e for e in fam.eps_exact]
@@ -252,7 +252,11 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     M = cayley_matrix(sqrt_series([c / p1[0] for c in p1], n), 2, n)
     det = np.full(alpha.shape, math.nan)
     det[good] = np.linalg.det(M[good])
-    return det
+    if alpha.ndim:
+        return det
+    if not good:
+        raise DegenerateConfiguration(f"no closure series at caustic {float(alpha)}")
+    return float(det)
 
 
 # ------------------------------------------------------ light-like closure
@@ -264,15 +268,21 @@ def lightlike_period(a, b, max_n: int = 128):
     Returns (n, k) or None when no match exists up to max_n.  The winding
     number k also predicts the bounce split between the two positive
     boundary arcs: k hits on one, n/2 - k on the other.
+
+    The admissible k/n are the p/q in (0, 1/2) in lowest terms: n = q for
+    even q, n = 2q for odd q.  Fractions with denominators up to max_n are
+    more than 1/max_n^2 apart, so for max_n <= 10**6 (pi/max_n^2 > 2
+    ANGLE_TOL) only the best approximation of theta/pi can match.
     """
     theta = math.atan(math.sqrt(float(a) / float(b)))
-    for n in range(4, max_n + 1, 2):
-        half = n // 2
-        for k in range(1, half):
-            if gcd(k, half) != 1:
-                continue
-            if abs(theta - k * math.pi / n) <= ANGLE_TOL:
-                return n, k
+    if math.isnan(theta):
+        return None
+    frac = Fraction(theta / math.pi).limit_denominator(max(1, max_n))
+    k, n = frac.numerator, frac.denominator
+    if n % 2:
+        k, n = 2 * k, 2 * n
+    if n <= max_n and 0 < k < n // 2 and abs(theta - k * math.pi / n) <= ANGLE_TOL:
+        return n, k
     return None
 
 
@@ -301,10 +311,10 @@ def count_axis_ratios(n: int) -> int:
 class SearchWindow:
     lo: float
     hi: float
-    samples: int = 4001
+    samples: int = SCAN_SAMPLES
 
 
-def default_search_window(fam: ConfocalFamily, samples: int = 4001) -> SearchWindow:
+def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> SearchWindow:
     """Window wide enough for the classical closed-form solutions, which can
     fall below -b (e.g. ab/(b-a) for a > b)."""
     a, b = (float(t) for t in fam.axes)

@@ -89,10 +89,7 @@ def decorated_coordinates(fam: ConfocalFamily, x) -> tuple:
         raise NotDecoratable("point has a conjugate pair of coordinates")
     if not gj.is_simple_real():
         raise NotDecoratable("point has a multiple coordinate")
-    out = []
-    for i, r in enumerate(gj.real_roots):
-        out.append((RelType("E") if i == 0 else RelType("H", i), r))
-    return tuple(out)
+    return tuple((_type_from_counts(i, False), r) for i, r in enumerate(gj.real_roots))
 
 
 # --------------------------------------------------- geometric types, d = 3

@@ -26,6 +26,7 @@ from pbl.confocal import (
     caustics,
     evaluate_quadric,
     integrals_F,
+    interlacing_checks,
     interlacing_report,
     jacobi_coordinates,
     jacobi_polynomial,
@@ -500,6 +501,35 @@ def test_interlacing_lightlike_anchor():
     assert rep.passed
     assert rep.b[-1] == INF
     assert rep.b[-2] == pytest.approx(FAM3.axes_f[0])
+
+
+def test_interlacing_checks_hand_cases():
+    # caustic sets placed by hand between the signed axes; c runs from 0
+    # outward, and caustic i of a side belongs at position 2i - 1 or 2i
+    fam12 = ConfocalFamily(Signature(1, 2), (5.0, 2.0, 3.0))  # poles 5 | -2, -3
+    fam22 = ConfocalFamily(Signature(2, 2), (5.0, 3.0, 2.0, 4.0))  # poles 5, 3 | -2, -4
+    S, T, L = LineType.SPACE_LIKE, LineType.TIME_LIKE, LineType.LIGHT_LIKE
+    ok = dict(count_p=True, count_q=True, anchor=True, positive_pairs=True,
+              negative_pairs=True)
+    cases = [
+        # family, caustics, type, checks, c, positive and negative positions
+        (fam12, (-1.0, -2.5), S, ok, (-1.0, -2.0, -2.5, -3.0), (), (1, 3)),
+        (fam12, (-2.5, -4.0), S, ok, (-2.0, -2.5, -3.0, -4.0), (), (2, 4)),
+        (fam12, (-1.0, -1.5), S, dict(ok, negative_pairs=False),
+         (-1.0, -1.5, -2.0, -3.0), (), (1, 2)),
+        (fam12, (1.0, -2.5), T, ok, (-2.0, -2.5, -3.0), (1,), (2,)),
+        (fam12, (-1.0, INF), L, ok, (-1.0, -2.0, -3.0), (), (1,)),
+        (fam22, (1.0, -1.0, -3.0), S, ok, (-1.0, -2.0, -3.0, -4.0), (1,), (1, 3)),
+        (fam22, (3.0, -1.0, -3.0), S, ok, (-1.0, -2.0, -3.0, -4.0), (1,), (1, 3)),
+        (fam22, (1.0, 4.0, -3.0), T, ok, (-2.0, -3.0, -4.0), (1, 3), (2,)),
+        (fam22, (1.0, 2.0, -3.0), T, dict(ok, positive_pairs=False),
+         (-2.0, -3.0, -4.0), (1, 2), (2,)),
+        (fam22, (4.0, -3.0, INF), L, ok, (-2.0, -3.0, -4.0), (2,), (2,)),
+        (fam22, (1.0, 4.0, -3.0), S, dict.fromkeys(ok, False), (-2.0, -3.0, -4.0), (), ()),
+    ]
+    for fam, params, ltype, checks, c, pos, neg in cases:
+        got_checks, _, got_c, got_pos, got_neg = interlacing_checks(fam, params, ltype)
+        assert (got_checks, got_c, got_pos, got_neg) == (checks, c, pos, neg), (params, ltype)
 
 
 def test_interlacing_random_chords():

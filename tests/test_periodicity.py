@@ -111,6 +111,9 @@ def test_build_P1_collision_guard():
     for alpha, n in ((1e-13, 6), (-1e-13, 6), (1e-200, 4)):
         with pytest.raises(DegenerateConfiguration):
             cayley_condition(FAM2, (alpha,), n)  # a zero caustic: P1(0) = 0
+    for alpha in (math.nan, -math.inf):
+        with pytest.raises(DegenerateConfiguration):
+            cayley_condition(FAM2, (alpha,), 4)  # +inf is the only non-finite caustic
     with pytest.raises(ValueError):
         build_P1(FAM2, (0.5, 0.7))  # wrong count for d = 2
 
@@ -199,14 +202,14 @@ def test_planar_determinant_tracks_condition():
 
 def test_planar_det_array_matches_scalar():
     # one array call gives the scalar determinants bit for bit, and nan
-    # where a scalar call raises: at (or within 1e-12 (a + b) of) 0 and at
-    # the degenerate values a, -b
+    # where a scalar call raises: at (or within 1e-12 (a + b) of) 0, at
+    # the degenerate values a, -b, and where alpha is not finite
     rng = np.random.default_rng(11)
     for _ in range(4):
         b = rng.uniform(0.5, 2.0)
         a = b * rng.uniform(1.1, 3.0)
         fam = ConfocalFamily(Signature(1, 1), (a, b))
-        tail = [0.0, a, -b, 1e-13 * (a + b), -1e-13 * (a + b)]
+        tail = [0.0, a, -b, 1e-13 * (a + b), -1e-13 * (a + b), math.inf, -math.inf, math.nan]
         alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40), tail])
         for n in range(3, 10):
             dets = planar_cayley_det(fam, alphas, n)
@@ -277,6 +280,32 @@ def test_lightlike_period_examples():
     assert lightlike_period(1.0, 3.0) == (6, 1)
     assert lightlike_period(math.tan(math.pi / 8) ** 2, 1.0) == (8, 1)
     assert lightlike_period(2.0, 1.0) is None
+
+
+def _lightlike_period_by_search(a, b, max_n):
+    """Reference: try every admissible (n, k) in order."""
+    theta = math.atan(math.sqrt(a / b))
+    for n in range(4, max_n + 1, 2):
+        for k in range(1, n // 2):
+            if math.gcd(k, n // 2) == 1 and abs(theta - k * math.pi / n) <= 1e-12:
+                return n, k
+    return None
+
+
+def test_lightlike_period_recovers_every_table():
+    # tan^2(k pi / n) for every admissible (n, k), n <= 128
+    for n in range(4, 129, 2):
+        for k in range(1, n // 2):
+            if math.gcd(k, n // 2) == 1:
+                assert lightlike_period(math.tan(k * math.pi / n) ** 2, 1.0) == (n, k)
+    # the closed form agrees with the search on perturbed, rescaled tables
+    rng = np.random.default_rng(3)
+    inputs = [(2.5 * math.tan(k * math.pi / n) ** 2 * (1.0 + eps), 2.5)
+              for n in range(4, 33, 2) for k in range(1, n // 2) for eps in (1e-13, 3e-12)]
+    inputs += [tuple(rng.uniform(0.01, 10.0, 2)) for _ in range(100)]
+    for max_n in (3, 12, 64, 128):
+        for a, b in inputs:
+            assert lightlike_period(a, b, max_n) == _lightlike_period_by_search(a, b, max_n)
 
 
 def test_lightlike_agrees_with_cayley():
