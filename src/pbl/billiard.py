@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.polynomial import polyder, polyval
 
 from .confocal import (
     CausticSet,
@@ -24,7 +25,6 @@ from .confocal import (
     DEGENERATE_TOL,
     INF,
     Line,
-    _caustic_set,
     _tangency_coefficients,
     caustics,
     chord_discriminant,
@@ -151,12 +151,14 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     The start point must lie inside Q_0, or on it with an inward
     direction.  Double reflections advance the counter by two.  Reflection
     preserves the line type, the first integrals and the caustics, so the
-    line type is fixed once from the start direction and every segment's
-    caustics come from its own first integrals with that type.  The
-    returned trajectory records per-bounce data, the caustic set of the
-    initial segment, and the worst relative drift of the first integrals
-    (``invariant_drift``) and of the per-segment caustics
-    (``caustic_drift``) along the way.
+    line type is fixed once from the start direction and the caustics
+    alpha are solved once, on the start line.  The returned trajectory
+    records per-bounce data, the caustic set of the initial segment, and
+    the worst relative drift of the first integrals (``invariant_drift``)
+    and of the caustics (``caustic_drift``) along the way.  The caustic
+    drift of segment b is one Newton step from alpha on its tangency
+    polynomial p_b, |p_b(alpha) / p_b'(alpha)| / max(1, |alpha|): the
+    distance of p_b's root from alpha, to second order in that distance.
     """
     x = np.asarray(start, dtype=float).copy()
     v = np.asarray(direction, dtype=float).copy()
@@ -172,7 +174,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
 
     ltype = line_type(v, fam.sig)
     cs0 = caustics(fam, Line(x, v))
-    ref_finite = np.array(cs0.finite)
+    alpha = np.array(cs0.finite)
 
     bounces: list[Bounce] = []
     refl = 0
@@ -185,11 +187,12 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
         x, v = p, v_out
 
     integrals, drift = _segment_integrals(fam, bounces)
-    cdrift = 0.0
-    for pc in _tangency_coefficients(fam, integrals):
-        seg = np.array(_caustic_set(fam, pc, ltype).finite)
-        rel = np.abs(seg - ref_finite) / np.maximum(1.0, np.abs(ref_finite))
-        cdrift = max(cdrift, float(np.max(rel)) if rel.size else 0.0)
+    # column b: ascending tangency coefficients of segment b
+    pc = _tangency_coefficients(fam, integrals).T
+    if ltype is LineType.LIGHT_LIKE:
+        pc = pc[:-1]
+    step = polyval(alpha, pc) / polyval(alpha, polyder(pc))
+    cdrift = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(alpha)), initial=0.0))
     return Trajectory(
         family=fam,
         start_point=np.asarray(start, dtype=float),
@@ -388,11 +391,8 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
 
 def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray:
     """A uniform-ish random point of the reference ellipsoid Q_0."""
-    while True:
-        u = rng.normal(size=fam.d)
-        q = float(np.sum(u * u / fam.axes_f))
-        if q > 0:
-            return u / math.sqrt(q)
+    u = rng.normal(size=fam.d)
+    return u / math.sqrt(float(np.sum(u * u / fam.axes_f)))
 
 
 def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:

@@ -45,7 +45,6 @@ from .periodicity import (
 from .relativistic import (
     decorated_coordinates,
     relativistic_type,
-    tropic_cone_residual,
     tropic_point,
 )
 

@@ -362,30 +362,6 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
 # -------------------------------------------------------------- caustics
 
 
-def _caustic_set(fam: ConfocalFamily, pc: np.ndarray, ltype: LineType) -> CausticSet:
-    """Caustics of a line from its tangency coefficients and its line type.
-
-    ``pc`` is the line's row of ``_tangency_coefficients``; see
-    ``caustics``.  A light-like line drops the vanishing leading
-    coefficient.
-    """
-    light = ltype is LineType.LIGHT_LIKE
-    if light:
-        pc = pc[:-1]
-    scale = fam.scale
-    roots = []
-    for z in polyroots(pc):
-        if abs(z.imag) <= 1e-6 * max(scale, abs(z)):
-            roots.append(newton_polish(pc, z.real))
-        else:
-            raise RootIsolationError(
-                f"complex tangency root {z}; the line is too degenerate to isolate caustics"
-            )
-    if len(roots) != len(pc) - 1:
-        raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
-    return CausticSet(tuple(sorted(roots)) + ((INF,) if light else ()))
-
-
 def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     """Caustic parameters of the line: pencil members tangent to it.
 
@@ -405,7 +381,20 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     disc, scale = chord_discriminant(fam.axes_f, x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")
-    return _caustic_set(fam, tangency_polynomial(fam, x, v), line_type(v, fam.sig))
+    pc = tangency_polynomial(fam, x, v)
+    light = line_type(v, fam.sig) is LineType.LIGHT_LIKE
+    if light:
+        pc = pc[:-1]
+    roots = []
+    for z in polyroots(pc):
+        if abs(z.imag) > 1e-6 * max(fam.scale, abs(z)):
+            raise RootIsolationError(
+                f"complex tangency root {z}; the line is too degenerate to isolate caustics"
+            )
+        roots.append(newton_polish(pc, z.real))
+    if len(roots) != len(pc) - 1:
+        raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
+    return CausticSet(tuple(sorted(roots)) + ((INF,) if light else ()))
 
 
 def trajectory_type_from_caustics(

@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confocal import ConfocalFamily, GeneralizedJacobi, jacobi_coordinates
+from .confocal import ConfocalFamily, jacobi_coordinates
 from .errors import (
     BoundaryCase,
     CuspPoint,
@@ -59,7 +59,7 @@ def _type_from_counts(below: int, has_pair: bool) -> RelType:
     return RelType("H", below)
 
 
-def relativistic_type(fam: ConfocalFamily, x, lam0: float, tol: float = MATCH_TOL) -> RelType:
+def relativistic_type(fam: ConfocalFamily, x, lam0: float) -> RelType:
     """Relativistic type of the pencil member Q_{lam0} at the point x.
 
     ``lam0`` must be one of the generalized Jacobi coordinates of x.  A
@@ -67,14 +67,13 @@ def relativistic_type(fam: ConfocalFamily, x, lam0: float, tol: float = MATCH_TO
     ``MultipleRoot``.
     """
     gj = jacobi_coordinates(fam, x)
-    scale = fam.scale
-    matches = [r for r in gj.real_roots if abs(r - lam0) <= tol * scale]
+    matches = [r for r in gj.real_roots if abs(r - lam0) <= MATCH_TOL * fam.scale]
     if not matches:
         raise ValueError(f"lambda = {lam0} is not a Jacobi coordinate of the point")
     if len(matches) > 1:
         raise MultipleRoot(f"lambda = {lam0} is a multiple coordinate at this point")
     matched = matches[0]
-    below = sum(1 for r in gj.real_roots if r < matched and r not in matches)
+    below = sum(1 for r in gj.real_roots if r < matched)
     return _type_from_counts(below, gj.complex_pair is not None)
 
 

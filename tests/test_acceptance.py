@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from pbl.billiard import (
     arc_hit_counts,
@@ -20,7 +19,6 @@ from pbl.billiard import (
     trace,
 )
 from pbl.confocal import (
-    INF,
     ConfocalFamily,
     Line,
     caustics,
@@ -30,7 +28,7 @@ from pbl.confocal import (
     trajectory_type_from_caustics,
 )
 from pbl.errors import InadmissibleCaustics, NoSolution, NumericalError
-from pbl.metric import LineType, Signature, line_type, pseudo_cross, sq_norm
+from pbl.metric import Signature, line_type, pseudo_cross, sq_norm
 from pbl.periodicity import (
     cayley_condition,
     count_axis_ratios,

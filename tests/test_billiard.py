@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyroots
 
+from pbl._poly import newton_polish
 from pbl.billiard import (
     arc_hit_counts,
     closure_test,
@@ -27,6 +29,7 @@ from pbl.confocal import (
     caustics,
     evaluate_quadric,
     jacobi_coordinates,
+    tangency_polynomial,
 )
 from pbl.errors import (
     DegenerateParameter,
@@ -153,6 +156,41 @@ def test_trace_lightlike_keeps_its_line_type(fam, x, v, n):
     assert traj.line_type is LineType.LIGHT_LIKE
     assert traj.invariant_drift <= 1e-9
     assert traj.caustic_drift <= 1e-9
+
+
+def _per_segment_caustic_drift(traj) -> float:
+    """Reference: every segment's caustics solved again (companion roots,
+    Newton polish, with the start's line type) against the start's."""
+    fam = traj.family
+    alpha = np.array(traj.caustic_set.finite)
+    worst = 0.0
+    for b in traj.bounces:
+        pc = tangency_polynomial(fam, b.point, b.v_out)
+        if traj.line_type is LineType.LIGHT_LIKE:
+            pc = pc[:-1]
+        seg = np.sort([newton_polish(pc, z.real) for z in polyroots(pc)])
+        rel = np.abs(seg - alpha) / np.maximum(1.0, np.abs(alpha))
+        worst = max(worst, float(np.max(rel, initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "sig, axes",
+    [((2, 1), (5.0, 3.0, 2.0)), ((1, 2), (5.0, 2.0, 3.0)),
+     ((2, 2), (5.0, 3.0, 2.0, 4.0)), ((1, 1), (2.0, 1.0))],
+)
+def test_caustic_drift_matches_per_segment_roots(sig, axes):
+    # trace reads each segment's drift as one Newton step from the start
+    # caustics; it must agree with solving every segment's roots again
+    fam = ConfocalFamily(Signature(*sig), axes)
+    rng = np.random.default_rng(7)
+    for trial in range(12):
+        kind = ("space", "time", "light")[trial % 3]
+        x = rng.uniform(0.1, 0.7) * random_boundary_point(fam, rng)
+        traj = trace(fam, x, _direction_of_type(rng, *sig, kind), 120)
+        assert traj.line_type is LineType(f"{kind}-like")
+        reference = _per_segment_caustic_drift(traj)
+        assert traj.caustic_drift == pytest.approx(reference, abs=1e-14, rel=0)
 
 
 def test_trace_boundary_start_needs_inward_direction():

@@ -15,8 +15,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pbl.confocal import (
     INF,
@@ -36,7 +34,7 @@ from pbl.confocal import (
 from pbl._poly import linear_product
 from pbl.billiard import line_quadric_intersections, random_boundary_point
 from pbl.errors import AmbiguousSign, DegenerateParameter, NoIntersection
-from pbl.metric import LineType, Signature, dot, sq_norm
+from pbl.metric import LineType, Signature, sq_norm
 
 FAM3 = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
 FAM2 = ConfocalFamily(Signature(1, 1), (2.0, 1.0))

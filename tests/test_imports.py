@@ -1,0 +1,34 @@
+"""No module of src/pbl, scripts/ or tests/ imports a name it never uses.
+
+No linter is a dependency of the project, so the check reads each file
+with ``ast``: a name bound by an import must appear as a name somewhere
+else in the module (``mod.attr`` counts as a use of ``mod``).  The
+package ``__init__.py`` is skipped, since its imports are the public API.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unused_imports(path: Path) -> list:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    files = [p for p in (ROOT / "src" / "pbl").glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    unused = [entry for path in sorted(files) for entry in unused_imports(path)]
+    assert not unused, "unused imports:\n" + "\n".join(unused)

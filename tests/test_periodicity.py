@@ -30,7 +30,6 @@ from pbl.periodicity import (
     default_search_window,
     find_periodic_caustics_plane,
     lightlike_period,
-    normalized_sqrt_series,
     numerical_rank,
     planar_cayley_det,
     poncelet_verify,

@@ -65,15 +65,14 @@ def test_relativistic_type_needs_coordinate():
 
 
 def test_relativistic_type_multiple_root():
-    # moving a tropic-surface point slightly inward splits its double
-    # coordinate into two nearby real roots; a wide matching tolerance
-    # must then refuse to classify
-    p = tropic_point(FAM3, 0.0, 0.7, 1)
-    p[2] -= 1e-6
+    # lambda0 is a double coordinate of a tropic-surface point; it comes
+    # back as two real roots within MATCH_TOL of lambda0 (split by
+    # rounding), and the type must then be refused
+    p = tropic_point(FAM3, 1.0, 0.3, 1)
     gj = jacobi_coordinates(FAM3, p)
     assert gj.complex_pair is None and len(gj.real_roots) == 3
     with pytest.raises(MultipleRoot):
-        relativistic_type(FAM3, p, 0.0, tol=1e-2)
+        relativistic_type(FAM3, p, 1.0)
 
 
 def test_relativistic_type_with_pair():
