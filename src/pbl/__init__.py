@@ -8,7 +8,6 @@ coefficients) and by simulation.
 """
 
 from .billiard import (
-    Bounce,
     ClosureReport,
     Trajectory,
     arc_hit_counts,

@@ -101,25 +101,30 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v):
 
 
 @dataclass
-class Bounce:
-    point: np.ndarray
-    v_in: np.ndarray
-    v_out: np.ndarray
-    double: bool
-    reflections: int  # cumulative reflection count after this bounce
-
-
-@dataclass
 class Trajectory:
+    """A polygonal line in Q_0 over m bounces: ``points`` (m, d), row b for
+    bounce b; ``directions`` (m + 1, d), the start direction and then the
+    outgoing one of each bounce; ``double`` (m,), the bounces at light-like
+    normals, which count as two reflections."""
+
     family: ConfocalFamily
     start_point: np.ndarray
-    start_direction: np.ndarray
-    bounces: list
+    points: np.ndarray
+    directions: np.ndarray
+    double: np.ndarray
     caustic_set: CausticSet
     line_type: LineType
     invariant_drift: float
     caustic_drift: float
-    reflections: int
+
+    @property
+    def reflection_counts(self) -> np.ndarray:
+        """Cumulative reflection count after each bounce."""
+        return np.cumsum(np.where(self.double, 2, 1))
+
+    @property
+    def reflections(self) -> int:
+        return int(self.double.size + np.count_nonzero(self.double))
 
 
 def _next_chord_parameter(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray) -> float:
@@ -153,7 +158,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     preserves the line type, the first integrals and the caustics, so the
     line type is fixed once from the start direction and the caustics
     alpha are solved once, on the start line.  The returned trajectory
-    records per-bounce data, the caustic set of the initial segment, and
+    records the bounce arrays, the caustic set of the initial segment, and
     the worst relative drift of the first integrals (``invariant_drift``)
     and of the caustics (``caustic_drift``) along the way.  The caustic
     drift of segment b is one Newton step from alpha on its tangency
@@ -176,17 +181,21 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
 
-    bounces: list[Bounce] = []
-    refl = 0
+    points = np.empty((n_reflections, fam.d))
+    directions = np.empty((n_reflections + 1, fam.d))
+    double = np.empty(n_reflections, dtype=bool)
+    directions[0] = v
+    m = refl = 0
     while refl < n_reflections:
         t = _next_chord_parameter(fam, x, v)
-        p = _snap_to_boundary(fam, x, v, t)
-        v_out, double = reflect_at_boundary(fam, p, v)
-        refl += 2 if double else 1
-        bounces.append(Bounce(p, v.copy(), v_out, double, refl))
-        x, v = p, v_out
+        x = points[m] = _snap_to_boundary(fam, x, v, t)
+        v, double[m] = reflect_at_boundary(fam, x, v)
+        directions[m + 1] = v
+        refl += 2 if double[m] else 1
+        m += 1
+    points, directions, double = points[:m], directions[: m + 1], double[:m]
 
-    integrals, drift = _segment_integrals(fam, bounces)
+    integrals, drift = _segment_integrals(fam, points, directions)
     # column b: ascending tangency coefficients of segment b
     pc = _tangency_coefficients(fam, integrals).T
     if ltype is LineType.LIGHT_LIKE:
@@ -196,17 +205,17 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     return Trajectory(
         family=fam,
         start_point=np.asarray(start, dtype=float),
-        start_direction=np.asarray(direction, dtype=float),
-        bounces=bounces,
+        points=points,
+        directions=directions,
+        double=double,
         caustic_set=cs0,
         line_type=ltype,
         invariant_drift=drift,
         caustic_drift=cdrift,
-        reflections=refl,
     )
 
 
-def _segment_integrals(fam: ConfocalFamily, bounces: list) -> tuple:
+def _segment_integrals(fam: ConfocalFamily, points: np.ndarray, directions: np.ndarray) -> tuple:
     """First integrals of each bounce's outgoing segment, and their drift.
 
     Returns an (m, d) array, row b for bounce b, and the drift: the worst
@@ -215,15 +224,17 @@ def _segment_integrals(fam: ConfocalFamily, bounces: list) -> tuple:
     m + 1 segments go through one stacked ``integrals_F`` and one stacked
     <v, v>, each row bit for bit its single-vector value.
     """
-    b0 = bounces[0]
-    X = np.array([b0.point] + [b.point for b in bounces])
-    V = np.array([b0.v_in] + [b.v_out for b in bounces])
-    F = integrals_F(fam, X, V)
+    F = integrals_F(fam, points[np.r_[0, 0 : len(points)]], directions)
     # rounds as metric.dot does, which einsum and sum(axis=1) do not
-    vv = ((fam.eps * V)[:, None, :] @ V[:, :, None])[:, 0, 0]
+    vv = ((fam.eps * directions)[:, None, :] @ directions[:, :, None])[:, 0, 0]
     fscale = max(float(np.max(np.abs(F[0]))), abs(float(vv[0])), 1e-300)
     worst = max(float(np.max(np.abs(F[1:] - F[0]))), float(np.max(np.abs(vv[1:] - vv[0]))))
     return F[1:], worst / fscale
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    # rounds as np.linalg.norm of each row does, which norm(axis=1) does not
+    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -241,21 +252,18 @@ def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     Compares position and outgoing direction of every later bounce with
     bounce 0; the period is counted in reflections (doubles count twice).
     """
-    if not traj.bounces:
+    if not len(traj.points):
         raise ValueError("trajectory has no bounces")
-    b0 = traj.bounces[0]
-    d0 = b0.v_out / np.linalg.norm(b0.v_out)
-    best = (math.inf, math.inf, None)
-    for j in range(1, len(traj.bounces)):
-        bj = traj.bounces[j]
-        pos = float(np.linalg.norm(bj.point - b0.point))
-        dj = bj.v_out / np.linalg.norm(bj.v_out)
-        dirr = float(np.linalg.norm(dj - d0))
-        if pos <= tol and dirr <= tol:
-            return ClosureReport(True, bj.reflections - b0.reflections, pos, dirr, j)
-        if pos + dirr < best[0] + best[1]:
-            best = (pos, dirr, j)
-    return ClosureReport(False, None, best[0], best[1], best[2])
+    U = traj.directions[1:] / _row_norms(traj.directions[1:])[:, None]
+    pos = _row_norms(traj.points[1:] - traj.points[0])
+    dirr = _row_norms(U[1:] - U[0])
+    if not pos.size:
+        return ClosureReport(False, None, math.inf, math.inf, None)
+    closed = (pos <= tol) & (dirr <= tol)
+    j = int(np.argmax(closed) if closed.any() else np.argmin(pos + dirr))
+    counts = traj.reflection_counts
+    period = int(counts[j + 1] - counts[0]) if closed[j] else None
+    return ClosureReport(bool(closed[j]), period, float(pos[j]), float(dirr[j]), j + 1)
 
 
 def arc_hit_counts(traj: Trajectory) -> tuple[int, int]:
@@ -274,15 +282,9 @@ def arc_hit_counts(traj: Trajectory) -> tuple[int, int]:
     if traj.line_type is not LineType.LIGHT_LIKE:
         raise NotPlanarLightLike("arc counting requires a light-like trajectory")
     a, b = fam.axes_f
-    hits_x = hits_y = 0
-    for bounce in traj.bounces:
-        x, y = bounce.point
-        qx, qy = x * x / (a * a), y * y / (b * b)
-        if qx > qy and x > 0:
-            hits_x += 1
-        elif qy > qx and y > 0:
-            hits_y += 1
-    return hits_y, hits_x
+    x, y = traj.points.T
+    qx, qy = x * x / (a * a), y * y / (b * b)
+    return int(np.count_nonzero((qy > qx) & (y > 0))), int(np.count_nonzero((qx > qy) & (x > 0)))
 
 
 def rectangle_ratio(a: float, b: float) -> float:
@@ -416,54 +418,53 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
         "caustics": ["inf" if not math.isfinite(p) else p for p in traj.caustic_set],
         "lineType": traj.line_type.value,
         "bounces": [
-            {
-                "p": [float(c) for c in b.point],
-                "vin": [float(c) for c in b.v_in],
-                "vout": [float(c) for c in b.v_out],
-                "double": b.double,
-            }
-            for b in traj.bounces
+            {"p": p, "vin": vin, "vout": vout, "double": double}
+            for p, vin, vout, double in zip(traj.points.tolist(), traj.directions[:-1].tolist(),
+                                            traj.directions[1:].tolist(), traj.double.tolist())
         ],
         "drift": traj.invariant_drift,
     }
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
-    """Rebuild a trajectory (family, bounces, caustics) from its dict form."""
-    sig = Signature(*[int(s) for s in data["signature"]])
-    fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
-    params = tuple(INF if c == "inf" else float(c) for c in data["caustics"])
-    bounces = []
-    refl = 0
-    for raw in data["bounces"]:
-        refl += 2 if raw["double"] else 1
-        bounces.append(
-            Bounce(
-                np.asarray(raw["p"], dtype=float),
-                np.asarray(raw["vin"], dtype=float),
-                np.asarray(raw["vout"], dtype=float),
-                bool(raw["double"]),
-                refl,
-            )
-        )
-    ltype = LineType(data["lineType"])
-    start = bounces[0].point if bounces else np.zeros(fam.d)
-    sdir = bounces[0].v_in if bounces else np.zeros(fam.d)
+    """Rebuild a trajectory (family, arrays, caustics) from its dict form.
+
+    Raises ValueError for a missing key, a vector that is not d floats, or
+    what ``trace`` never writes: a ``vin`` other than the previous bounce's
+    ``vout``, or a double bounce whose ``vout`` is not -``vin``."""
+    try:
+        sig = Signature(*[int(s) for s in data["signature"]])
+        fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
+        params = tuple(INF if c == "inf" else float(c) for c in data["caustics"])
+        ltype = LineType(data["lineType"])
+        drift = float(data["drift"])
+        rows = [(raw["p"], raw["vin"], raw["vout"]) for raw in data["bounces"]]
+        double = np.array([raw["double"] for raw in data["bounces"]], dtype=bool)
+    except KeyError as exc:
+        raise ValueError(f"trajectory lacks the key {exc}") from None
+    # a ValueError unless every vector has d floats: the row count is fixed,
+    # so vectors of a wrong length cannot be re-rowed
+    vectors = np.array(rows, dtype=float).reshape(len(rows), 3, fam.d)
+    points, vin, vout = vectors[:, 0], vectors[:, 1], vectors[:, 2]
+    if np.any(vin[1:] != vout[:-1]):
+        raise ValueError("a bounce's vin differs from the previous bounce's vout")
+    if np.any(vout[double] != -vin[double]):
+        raise ValueError("a double bounce's vout is not -vin")
     return Trajectory(
         family=fam,
-        start_point=start,
-        start_direction=sdir,
-        bounces=bounces,
+        start_point=points[0] if len(points) else np.zeros(fam.d),
+        points=points,
+        directions=np.concatenate([vin[:1], vout]),
+        double=double,
         caustic_set=CausticSet(params),
         line_type=ltype,
-        invariant_drift=float(data["drift"]),
+        invariant_drift=drift,
         caustic_drift=math.nan,
-        reflections=refl,
     )
 
 
 def recompute_drift(traj: Trajectory) -> float:
     """Invariant drift recomputed from the recorded bounces alone."""
-    if not traj.bounces:
+    if not len(traj.points):
         raise ValueError("trajectory has no bounces")
-    return _segment_integrals(traj.family, traj.bounces)[1]
+    return _segment_integrals(traj.family, traj.points, traj.directions)[1]

@@ -2,7 +2,7 @@
 
 Outputs are deterministic for a fixed invocation (including --seed): JSON is
 emitted with sorted keys and default float repr, CSV rows in a fixed order.
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation or file error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _cmd_verify(args) -> int:
     traj = trajectory_from_dict(data)
     recomputed = recompute_drift(traj)
     recorded = float(data["drift"])
-    rep = closure_test(traj, args.tol) if len(traj.bounces) >= 2 else None
+    rep = closure_test(traj, args.tol) if len(traj.points) >= 2 else None
     payload = {
         "driftRecorded": recorded,
         "driftRecomputed": recomputed,
@@ -334,7 +334,7 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

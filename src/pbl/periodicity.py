@@ -433,13 +433,12 @@ def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
             traj = trace(fam, p, v, n)
         except (NoSolution, NumericalStall):
             continue
-        hit = next((bn for bn in traj.bounces if bn.reflections == n), None)
-        if hit is None:
+        hit = np.flatnonzero(traj.reflection_counts == n)
+        if not hit.size:
             continue
-        pos_err = float(np.linalg.norm(hit.point - p))
-        vn = v / np.linalg.norm(v)
-        wn = hit.v_out / np.linalg.norm(hit.v_out)
-        dir_err = float(np.linalg.norm(wn - vn))
+        w = traj.directions[hit[0] + 1]
+        pos_err = float(np.linalg.norm(traj.points[hit[0]] - p))
+        dir_err = float(np.linalg.norm(w / np.linalg.norm(w) - v / np.linalg.norm(v)))
         return pos_err, dir_err
     raise ConstructionFailure(
         f"sample {index} not constructed within {SAMPLE_BUDGET} attempts"

@@ -73,12 +73,12 @@ def simulate_closure(fam, alpha: float, n: int, rng, tol: float = 1e-6):
             traj = trace(fam, p, v, n)
         except (NoSolution, NumericalError, InadmissibleCaustics):
             continue
-        hits = [b for b in traj.bounces if b.reflections == n]
-        if not hits:
+        hits = np.flatnonzero(traj.reflection_counts == n)
+        if not hits.size:
             continue
         hit = hits[0]
-        pos_err = float(np.linalg.norm(hit.point - p))
-        w = hit.v_out / np.linalg.norm(hit.v_out)
+        pos_err = float(np.linalg.norm(traj.points[hit] - p))
+        w = traj.directions[hit + 1] / np.linalg.norm(traj.directions[hit + 1])
         u = v / np.linalg.norm(v)
         dir_err = float(np.linalg.norm(w - u))
         return (pos_err <= tol and dir_err <= tol), pos_err
@@ -119,11 +119,12 @@ def chord_caustic_closure(fam, n: int, rng, roots, tol: float = 1e-6):
         if min(margins) < 1e-3:
             continue
         traj = trace(fam, p, v, n)
-        hit = next((bn for bn in traj.bounces if bn.reflections == n), None)
-        if hit is None:
+        hits = np.flatnonzero(traj.reflection_counts == n)
+        if not hits.size:
             continue
-        pos_err = float(np.linalg.norm(hit.point - p))
-        w = hit.v_out / np.linalg.norm(hit.v_out)
+        hit = hits[0]
+        pos_err = float(np.linalg.norm(traj.points[hit] - p))
+        w = traj.directions[hit + 1] / np.linalg.norm(traj.directions[hit + 1])
         u = v / np.linalg.norm(v)
         closed = pos_err <= tol and float(np.linalg.norm(w - u)) <= tol
         return alpha, closed
@@ -224,7 +225,7 @@ def test_criterion_06_thousand_bounce_drift():
     ok = traj.invariant_drift <= 1e-9  # relative tolerance 1e-9
     verdict(
         6,
-        ok and len(traj.bounces) == 1000,
+        ok and len(traj.points) == 1000,
         f"1000 bounces, relative drift {traj.invariant_drift:.2e}",
     )
 

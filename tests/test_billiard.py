@@ -9,6 +9,7 @@ from numpy.polynomial.polynomial import polyroots
 
 from pbl._poly import newton_polish
 from pbl.billiard import (
+    ClosureReport,
     arc_hit_counts,
     closure_test,
     direction_with_caustics,
@@ -107,7 +108,7 @@ def test_trace_square_orbit_on_circle():
     assert rep.closed
     assert rep.period == 4
     assert rep.position_error <= 1e-12
-    pts = [b.point for b in traj.bounces[:4]]
+    pts = traj.points[:4]
     assert pts[0] == pytest.approx([0.0, 1.0], abs=1e-12)
     assert pts[1] == pytest.approx([-1.0, 0.0], abs=1e-12)
     assert pts[2] == pytest.approx([0.0, -1.0], abs=1e-12)
@@ -119,10 +120,10 @@ def test_trace_diameter_through_lightlike_points():
     # double reflection, so 4 requested reflections give only 2 bounces
     s = 1.0 / math.sqrt(2.0)
     traj = trace(CIRC, [s, s], [-s, -s], 4)
-    assert len(traj.bounces) == 2
-    assert all(b.double for b in traj.bounces)
+    assert len(traj.points) == 2
+    assert all(traj.double)
     assert traj.reflections == 4
-    assert traj.bounces[0].v_out == pytest.approx([s, s])
+    assert traj.directions[1] == pytest.approx([s, s])
 
 
 def test_trace_validates_start():
@@ -134,7 +135,7 @@ def test_trace_conserves_integrals_and_caustics():
     traj = trace(FAM3, [0.1, 0.2, 0.1], [1.0, 0.4, -0.3], 300)
     assert traj.invariant_drift <= 1e-9
     assert traj.caustic_drift <= 1e-9
-    assert len(traj.bounces) == 300
+    assert len(traj.points) == 300
     assert traj.line_type is line_type([1.0, 0.4, -0.3], FAM3.sig)
 
 
@@ -164,8 +165,8 @@ def _per_segment_caustic_drift(traj) -> float:
     fam = traj.family
     alpha = np.array(traj.caustic_set.finite)
     worst = 0.0
-    for b in traj.bounces:
-        pc = tangency_polynomial(fam, b.point, b.v_out)
+    for point, v_out in zip(traj.points, traj.directions[1:]):
+        pc = tangency_polynomial(fam, point, v_out)
         if traj.line_type is LineType.LIGHT_LIKE:
             pc = pc[:-1]
         seg = np.sort([newton_polish(pc, z.real) for z in polyroots(pc)])
@@ -196,7 +197,7 @@ def test_caustic_drift_matches_per_segment_roots(sig, axes):
 def test_trace_boundary_start_needs_inward_direction():
     p = np.array([math.sqrt(5.0), 0.0, 0.0])
     traj = trace(FAM3, p, [-1.0, 0.1, 0.1], 10)
-    assert len(traj.bounces) == 10
+    assert len(traj.points) == 10
     with pytest.raises(ValueError):
         trace(FAM3, p, [1.0, 0.1, 0.1], 10)
 
@@ -210,8 +211,8 @@ def test_segments_respect_caustic_intervals():
     lo = np.full(FAM3.d, np.inf)
     hi = np.full(FAM3.d, -np.inf)
     x = traj.start_point
-    for b in traj.bounces:
-        seg = b.point - x
+    for point in traj.points:
+        seg = point - x
         for s in np.linspace(0.05, 0.95, 7):
             gj = jacobi_coordinates(FAM3, x + s * seg)
             if gj.complex_pair is not None:
@@ -219,7 +220,7 @@ def test_segments_respect_caustic_intervals():
             r = np.sort(np.asarray(gj.real_roots))
             lo = np.minimum(lo, r)
             hi = np.maximum(hi, r)
-        x = b.point
+        x = point
     slack = 1e-6 * FAM3.scale
     for i in range(FAM3.d):
         for beta in breakpoints:
@@ -235,13 +236,13 @@ def test_focal_chords_alternate():
     foci = [np.array([f, 0.0]), np.array([-f, 0.0])]
     x = start
     # the first segment passes through F1; subsequent ones alternate
-    for j, b in enumerate(traj.bounces):
-        seg = b.point - x
+    for j, point in enumerate(traj.points):
+        seg = point - x
         target = foci[j % 2]
         w = target - x
         cross = abs(seg[0] * w[1] - seg[1] * w[0]) / np.linalg.norm(seg)
         assert cross <= 1e-8, (j, cross)
-        x = b.point
+        x = point
 
 
 def test_closure_test_open_chord():
@@ -249,6 +250,47 @@ def test_closure_test_open_chord():
     rep = closure_test(traj)
     assert not rep.closed
     assert rep.period is None
+
+
+def _per_bounce_closure(traj, tol: float = 1e-6) -> ClosureReport:
+    """Reference: every later bounce compared with bounce 0 in turn, the
+    best match kept by a strict < on position plus direction error."""
+    p0 = traj.points[0]
+    d0 = traj.directions[1] / np.linalg.norm(traj.directions[1])
+    counts = traj.reflection_counts
+    best = (math.inf, math.inf, None)
+    for j in range(1, len(traj.points)):
+        pos = float(np.linalg.norm(traj.points[j] - p0))
+        dj = traj.directions[j + 1] / np.linalg.norm(traj.directions[j + 1])
+        dirr = float(np.linalg.norm(dj - d0))
+        if pos <= tol and dirr <= tol:
+            return ClosureReport(True, int(counts[j] - counts[0]), pos, dirr, j)
+        if pos + dirr < best[0] + best[1]:
+            best = (pos, dirr, j)
+    return ClosureReport(False, None, *best)
+
+
+@pytest.mark.parametrize("fam", [FAM3, FAM2], ids=["spatial", "planar"])
+def test_closure_test_matches_per_bounce_loop(fam):
+    rng = np.random.default_rng(11)
+    for trial in range(9):
+        kind = ("space", "time", "light")[trial % 3]
+        x = rng.uniform(0.1, 0.7) * random_boundary_point(fam, rng)
+        traj = trace(fam, x, _direction_of_type(rng, fam.k, fam.l, kind), 60)
+        rep = closure_test(traj)
+        assert not rep.closed
+        assert rep == _per_bounce_closure(traj)
+
+
+def test_closure_test_counts_double_reflections():
+    # every bounce of the diameter is double: bounce 2 repeats bounce 0
+    # after 4 reflections, not 2 bounces
+    s = 1.0 / math.sqrt(2.0)
+    traj = trace(CIRC, [s, s], [-s, -s], 6)
+    assert traj.reflection_counts.tolist() == [2, 4, 6]
+    rep = closure_test(traj)
+    assert rep.closed and rep.period == 4 and rep.bounce_index == 2
+    assert rep == _per_bounce_closure(traj)
 
 
 # ------------------------------------------------- light-like planar orbits
@@ -402,7 +444,7 @@ def test_trajectory_round_trip():
     back = trajectory_from_dict(data)
     assert back.reflections == traj.reflections
     assert recompute_drift(back) == traj.invariant_drift
-    assert [b.double for b in back.bounces] == [b.double for b in traj.bounces]
+    assert back.double.tolist() == traj.double.tolist()
 
 
 def test_trajectory_dict_schema():

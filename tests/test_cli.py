@@ -125,6 +125,68 @@ def test_verify_detects_tampering(tmp_path, capsys):
     assert code == 2
 
 
+def _planar_trace(tmp_path, capsys):
+    out_file = tmp_path / "traj.json"
+    code, _, _ = run(
+        capsys, "trace", "--sig", "1,1", "--axes", "2,1",
+        "--start", "0.1,0.2", "--dir", "1,0.3",
+        "--bounces", "10", "--out", str(out_file),
+    )
+    assert code == 0
+    return out_file, json.loads(out_file.read_text())
+
+
+def _verify_edited(tmp_path, capsys, edit):
+    out_file, data = _planar_trace(tmp_path, capsys)
+    edit(data)
+    out_file.write_text(json.dumps(data))
+    return run(capsys, "verify", str(out_file))
+
+
+def test_verify_rejects_vin_that_is_not_previous_vout(tmp_path, capsys):
+    def edit(data):
+        data["bounces"][4]["vin"][0] += 1e-3
+
+    code, _, err = _verify_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "vin" in err
+
+
+def test_verify_rejects_flipped_double(tmp_path, capsys):
+    def edit(data):
+        assert data["bounces"][4]["double"] is False
+        data["bounces"][4]["double"] = True
+
+    code, _, err = _verify_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert "double" in err
+
+
+def test_verify_rejects_missing_key(tmp_path, capsys):
+    code, _, err = _verify_edited(tmp_path, capsys, lambda data: data.pop("axes"))
+    assert code == 2
+    assert "axes" in err
+
+
+def test_verify_rejects_wrong_length_point(tmp_path, capsys):
+    code, _, err = _verify_edited(tmp_path, capsys, lambda data: data["bounces"][4]["p"].append(0.0))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_verify_missing_file(tmp_path, capsys):
+    code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
+    assert code == 2
+    assert "error:" in err
+
+
+def test_unwritable_out(tmp_path, capsys):
+    code, _, err = run(capsys, "lightlike", "--axes", "3,1",
+                       "--out", str(tmp_path / "missing" / "out.json"))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_trace_deterministic(tmp_path, capsys):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     args = [
