@@ -150,6 +150,24 @@ def _snap_to_boundary(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, t: floa
     return p
 
 
+def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
+    """Step from (x, v), unchecked, until n reflections: the arrays of a
+    ``Trajectory`` and the count reached, n + 1 after a last double bounce."""
+    points = np.empty((n, fam.d))
+    directions = np.empty((n + 1, fam.d))
+    double = np.empty(n, dtype=bool)
+    directions[0] = v
+    m = refl = 0
+    while refl < n:
+        t = _next_chord_parameter(fam, x, v)
+        x = points[m] = _snap_to_boundary(fam, x, v, t)
+        v, double[m] = reflect_at_boundary(fam, x, v)
+        directions[m + 1] = v
+        refl += 2 if double[m] else 1
+        m += 1
+    return points[:m], directions[: m + 1], double[:m], refl
+
+
 def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajectory:
     """Trace the billiard flow until n_reflections have occurred.
 
@@ -180,21 +198,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     ltype = line_type(v, fam.sig)
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
-
-    points = np.empty((n_reflections, fam.d))
-    directions = np.empty((n_reflections + 1, fam.d))
-    double = np.empty(n_reflections, dtype=bool)
-    directions[0] = v
-    m = refl = 0
-    while refl < n_reflections:
-        t = _next_chord_parameter(fam, x, v)
-        x = points[m] = _snap_to_boundary(fam, x, v, t)
-        v, double[m] = reflect_at_boundary(fam, x, v)
-        directions[m + 1] = v
-        refl += 2 if double[m] else 1
-        m += 1
-    points, directions, double = points[:m], directions[: m + 1], double[:m]
-
+    points, directions, double, _ = _bounce(fam, x, v, n_reflections)
     integrals, drift = _segment_integrals(fam, points, directions)
     # column b: ascending tangency coefficients of segment b
     pc = _tangency_coefficients(fam, integrals).T
@@ -237,6 +241,13 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
     return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
 
 
+def _closure_errors(points, directions, points0, directions0) -> tuple:
+    """Position and unit-direction errors of bounce states (points, directions)
+    against (points0, directions0), row by row; a single row broadcasts."""
+    U, U0 = (D / _row_norms(D)[:, None] for D in (directions, directions0))
+    return _row_norms(points - points0), _row_norms(U - U0)
+
+
 @dataclass(frozen=True)
 class ClosureReport:
     closed: bool
@@ -254,9 +265,8 @@ def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     """
     if not len(traj.points):
         raise ValueError("trajectory has no bounces")
-    U = traj.directions[1:] / _row_norms(traj.directions[1:])[:, None]
-    pos = _row_norms(traj.points[1:] - traj.points[0])
-    dirr = _row_norms(U[1:] - U[0])
+    P, D = traj.points, traj.directions
+    pos, dirr = _closure_errors(P[1:], D[2:], P[:1], D[1:2])
     if not pos.size:
         return ClosureReport(False, None, math.inf, math.inf, None)
     closed = (pos <= tol) & (dirr <= tol)
@@ -429,9 +439,10 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 def trajectory_from_dict(data: dict) -> Trajectory:
     """Rebuild a trajectory (family, arrays, caustics) from its dict form.
 
-    Raises ValueError for a missing key, a vector that is not d floats, or
-    what ``trace`` never writes: a ``vin`` other than the previous bounce's
-    ``vout``, or a double bounce whose ``vout`` is not -``vin``."""
+    Raises ValueError for a missing key, a value of the wrong JSON type (a
+    top level or bounce record that is not an object, say), a vector that is
+    not d floats, or what ``trace`` never writes: a ``vin`` other than the
+    previous bounce's ``vout``, or a double ``vout`` other than -``vin``."""
     try:
         sig = Signature(*[int(s) for s in data["signature"]])
         fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
@@ -442,6 +453,8 @@ def trajectory_from_dict(data: dict) -> Trajectory:
         double = np.array([raw["double"] for raw in data["bounces"]], dtype=bool)
     except KeyError as exc:
         raise ValueError(f"trajectory lacks the key {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed trajectory: {exc}") from None
     # a ValueError unless every vector has d floats: the row count is fixed,
     # so vectors of a wrong length cannot be re-rowed
     vectors = np.array(rows, dtype=float).reshape(len(rows), 3, fam.d)

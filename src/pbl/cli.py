@@ -27,7 +27,6 @@ from .confocal import (
     ConfocalFamily,
     INF,
     Line,
-    caustics,
     interlacing_report,
     jacobi_coordinates,
 )
@@ -112,11 +111,9 @@ def _cmd_trace(args) -> int:
 
 def _cmd_caustics(args) -> int:
     fam = _family(args)
-    line = Line(_parse_vector(args.start), _parse_vector(args.dir))
-    cs = caustics(fam, line)
-    rep = interlacing_report(fam, line)
+    rep = interlacing_report(fam, Line(_parse_vector(args.start), _parse_vector(args.dir)))
     payload = {
-        "caustics": _caustic_list(cs),
+        "caustics": _caustic_list(rep.caustic_set),
         "lineType": rep.line_type.value,
         "interlacingPassed": rep.passed,
     }

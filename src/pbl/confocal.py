@@ -430,9 +430,10 @@ class InterlacingReport:
     math.inf allowed last), ``c`` the negative ones in decreasing value
     order (c_1 closest to zero).  Caustic positions are 1-based indices
     into those tuples.  ``checks`` records each clause of the interlacing
-    statement for the detected line type.
+    statement for the detected line type, on the caustics ``caustic_set``.
     """
 
+    caustic_set: CausticSet
     line_type: LineType
     b: tuple
     c: tuple
@@ -511,6 +512,7 @@ def interlacing_report(fam: ConfocalFamily, line: Line) -> InterlacingReport:
     ltype = line_type(line.direction, fam.sig)
     checks, b, c, pos_positions, neg_positions = interlacing_checks(fam, tuple(cs), ltype)
     return InterlacingReport(
+        caustic_set=cs,
         line_type=ltype,
         b=b,
         c=c,

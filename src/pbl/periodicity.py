@@ -23,10 +23,11 @@ from math import gcd
 import numpy as np
 
 from .billiard import (
+    _bounce,
+    _closure_errors,
     direction_with_caustics,
     inward_direction,
     random_boundary_point,
-    trace,
 )
 from .confocal import DEGENERATE_TOL, INF, ConfocalFamily
 from .errors import (
@@ -416,35 +417,6 @@ class PonceletReport:
     worst_direction_error: float
 
 
-def _closure_sample(fam: ConfocalFamily, params: tuple, n: int, seed: int,
-                    index: int) -> tuple:
-    """One closure experiment with its own deterministic random stream.
-
-    Returns (position_error, direction_error).  Boundary points with no
-    real tangent direction toward the caustics are resampled; running
-    out of budget raises ConstructionFailure.
-    """
-    rng = np.random.default_rng([seed, index])
-    for _ in range(SAMPLE_BUDGET):
-        p = random_boundary_point(fam, rng)
-        try:
-            dirs = direction_with_caustics(fam, p, params)
-            v = inward_direction(fam, p, dirs[0])
-            traj = trace(fam, p, v, n)
-        except (NoSolution, NumericalStall):
-            continue
-        hit = np.flatnonzero(traj.reflection_counts == n)
-        if not hit.size:
-            continue
-        w = traj.directions[hit[0] + 1]
-        pos_err = float(np.linalg.norm(traj.points[hit[0]] - p))
-        dir_err = float(np.linalg.norm(w / np.linalg.norm(w) - v / np.linalg.norm(v)))
-        return pos_err, dir_err
-    raise ConstructionFailure(
-        f"sample {index} not constructed within {SAMPLE_BUDGET} attempts"
-    )
-
-
 def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
                     seed: int = 0, tol: float = 1e-6) -> PonceletReport:
     """Simulate closure from random boundary points for a caustic set that
@@ -452,23 +424,39 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
 
     Raises CayleyConditionFailed if the analytic condition does not hold.
     Sample i draws from its own stream, seeded with (seed, i), so it does
-    not depend on the other samples.
+    not depend on the other samples.  A draw with no real direction toward
+    the caustics, a stall, or a last double bounce past n is redrawn, and
+    ConstructionFailure ends a sample after SAMPLE_BUDGET draws.  Starts are
+    on Q_0 and strictly inward by construction, so skip ``trace``'s checks.
     """
     params = tuple(params)
     if not cayley_condition(fam, params, n):
         raise CayleyConditionFailed(
             f"caustics {params} do not satisfy the period-{n} condition"
         )
-    results = [_closure_sample(fam, params, n, seed, i) for i in range(samples)]
-    worst_pos = max((pos for pos, _ in results), default=0.0)
-    worst_dir = max((dirr for _, dirr in results), default=0.0)
-    closed = sum(pos <= tol and dirr <= tol for pos, dirr in results)
+    states = []  # per sample: start point and direction, n-th bounce point and direction
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        for _ in range(SAMPLE_BUDGET):
+            p = random_boundary_point(fam, rng)
+            try:
+                v = inward_direction(fam, p, direction_with_caustics(fam, p, params)[0])
+                points, directions, _, refl = _bounce(fam, p, v, n)
+            except (NoSolution, NumericalStall):
+                continue
+            if refl == n:
+                states.append((p, v, points[-1], directions[-1]))
+                break
+        else:
+            raise ConstructionFailure(f"sample {i} not constructed within {SAMPLE_BUDGET} attempts")
+    p0, v0, p1, v1 = np.reshape(states, (len(states), 4, fam.d)).transpose(1, 0, 2)
+    pos, dirr = _closure_errors(p1, v1, p0, v0)
     return PonceletReport(
         condition=True,
         n=n,
         caustics=params,
-        samples=len(results),
-        closed=closed,
-        worst_position_error=worst_pos,
-        worst_direction_error=worst_dir,
+        samples=len(states),
+        closed=int(np.count_nonzero((pos <= tol) & (dirr <= tol))),
+        worst_position_error=float(np.max(pos, initial=0.0)),
+        worst_direction_error=float(np.max(dirr, initial=0.0)),
     )

@@ -10,6 +10,7 @@ from numpy.polynomial.polynomial import polyroots
 from pbl._poly import newton_polish
 from pbl.billiard import (
     ClosureReport,
+    _closure_errors,
     arc_hit_counts,
     closure_test,
     direction_with_caustics,
@@ -280,6 +281,18 @@ def test_closure_test_matches_per_bounce_loop(fam):
         rep = closure_test(traj)
         assert not rep.closed
         assert rep == _per_bounce_closure(traj)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closure_errors_round_as_linalg_norm(d):
+    # the errors of closure_test and poncelet_verify: each row's bits are
+    # those of np.linalg.norm on that row, which norm(axis=1) misses
+    rng = np.random.default_rng(d)
+    P, D, P0, D0 = rng.normal(size=(4, 500, d))
+    pos, dirr = _closure_errors(P, D, P0, D0)
+    assert pos.tolist() == [float(np.linalg.norm(p - p0)) for p, p0 in zip(P, P0)]
+    unit = [w / np.linalg.norm(w) - w0 / np.linalg.norm(w0) for w, w0 in zip(D, D0)]
+    assert dirr.tolist() == [float(np.linalg.norm(u)) for u in unit]
 
 
 def test_closure_test_counts_double_reflections():

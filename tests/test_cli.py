@@ -174,6 +174,22 @@ def test_verify_rejects_wrong_length_point(tmp_path, capsys):
     assert "error:" in err
 
 
+def test_verify_rejects_non_object_top_level(tmp_path, capsys):
+    out_file = tmp_path / "traj.json"
+    out_file.write_text("[]")
+    code, _, err = run(capsys, "verify", str(out_file))
+    assert code == 2
+    assert "malformed trajectory" in err
+
+
+@pytest.mark.parametrize("key, value", [("bounces", [1]), ("bounces", 5), ("drift", None),
+                                        ("signature", [1])])
+def test_verify_rejects_wrong_json_type(tmp_path, capsys, key, value):
+    code, _, err = _verify_edited(tmp_path, capsys, lambda data: data.update({key: value}))
+    assert code == 2
+    assert "malformed trajectory" in err
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2

@@ -484,9 +484,11 @@ def test_type_rule_matches_direction():
 
 
 def test_interlacing_spacelike_anchor():
-    rep = interlacing_report(FAM3, Line((0.1, 0.1, 0.1), (1.0, 0.2, 0.3)))
+    line = Line((0.1, 0.1, 0.1), (1.0, 0.2, 0.3))
+    rep = interlacing_report(FAM3, line)
     assert rep.line_type is LineType.SPACE_LIKE
     assert rep.passed
+    assert rep.caustic_set == caustics(FAM3, line)
     # p = 2k - 1 merged positive values, anchored at a_1
     assert len(rep.b) == 2 * FAM3.k - 1
     assert rep.b[-1] == pytest.approx(FAM3.axes_f[0])
@@ -494,9 +496,11 @@ def test_interlacing_spacelike_anchor():
 
 
 def test_interlacing_lightlike_anchor():
-    rep = interlacing_report(FAM3, Line((0.1, 0.2, 0.0), (1.0, 0.0, 1.0)))
+    line = Line((0.1, 0.2, 0.0), (1.0, 0.0, 1.0))
+    rep = interlacing_report(FAM3, line)
     assert rep.line_type is LineType.LIGHT_LIKE
     assert rep.passed
+    assert rep.caustic_set == caustics(FAM3, line)
     assert rep.b[-1] == INF
     assert rep.b[-2] == pytest.approx(FAM3.axes_f[0])
 

@@ -11,17 +11,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pbl.billiard import (
+    closure_test,
+    direction_with_caustics,
+    inward_direction,
+    random_boundary_point,
+    trace,
+)
 from pbl.confocal import INF, ConfocalFamily
 from pbl.errors import (
     CayleyConditionFailed,
+    ConstructionFailure,
     DegenerateConfiguration,
     InsufficientOrder,
+    NoSolution,
     NonpositiveConstantTerm,
+    NumericalStall,
     OddPeriod,
     VacuousCondition,
 )
 from pbl.metric import Signature
 from pbl.periodicity import (
+    SAMPLE_BUDGET,
+    PonceletReport,
     SearchWindow,
     build_P1,
     cayley_condition,
@@ -375,11 +387,58 @@ def test_poncelet_3d_period6_pair():
     assert rep.worst_position_error <= 1e-6
 
 
+def _reference_poncelet(fam, params, n, samples, seed, tol=1e-6):
+    """poncelet_verify with each sample run as a full ``trace``: its hit is
+    the bounce whose reflection count is n, and its errors are
+    np.linalg.norm distances from the start."""
+    results = []
+    for i in range(samples):
+        rng = np.random.default_rng([seed, i])
+        for _ in range(SAMPLE_BUDGET):
+            p = random_boundary_point(fam, rng)
+            try:
+                v = inward_direction(fam, p, direction_with_caustics(fam, p, params)[0])
+                traj = trace(fam, p, v, n)
+            except (NoSolution, NumericalStall):
+                continue
+            hit = np.flatnonzero(traj.reflection_counts == n)
+            if hit.size:
+                w = traj.directions[hit[0] + 1]
+                results.append((float(np.linalg.norm(traj.points[hit[0]] - p)),
+                                float(np.linalg.norm(w / np.linalg.norm(w) - v / np.linalg.norm(v)))))
+                break
+        else:
+            raise ConstructionFailure(f"sample {i}")
+    return PonceletReport(
+        condition=True,
+        n=n,
+        caustics=tuple(params),
+        samples=len(results),
+        closed=sum(pos <= tol and dirr <= tol for pos, dirr in results),
+        worst_position_error=max((pos for pos, _ in results), default=0.0),
+        worst_direction_error=max((dirr for _, dirr in results), default=0.0),
+    )
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_poncelet_matches_full_trace_reference_planar(n):
+    roots = find_periodic_caustics_plane(FAM2, n)
+    assert roots
+    for seed, root in enumerate(roots, start=10 * n):
+        rep = poncelet_verify(FAM2, (root,), n, samples=20, seed=seed)
+        assert repr(rep) == repr(_reference_poncelet(FAM2, (root,), n, 20, seed))
+
+
+@pytest.mark.parametrize("samples", [6, 0])
+def test_poncelet_matches_full_trace_reference_spatial(samples):
+    rep = poncelet_verify(FAM3, PAIR6, 6, samples=samples, seed=4)
+    assert repr(rep) == repr(_reference_poncelet(FAM3, PAIR6, 6, samples, 4))
+    assert rep.samples == samples
+
+
 def test_poncelet_open_orbits_stay_open():
     # a caustic failing the condition cannot be forced closed dynamically:
     # check via direct tracing instead of poncelet_verify (which guards)
-    from pbl.billiard import closure_test, direction_with_caustics, inward_direction, trace
-
     alpha = 0.5
     p = np.array([math.sqrt(2.0), 0.0])  # outside the caustic circle
     v = direction_with_caustics(FAM2, p, (alpha,))[0]
