@@ -44,7 +44,7 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LineType, Signature, line_type, pseudo_normal, reflect_direction
+from .metric import LineType, Signature, _light_like, _reflect, line_type, reflect_direction
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -77,12 +77,6 @@ def line_quadric_intersections(fam: ConfocalFamily, lam: float, line: Line) -> l
     return sorted([(-q1 - rad) / q2, (-q1 + rad) / q2])
 
 
-def boundary_normal(fam: ConfocalFamily, p) -> np.ndarray:
-    """Pseudo-normal of Q_0 at a boundary point p."""
-    pv = np.asarray(p, dtype=float)
-    return pseudo_normal(pv / fam.axes_f, fam.sig)
-
-
 def reflect_at_boundary(fam: ConfocalFamily, p, v):
     """Reflect direction v at the boundary point p of Q_0.
 
@@ -95,7 +89,7 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v):
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
     try:
-        return reflect_direction(vv, boundary_normal(fam, pv), fam.sig), False
+        return reflect_direction(vv, fam.eps * (pv / fam.axes_f), fam.sig), False
     except LightLikeNormal:
         return -vv, True
 
@@ -108,7 +102,6 @@ class Trajectory:
     normals, which count as two reflections."""
 
     family: ConfocalFamily
-    start_point: np.ndarray
     points: np.ndarray
     directions: np.ndarray
     double: np.ndarray
@@ -127,45 +120,38 @@ class Trajectory:
         return int(self.double.size + np.count_nonzero(self.double))
 
 
-def _next_chord_parameter(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray) -> float:
-    q2, q1, q0 = chord_quadratic(fam.axes_f, x, v)
-    disc = q1 * q1 - q2 * q0
-    if disc <= 0.0:
-        raise NumericalStall("tangent or exterior chord")
-    t = (-q1 + math.sqrt(disc)) / q2
-    if t * math.sqrt(float(np.dot(v, v))) <= STALL_TOL * math.sqrt(fam.scale):
-        raise NumericalStall("chord length below 1e-12")
-    return t
-
-
-def _snap_to_boundary(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, t: float) -> np.ndarray:
-    """One Newton step along the chord pulls the hit point back onto Q_0."""
-    den = fam.axes_f
-    p = x + t * v
-    g = float(np.sum(p * p / den) - 1.0)
-    dg = float(2.0 * np.sum(p * v / den))
-    if dg != 0.0:
-        t = t - g / dg
-        p = x + t * v
-    return p
-
-
 def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from (x, v), unchecked, until n reflections: the arrays of a
-    ``Trajectory`` and the count reached, n + 1 after a last double bounce."""
+    """Step from an unchecked (x, v) until n reflections: the arrays of a
+    ``Trajectory`` and the count reached, n + 1 after a last double bounce.
+    A step is the chord root, a Newton step back onto Q_0 and the reflection.
+    The q0 of the chord leaving a bounce is its Q_0 residual; past
+    BOUNDARY_TOL, on any bounce, it raises NumericalStall."""
+    den, eps = fam.axes_f, fam.eps
     points = np.empty((n, fam.d))
     directions = np.empty((n + 1, fam.d))
     double = np.empty(n, dtype=bool)
     directions[0] = v
     m = refl = 0
-    while refl < n:
-        t = _next_chord_parameter(fam, x, v)
-        x = points[m] = _snap_to_boundary(fam, x, v, t)
-        v, double[m] = reflect_at_boundary(fam, x, v)
+    while True:
+        q2, q1, q0 = chord_quadratic(den, x, v)
+        if m and abs(q0) > BOUNDARY_TOL:
+            raise NumericalStall(f"Q_0 residual {q0} too large at {x}")
+        if refl >= n:
+            return points[:m], directions[: m + 1], double[:m], refl
+        disc = q1 * q1 - q2 * q0
+        if disc <= 0.0:
+            raise NumericalStall("tangent or exterior chord")
+        t = (-q1 + math.sqrt(disc)) / q2
+        if t * math.sqrt(float(np.dot(v, v))) <= STALL_TOL * math.sqrt(fam.scale):
+            raise NumericalStall("chord length below 1e-12")
+        _, g1, g = chord_quadratic(den, x + t * v, v)
+        if g1 != 0.0:
+            t = t - g / (2.0 * g1)
+        x = points[m] = x + t * v
+        v, double[m] = _reflect(v, eps * (x / den), eps)
         directions[m + 1] = v
         refl += 2 if double[m] else 1
         m += 1
-    return points[:m], directions[: m + 1], double[:m], refl
 
 
 def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajectory:
@@ -208,7 +194,6 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     cdrift = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(alpha)), initial=0.0))
     return Trajectory(
         family=fam,
-        start_point=np.asarray(start, dtype=float),
         points=points,
         directions=directions,
         double=double,
@@ -442,7 +427,8 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     Raises ValueError for a missing key, a value of the wrong JSON type (a
     top level or bounce record that is not an object, say), a vector that is
     not d floats, or what ``trace`` never writes: a ``vin`` other than the
-    previous bounce's ``vout``, or a double ``vout`` other than -``vin``."""
+    previous bounce's ``vout``, a double ``vout`` other than -``vin``, or a
+    ``double`` other than the light-like test of the bounce's normal."""
     try:
         sig = Signature(*[int(s) for s in data["signature"]])
         fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
@@ -463,9 +449,11 @@ def trajectory_from_dict(data: dict) -> Trajectory:
         raise ValueError("a bounce's vin differs from the previous bounce's vout")
     if np.any(vout[double] != -vin[double]):
         raise ValueError("a double bounce's vout is not -vin")
+    # one stacked call decides each row as the bounce loop did
+    if np.any(_light_like(fam.eps * (points / fam.axes_f), fam.eps)[2] != double):
+        raise ValueError("a bounce's double flag disagrees with its normal")
     return Trajectory(
         family=fam,
-        start_point=points[0] if len(points) else np.zeros(fam.d),
         points=points,
         directions=np.concatenate([vin[:1], vout]),
         double=double,

@@ -73,7 +73,8 @@ class PointNotOnBoundary(ValidationError):
 
 
 class NumericalStall(NumericalError):
-    """The billiard flow produced a chord too short to continue."""
+    """The billiard flow cannot continue: its chord is too short or does not
+    cut Q_0, or a bounce point is off Q_0 by more than BOUNDARY_TOL."""
 
 
 class NoSolution(NumericalError):

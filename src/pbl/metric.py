@@ -84,13 +84,14 @@ def _as_vector(x, d: int) -> np.ndarray:
     return v
 
 
-def _pow2_scaled(v: np.ndarray) -> np.ndarray:
-    """v scaled by a power of two to a largest component in [1/2, 1).
-
-    The scaling is exact, so <v, v> and |v|^2 cannot underflow or overflow,
-    and scale-invariant tests on them do not change.
-    """
-    return np.ldexp(v, -math.frexp(float(np.max(np.abs(v))))[1])
+def _light_like(w: np.ndarray, eps: np.ndarray) -> tuple:
+    """The light-like rule for a vector, or for each row of a (..., d) stack,
+    bit for bit: (ws, <ws, ws>, light).  ws is w scaled exactly by a power
+    of two to a largest component in [1/2, 1), so nothing underflows or
+    overflows; light holds where |<ws, ws>| <= LIGHT_TOL |ws|^2, w = 0 too."""
+    ws = np.ldexp(w, -np.frexp(np.abs(w).max(-1, keepdims=True))[1])
+    s = np.vecdot(eps * ws, ws)
+    return ws, s, abs(s) <= LIGHT_TOL * np.vecdot(ws, ws)
 
 
 def dot(x, y, sig: Signature) -> float:
@@ -107,12 +108,10 @@ def sq_norm(x, sig: Signature) -> float:
 
 def line_type(v, sig: Signature) -> LineType:
     """Classify a direction vector as space-, time- or light-like."""
-    vv = _pow2_scaled(_as_vector(v, sig.d))
-    e2 = float(np.dot(vv, vv))
-    if e2 == 0.0:
-        raise ValueError("zero vector has no line type")
-    s = dot(vv, vv, sig)
-    if abs(s) <= LIGHT_TOL * e2:
+    vv, s, light = _light_like(_as_vector(v, sig.d), sig.eps)
+    if light:
+        if not vv.any():
+            raise ValueError("zero vector has no line type")
         return LineType.LIGHT_LIKE
     return LineType.SPACE_LIKE if s > 0 else LineType.TIME_LIKE
 
@@ -131,17 +130,22 @@ def reflect_direction(v, n, sig: Signature) -> np.ndarray:
 
         v' = v - 2 (<v, n> / <n, n>) n
 
-    Raises ``LightLikeNormal`` when <n, n> vanishes (scale-invariantly), in
-    which case the reflection is not defined.  n is first scaled by a power
-    of two (see ``_pow2_scaled``), which does not change the result.
+    Raises ``LightLikeNormal`` when n is light-like (``_light_like``), in
+    which case the reflection is not defined.
     """
-    vv = _as_vector(v, sig.d)
-    nn = _pow2_scaled(_as_vector(n, sig.d))
-    n2 = dot(nn, nn, sig)
-    e2 = float(np.dot(nn, nn))
-    if e2 == 0.0 or abs(n2) <= LIGHT_TOL * e2:
+    out, light = _reflect(_as_vector(v, sig.d), _as_vector(n, sig.d), sig.eps)
+    if light:
         raise LightLikeNormal("normal is light-like; reflection undefined")
-    return vv - (2.0 * dot(vv, nn, sig) / n2) * nn
+    return out
+
+
+def _reflect(v: np.ndarray, n: np.ndarray, eps: np.ndarray) -> tuple:
+    """``reflect_direction`` unchecked: (v', False), or (-v, True) where n is
+    light-like.  v' is formed with n scaled by ``_light_like``."""
+    nn, n2, light = _light_like(n, eps)
+    if light:
+        return -v, True
+    return v - (2.0 * float(np.dot(eps * v, nn)) / n2) * nn, False
 
 
 def pseudo_cross(x, y) -> np.ndarray:

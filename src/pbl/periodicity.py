@@ -422,13 +422,15 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
-    Raises CayleyConditionFailed if the analytic condition does not hold.
+    Raises CayleyConditionFailed if the analytic condition fails, ValueError if samples < 0.
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
     ConstructionFailure ends a sample after SAMPLE_BUDGET draws.  Starts are
     on Q_0 and strictly inward by construction, so skip ``trace``'s checks.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be >= 0, got {samples}")
     params = tuple(params)
     if not cayley_condition(fam, params, n):
         raise CayleyConditionFailed(

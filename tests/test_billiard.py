@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyroots
 
+from pbl import billiard
 from pbl._poly import newton_polish
 from pbl.billiard import (
     ClosureReport,
@@ -37,6 +38,7 @@ from pbl.errors import (
     DegenerateParameter,
     InadmissibleCaustics,
     NoSolution,
+    NumericalStall,
     PointNotOnBoundary,
 )
 from pbl.metric import LineType, Signature, line_type, sq_norm
@@ -203,15 +205,24 @@ def test_trace_boundary_start_needs_inward_direction():
         trace(FAM3, p, [1.0, 0.1, 0.1], 10)
 
 
+def test_bounce_off_the_boundary_stalls(monkeypatch):
+    # a bounce's Q_0 residual is the q0 of the chord that leaves it, read
+    # on every bounce, the last included: here the one bounce is the last,
+    # and its residual, -1.1e-16, is past a tolerance of 0
+    monkeypatch.setattr(billiard, "BOUNDARY_TOL", 0.0)
+    with pytest.raises(NumericalStall, match="residual"):
+        trace(FAM3, [0.1, 0.2, 0.1], [1.0, 0.4, -0.3], 1)
+
+
 def test_segments_respect_caustic_intervals():
     # along a trajectory each sorted pencil coordinate sweeps an interval
     # that contains no breakpoint (degenerate parameter or caustic) strictly
     # inside; the motion reverses only at those values
-    traj = trace(FAM3, [0.1, 0.2, 0.1], [1.0, 0.4, -0.3], 40)
+    x = np.array([0.1, 0.2, 0.1])
+    traj = trace(FAM3, x, [1.0, 0.4, -0.3], 40)
     breakpoints = sorted(list(FAM3.signed_axes) + list(traj.caustic_set.finite))
     lo = np.full(FAM3.d, np.inf)
     hi = np.full(FAM3.d, -np.inf)
-    x = traj.start_point
     for point in traj.points:
         seg = point - x
         for s in np.linspace(0.05, 0.95, 7):

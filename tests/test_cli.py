@@ -162,6 +162,25 @@ def test_verify_rejects_flipped_double(tmp_path, capsys):
     assert "double" in err
 
 
+def test_verify_rejects_cleared_double_flags(tmp_path, capsys):
+    # the circle's diameter through (0.5, 0.5) meets Q_0 only at points
+    # with light-like normal, so every bounce is double (period 4)
+    out_file = tmp_path / "traj.json"
+    code, _, _ = run(
+        capsys, "trace", "--sig", "1,1", "--axes", "1,1",
+        "--start", "0.5,0.5", "--dir=-1,-1", "--bounces", "6", "--out", str(out_file),
+    )
+    assert code == 0
+    data = json.loads(out_file.read_text())
+    assert [raw["double"] for raw in data["bounces"]] == [True, True, True]
+    for raw in data["bounces"]:
+        raw["double"] = False
+    out_file.write_text(json.dumps(data))
+    code, _, err = run(capsys, "verify", str(out_file))
+    assert code == 2
+    assert "double" in err
+
+
 def test_verify_rejects_missing_key(tmp_path, capsys):
     code, _, err = _verify_edited(tmp_path, capsys, lambda data: data.pop("axes"))
     assert code == 2
@@ -240,6 +259,15 @@ def test_poncelet_cli(capsys):
     data = json.loads(out)
     assert data["condition"] is True and data["closed"] == 5
     assert data["worstPositionError"] <= 1e-6
+
+
+def test_poncelet_cli_rejects_negative_samples(capsys):
+    code, out, err = run(
+        capsys, "poncelet", "--sig", "1,1", "--axes", "2,1",
+        "--caustics", "0.6666666666666666", "--n", "4", "--samples", "-3",
+    )
+    assert code == 2
+    assert out == "" and "samples" in err
 
 
 def test_exit_code_validation_error(capsys):

@@ -1,6 +1,7 @@
-"""No module of src/pbl, scripts/ or tests/ imports a name it never uses.
+"""No module of src/pbl, scripts/ or tests/ imports a name it never uses,
+and no function or class of src/pbl is left without a reader.
 
-No linter is a dependency of the project, so the check reads each file
+No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
 else in the module (``mod.attr`` counts as a use of ``mod``).  The
 package ``__init__.py`` is skipped, since its imports are the public API.
@@ -32,3 +33,28 @@ def test_no_unused_imports():
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in sorted(files) for entry in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+def _names_used(path: Path) -> set:
+    """Names read in the file, as ``name`` or ``obj.name``; imports and
+    definitions do not count."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_no_orphaned_definitions():
+    # a helper that a refactor leaves behind is defined but never read in
+    # src/, scripts/, tests/ or perfbench/; dunder methods run implicitly
+    defs = {}
+    for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("__")):
+                defs[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+    used = set()
+    for folder in ("src", "scripts", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            used |= _names_used(path)
+    orphans = [f"{where} {name}" for name, where in sorted(defs.items()) if name not in used]
+    assert not orphans, "defined but never used:\n" + "\n".join(orphans)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pbl.errors import LightLikeNormal
 from pbl.metric import (
+    LIGHT_TOL,
     LineType,
     MDistance,
     Signature,
@@ -19,6 +20,7 @@ from pbl.metric import (
     pseudo_normal,
     reflect_direction,
     sq_norm,
+    _light_like,
 )
 
 SIG21 = Signature(2, 1)
@@ -121,6 +123,67 @@ def test_reflect_involution_and_invariants(v, n):
     v2 = sq_norm(varr, SIG21)
     if abs(v2) > 1e-3 * max(_euclid(varr), _euclid(out)):
         assert line_type(out, SIG21) is line_type(varr, SIG21)
+
+
+def _scalar_light_rule(w, eps):
+    """Reference: the light-like rule one vector at a time, in math.frexp
+    and np.dot: (scaled w, <w, w>, light)."""
+    ws = np.ldexp(w, -math.frexp(float(np.max(np.abs(w))))[1])
+    s = float(np.dot(eps * ws, ws))
+    e2 = float(np.dot(ws, ws))
+    return ws, s, e2 == 0.0 or abs(s) <= LIGHT_TOL * e2
+
+
+#: <w, w> / |w|^2 of the rows next to the light cone, in units of LIGHT_TOL
+CONE_RATIOS = (1 - 1e-6, 1 + 1e-6, -(1 - 1e-6), -(1 + 1e-6), 1 - 1e-3, 1 + 1e-3, -(1 - 1e-3), 0.0)
+
+
+def _light_rule_rows(rng, k, l):
+    """Seeded rows of signature (k, l): random ones over 300 decades of
+    scale, rows at CONE_RATIOS up to rounding, and a zero row."""
+    rows = [rng.normal(size=k + l) * 10.0 ** rng.uniform(-150, 150) for _ in range(24)]
+    for r in CONE_RATIOS:
+        w = rng.normal(size=k + l)
+        ratio = r * LIGHT_TOL
+        w[k:] *= math.sqrt(np.sum(w[:k] ** 2) * (1 - ratio) / (np.sum(w[k:] ** 2) * (1 + ratio)))
+        rows.append(w * 10.0 ** rng.uniform(-5, 5))
+    rows.append(np.zeros(k + l))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_light_rule_stack_matches_rows(d):
+    rng = np.random.default_rng(d)
+    for k in range(1, d):
+        sig = Signature(k, d - k)
+        W = _light_rule_rows(rng, k, d - k)
+        ws, s, light = _light_like(W, sig.eps)
+        ws3, s3, light3 = _light_like(W.reshape(3, -1, d), sig.eps)
+        assert ws3.reshape(-1, d).tobytes() == ws.tobytes()
+        assert s3.reshape(-1).tobytes() == s.tobytes()
+        assert np.array_equal(light3.reshape(-1), light)
+        for i, w in enumerate(W):
+            wi, si, li = _light_like(w, sig.eps)
+            assert wi.tobytes() == ws[i].tobytes() and si == s[i] and li == light[i]
+            rw, rs, rl = _scalar_light_rule(w, sig.eps)
+            assert wi.tobytes() == rw.tobytes() and si == rs and li == rl
+            # line_type and reflect_direction decide the row by the reference
+            v = rng.normal(size=d)
+            if rl and not w.any():
+                with pytest.raises(ValueError):
+                    line_type(w, sig)
+            elif rl:
+                assert line_type(w, sig) is LineType.LIGHT_LIKE
+            else:
+                assert line_type(w, sig) is (LineType.SPACE_LIKE if rs > 0 else LineType.TIME_LIKE)
+            if rl:
+                with pytest.raises(LightLikeNormal):
+                    reflect_direction(v, w, sig)
+            else:
+                expected = v - (2.0 * float(np.dot(sig.eps * v, rw)) / rs) * rw
+                assert reflect_direction(v, w, sig).tobytes() == expected.tobytes()
+        # the rows at (1 - 1e-3, 1 + 1e-3, -(1 - 1e-3), 0) LIGHT_TOL, and the zero row
+        assert light[-5:].tolist() == [True, False, True, True, True]
 
 
 def test_pseudo_normal_is_metric_diagonal():

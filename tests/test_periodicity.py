@@ -380,6 +380,11 @@ def test_poncelet_precondition():
         poncelet_verify(FAM2, (0.5,), 4, samples=3)
 
 
+def test_poncelet_rejects_negative_samples():
+    with pytest.raises(ValueError, match="samples"):
+        poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=-3)
+
+
 def test_poncelet_3d_period6_pair():
     assert cayley_condition(FAM3, PAIR6, 6)
     rep = poncelet_verify(FAM3, PAIR6, 6, samples=6, seed=4)
