@@ -38,13 +38,12 @@ from .confocal import (
 from .errors import (
     DegenerateParameter,
     InadmissibleCaustics,
-    LightLikeNormal,
     NoSolution,
     NotPlanarLightLike,
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LineType, Signature, _light_like, _reflect, line_type, reflect_direction
+from .metric import LineType, Signature, _as_vector, _light_like, _reflect, line_type
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -83,15 +82,12 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v):
     Returns (v_out, double_flag).  At points with light-like normal the
     map degenerates to v -> -v, flagged as a double reflection.
     """
-    pv = np.asarray(p, dtype=float)
-    vv = np.asarray(v, dtype=float)
+    pv = _as_vector(p, fam.d)
+    vv = _as_vector(v, fam.d)
     res = evaluate_quadric(fam, 0.0, pv)
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
-    try:
-        return reflect_direction(vv, fam.eps * (pv / fam.axes_f), fam.sig), False
-    except LightLikeNormal:
-        return -vv, True
+    return _reflect(vv, fam.eps * (pv / fam.axes_f), fam.eps)
 
 
 @dataclass
@@ -169,8 +165,8 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     polynomial p_b, |p_b(alpha) / p_b'(alpha)| / max(1, |alpha|): the
     distance of p_b's root from alpha, to second order in that distance.
     """
-    x = np.asarray(start, dtype=float).copy()
-    v = np.asarray(direction, dtype=float).copy()
+    x = _as_vector(start, fam.d)
+    v = _as_vector(direction, fam.d)
     if n_reflections < 1:
         raise ValueError("need at least one reflection")
     res = evaluate_quadric(fam, 0.0, x)
@@ -214,23 +210,18 @@ def _segment_integrals(fam: ConfocalFamily, points: np.ndarray, directions: np.n
     <v, v>, each row bit for bit its single-vector value.
     """
     F = integrals_F(fam, points[np.r_[0, 0 : len(points)]], directions)
-    # rounds as metric.dot does, which einsum and sum(axis=1) do not
-    vv = ((fam.eps * directions)[:, None, :] @ directions[:, :, None])[:, 0, 0]
+    vv = np.vecdot(fam.eps * directions, directions)
     fscale = max(float(np.max(np.abs(F[0]))), abs(float(vv[0])), 1e-300)
     worst = max(float(np.max(np.abs(F[1:] - F[0]))), float(np.max(np.abs(vv[1:] - vv[0]))))
     return F[1:], worst / fscale
 
 
-def _row_norms(A: np.ndarray) -> np.ndarray:
-    # rounds as np.linalg.norm of each row does, which norm(axis=1) does not
-    return np.sqrt((A[:, None, :] @ A[:, :, None])[:, 0, 0])
-
-
 def _closure_errors(points, directions, points0, directions0) -> tuple:
     """Position and unit-direction errors of bounce states (points, directions)
     against (points0, directions0), row by row; a single row broadcasts."""
-    U, U0 = (D / _row_norms(D)[:, None] for D in (directions, directions0))
-    return _row_norms(points - points0), _row_norms(U - U0)
+    U, U0 = (D / np.sqrt(np.vecdot(D, D))[:, None] for D in (directions, directions0))
+    dp, du = points - points0, U - U0
+    return np.sqrt(np.vecdot(dp, dp)), np.sqrt(np.vecdot(du, du))
 
 
 @dataclass(frozen=True)
@@ -337,7 +328,7 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     if len(params) != fam.d - 1:
         raise ValueError(f"expected {fam.d - 1} caustic parameters")
     _admissible(fam, params)
-    xv = np.asarray(x, dtype=float)
+    xv = _as_vector(x, fam.d)
     d = fam.d
     finite = [p for p in params if math.isfinite(p)]
     jc = jacobi_coordinates(fam, xv)
@@ -394,8 +385,8 @@ def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.n
 
 def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:
     """Flip v if needed so it points into the ellipsoid at boundary point p."""
-    pv = np.asarray(p, dtype=float)
-    vv = np.asarray(v, dtype=float)
+    pv = _as_vector(p, fam.d)
+    vv = _as_vector(v, fam.d)
     s = float(np.sum(pv * vv / fam.axes_f))
     if s == 0.0:
         raise NoSolution("direction is tangent to the boundary")

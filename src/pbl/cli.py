@@ -178,8 +178,7 @@ def _cmd_lightlike(args) -> int:
 
 
 def _cmd_tropic(args) -> int:
-    sig = _parse_sig(args.sig)
-    fam = ConfocalFamily(sig, _parse_axes(args.axes))
+    fam = ConfocalFamily(Signature(2, 1), _parse_axes(args.axes))
     n_lam, n_t = (int(tok) for tok in args.grid.lower().split("x"))
     if n_lam < 1 or n_t < 1:
         raise ValueError("grid must be NxM with positive counts")
@@ -223,7 +222,7 @@ def _cmd_verify(args) -> int:
         data = json.load(fh)
     traj = trajectory_from_dict(data)
     recomputed = recompute_drift(traj)
-    recorded = float(data["drift"])
+    recorded = traj.invariant_drift
     rep = closure_test(traj, args.tol) if len(traj.points) >= 2 else None
     payload = {
         "driftRecorded": recorded,
@@ -302,8 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_lightlike)
 
     sp = sub.add_parser("tropic", help="export the tropic surface as CSV")
-    sp.add_argument("--sig", default="2,1", help="signature k,l (default 2,1)")
-    sp.add_argument("--axes", required=True, help="a,b,c")
+    sp.add_argument("--axes", required=True, help="a,b,c of the (2, 1) family")
     sp.add_argument("--grid", default="100x100", help="lambda x t resolution, e.g. 100x100")
     sp.add_argument("--out", help="output file (default: stdout)")
     sp.set_defaults(func=_cmd_tropic)

@@ -32,7 +32,7 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LineType, Signature, line_type, _read_only
+from .metric import LineType, Signature, line_type, _as_vector, _read_only
 
 INF = math.inf
 
@@ -150,15 +150,10 @@ class Line:
     direction: np.ndarray
 
     def __init__(self, base, direction):
-        self.base = np.asarray(base, dtype=float)
-        self.direction = np.asarray(direction, dtype=float)
-        if self.base.shape != self.direction.shape or self.base.ndim != 1:
-            raise ValueError("base and direction must be vectors of equal length")
+        self.base = _as_vector(base, np.size(base))
+        self.direction = _as_vector(direction, self.base.size)
         if not np.any(self.direction):
             raise ValueError("direction must be nonzero")
-
-    def point(self, t: float) -> np.ndarray:
-        return self.base + t * self.direction
 
 
 @dataclass(frozen=True)
@@ -222,9 +217,7 @@ def evaluate_quadric(fam: ConfocalFamily, lam: float, x) -> float:
     """Value of sum x_i^2/(a_i - eps_i lambda) - 1 at the point x."""
     if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is a degenerate member")
-    xv = np.asarray(x, dtype=float)
-    if xv.shape != (fam.d,):
-        raise ValueError(f"expected a {fam.d}-vector")
+    xv = _as_vector(x, fam.d)
     return float(np.sum(xv * xv / fam.denominators(lam)) - 1.0)
 
 
@@ -285,7 +278,7 @@ def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
 
     The terms x_i^2 ``fam.cofactors[i]`` are subtracted in index order.
     """
-    xv = np.asarray(x, dtype=float)
+    xv = _as_vector(x, fam.d)
     rows = np.zeros((fam.d + 1, fam.d + 1))
     rows[0] = linear_product(fam.axes_f, -fam.eps)
     rows[1:, :-1] = (xv * xv)[:, None] * fam.cofactors

@@ -78,9 +78,15 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 def _as_vector(x, d: int) -> np.ndarray:
+    """x as a float array of shape (d,), the one check of every point and
+    direction that a public routine takes: ValueError for another shape or
+    a non-finite entry.  The entries are tested one by one as Python
+    floats, which on a few entries is faster than ``np.isfinite``."""
     v = np.asarray(x, dtype=float)
     if v.shape != (d,):
         raise ValueError(f"expected a {d}-vector, got shape {v.shape}")
+    if not all(map(math.isfinite, v.tolist())):
+        raise ValueError(f"expected a finite {d}-vector, got {v}")
     return v
 
 
@@ -166,7 +172,7 @@ def pseudo_cross(x, y) -> np.ndarray:
 def mdistance(x, y, sig: Signature) -> MDistance:
     """Distance between points x and y; imaginary when <x-y, x-y> < 0."""
     diff = _as_vector(x, sig.d) - _as_vector(y, sig.d)
-    s = dot(diff, diff, sig)
+    s = float(np.dot(sig.eps * diff, diff))
     if s >= 0.0:
         return MDistance(math.sqrt(s), False)
     return MDistance(math.sqrt(-s), True)

@@ -30,7 +30,7 @@ from .errors import (
     NotDecoratable,
     PointNotOnConic,
 )
-from .metric import MDistance, mdistance, pseudo_cross
+from .metric import MDistance, _as_vector, mdistance, pseudo_cross
 
 #: Matching tolerance (relative to a_1 + a_d) when locating a coordinate.
 MATCH_TOL = 1e-7
@@ -188,9 +188,7 @@ def tropic_cone_residual(fam: ConfocalFamily, lam: float, p) -> float:
     a, b, c = _abc(fam)
     if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is degenerate for the cone")
-    pv = np.asarray(p, dtype=float)
-    if pv.shape != (3,):
-        raise ValueError("expected a 3-vector")
+    pv = _as_vector(p, 3)
     return float(
         pv[0] ** 2 / (a - lam) ** 2
         + pv[1] ** 2 / (b - lam) ** 2
@@ -319,7 +317,7 @@ def focal_residual(fam: ConfocalFamily, lam: float, x) -> FocalResidual:
     are imaginary, 2 sqrt(lambda - a) and 2 sqrt(b + lambda).
     """
     a, b = _ab(fam)
-    xv = np.asarray(x, dtype=float)
+    xv = _as_vector(x, 2)
     if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is degenerate")
     val = xv[0] ** 2 / (a - lam) + xv[1] ** 2 / (b + lam) - 1.0

@@ -303,3 +303,21 @@ def test_exit_code_numerical(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure:" in err
+
+
+def test_trace_rejects_non_finite_direction(capsys):
+    # a nan trajectory would print NaN tokens, which are not valid JSON
+    code, out, err = run(
+        capsys, "trace", "--sig", "2,1", "--axes", "5,3,2",
+        "--start", "0.1,0.2,0.1", "--dir", "inf,1,0", "--bounces", "3",
+    )
+    assert code == 2
+    assert out == "" and "finite" in err
+
+
+def test_classify_point_rejects_wrong_length_point(capsys):
+    code, out, err = run(
+        capsys, "classify-point", "--sig", "2,1", "--axes", "5,3,2", "--point", "1",
+    )
+    assert code == 2
+    assert out == "" and "3-vector" in err

@@ -1,4 +1,5 @@
-"""Bilinear-form layer: scalar products, line types, reflections, distances."""
+"""Bilinear-form layer: scalar products, line types, reflections, distances,
+and the one check of every point and direction that the library takes."""
 
 import math
 
@@ -7,6 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pbl.billiard import direction_with_caustics, inward_direction, reflect_at_boundary, trace
+from pbl.confocal import (
+    ConfocalFamily,
+    Line,
+    evaluate_quadric,
+    interlacing_report,
+    jacobi_coordinates,
+)
 from pbl.errors import LightLikeNormal
 from pbl.metric import (
     LIGHT_TOL,
@@ -21,6 +30,12 @@ from pbl.metric import (
     reflect_direction,
     sq_norm,
     _light_like,
+)
+from pbl.relativistic import (
+    decorated_coordinates,
+    focal_residual,
+    relativistic_type,
+    tropic_cone_residual,
 )
 
 SIG21 = Signature(2, 1)
@@ -231,3 +246,47 @@ def test_mdistance_symmetry(x, y):
     d2 = mdistance(y, x, SIG21)
     assert d1.imaginary == d2.imaginary
     assert d1.magnitude == pytest.approx(d2.magnitude)
+
+
+# ------------------------------------- one check for every point and direction
+
+
+FAM3 = ConfocalFamily(SIG21, (5.0, 3.0, 2.0))
+FAM2 = ConfocalFamily(SIG11, (2.0, 1.0))
+X, V = [0.1, 0.2, 0.1], [1.0, 0.4, -0.3]
+P, U = [math.sqrt(5.0), 0.0, 0.0], [-1.0, 1.0, 0.0]
+CAUSTICS = (-2.320953597016259, 2.154286930349592)
+LAM0 = jacobi_coordinates(FAM3, X).real_roots[0]
+
+#: entry -> (a call that puts w where one point or direction goes, a valid w)
+VECTOR_ENTRIES = {
+    "jacobi_coordinates": (lambda w: jacobi_coordinates(FAM3, w), X),
+    "decorated_coordinates": (lambda w: decorated_coordinates(FAM3, w), X),
+    "relativistic_type": (lambda w: relativistic_type(FAM3, w, LAM0), X),
+    "direction_with_caustics": (lambda w: direction_with_caustics(FAM3, w, CAUSTICS), P),
+    "trace-start": (lambda w: trace(FAM3, w, V, 4), X),
+    "trace-direction": (lambda w: trace(FAM3, X, w, 4), V),
+    "reflect_at_boundary-p": (lambda w: reflect_at_boundary(FAM3, w, U), P),
+    "reflect_at_boundary-v": (lambda w: reflect_at_boundary(FAM3, P, w), U),
+    "inward_direction-p": (lambda w: inward_direction(FAM3, w, U), P),
+    "inward_direction-v": (lambda w: inward_direction(FAM3, P, w), U),
+    "Line-base": (lambda w: interlacing_report(FAM3, Line(w, V)), X),
+    "Line-direction": (lambda w: interlacing_report(FAM3, Line(X, w)), V),
+    "evaluate_quadric": (lambda w: evaluate_quadric(FAM3, 0.0, w), X),
+    "tropic_cone_residual": (lambda w: tropic_cone_residual(FAM3, 0.0, w), X),
+    "focal_residual": (lambda w: focal_residual(FAM2, 0.0, w), [math.sqrt(2.0), 0.0]),
+    "line_type": (lambda w: line_type(w, SIG21), V),
+    "mdistance": (lambda w: mdistance(w, [0.0, 0.0], SIG11), [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", ["short", "inf", "nan"])
+@pytest.mark.parametrize("entry", list(VECTOR_ENTRIES))
+def test_vector_entries_reject_wrong_shape_and_non_finite(entry, bad):
+    # every public routine reads a point or direction through
+    # metric._as_vector, so each rejects the same inputs with its message
+    call, good = VECTOR_ENTRIES[entry]
+    call(good)
+    w = [0.5] if bad == "short" else [float(bad)] + good[1:]
+    with pytest.raises(ValueError, match=r"expected a (finite )?\d-vector"):
+        call(w)
