@@ -61,7 +61,7 @@ def line_quadric_intersections(fam: ConfocalFamily, lam: float, line: Line) -> l
     if fam.is_degenerate_parameter(lam):
         raise DegenerateParameter(f"lambda = {lam} is a degenerate member")
     den = fam.denominators(lam)
-    q2, q1, q0 = chord_quadratic(den, line.base, line.direction)
+    q2, q1, q0 = chord_quadratic(den, _as_vector(line.base, fam.d), line.direction)
     scale = abs(q2) + abs(q1) + abs(q0)
     if abs(q2) <= 1e-14 * scale:
         if abs(q1) <= 1e-14 * scale:
@@ -117,11 +117,12 @@ class Trajectory:
 
 
 def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from an unchecked (x, v) until n reflections: the arrays of a
-    ``Trajectory`` and the count reached, n + 1 after a last double bounce.
-    A step is the chord root, a Newton step back onto Q_0 and the reflection.
-    The q0 of the chord leaving a bounce is its Q_0 residual; past
-    BOUNDARY_TOL, on any bounce, it raises NumericalStall."""
+    """Step from (x, v) until n reflections: the arrays of a ``Trajectory``
+    and the count reached, n + 1 after a last double bounce.  A step is the
+    chord root, a Newton step back onto Q_0 and the reflection.  Each
+    chord's q0 is the Q_0 residual of the point it leaves.  The start must
+    be inside Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError);
+    a bounce past BOUNDARY_TOL raises NumericalStall."""
     den, eps = fam.axes_f, fam.eps
     points = np.empty((n, fam.d))
     directions = np.empty((n + 1, fam.d))
@@ -130,8 +131,13 @@ def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
     m = refl = 0
     while True:
         q2, q1, q0 = chord_quadratic(den, x, v)
-        if m and abs(q0) > BOUNDARY_TOL:
-            raise NumericalStall(f"Q_0 residual {q0} too large at {x}")
+        if abs(q0) > BOUNDARY_TOL:
+            if m:
+                raise NumericalStall(f"Q_0 residual {q0} too large at {x}")
+            if q0 > 0.0:
+                raise ValueError("start point lies outside the reference ellipsoid")
+        elif not m and q1 >= 0.0:
+            raise ValueError("start on the boundary needs an inward direction")
         if refl >= n:
             return points[:m], directions[: m + 1], double[:m], refl
         disc = q1 * q1 - q2 * q0
@@ -169,18 +175,10 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     v = _as_vector(direction, fam.d)
     if n_reflections < 1:
         raise ValueError("need at least one reflection")
-    res = evaluate_quadric(fam, 0.0, x)
-    if res > BOUNDARY_TOL:
-        raise ValueError("start point lies outside the reference ellipsoid")
-    if abs(res) <= BOUNDARY_TOL:
-        inward = float(np.sum(x * v / fam.axes_f))
-        if inward >= 0.0:
-            raise ValueError("start on the boundary needs an inward direction")
-
     ltype = line_type(v, fam.sig)
+    points, directions, double, _ = _bounce(fam, x, v, n_reflections)
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
-    points, directions, double, _ = _bounce(fam, x, v, n_reflections)
     integrals, drift = _segment_integrals(fam, points, directions)
     # column b: ascending tangency coefficients of segment b
     pc = _tangency_coefficients(fam, integrals).T
@@ -278,8 +276,8 @@ def rectangle_ratio(a: float, b: float) -> float:
 
         pi / (2 arctan sqrt(a/b)) - 1
     """
-    if a <= 0 or b <= 0:
-        raise ValueError("axis parameters must be positive")
+    if not (0 < a < INF and 0 < b < INF):
+        raise ValueError("axis parameters must be finite and positive")
     return math.pi / (2.0 * math.atan(math.sqrt(float(a) / float(b)))) - 1.0
 
 
@@ -417,9 +415,10 @@ def trajectory_from_dict(data: dict) -> Trajectory:
 
     Raises ValueError for a missing key, a value of the wrong JSON type (a
     top level or bounce record that is not an object, say), a vector that is
-    not d floats, or what ``trace`` never writes: a ``vin`` other than the
-    previous bounce's ``vout``, a double ``vout`` other than -``vin``, or a
-    ``double`` other than the light-like test of the bounce's normal."""
+    not d finite floats, a drift that is not finite, or what ``trace`` never
+    writes: a ``vin`` other than the previous bounce's ``vout``, a double
+    ``vout`` other than -``vin``, or a ``double`` other than the light-like
+    test of the bounce's normal."""
     try:
         sig = Signature(*[int(s) for s in data["signature"]])
         fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
@@ -435,6 +434,8 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     # a ValueError unless every vector has d floats: the row count is fixed,
     # so vectors of a wrong length cannot be re-rowed
     vectors = np.array(rows, dtype=float).reshape(len(rows), 3, fam.d)
+    if not (np.isfinite(vectors).all() and math.isfinite(drift)):
+        raise ValueError("a stored vector or the drift is not finite")
     points, vin, vout = vectors[:, 0], vectors[:, 1], vectors[:, 2]
     if np.any(vin[1:] != vout[:-1]):
         raise ValueError("a bounce's vin differs from the previous bounce's vout")

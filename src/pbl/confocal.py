@@ -49,11 +49,12 @@ DEGENERATE_TOL = 1e-12
 class ConfocalFamily:
     """A confocal pencil: signature plus the axis parameters a_1..a_d.
 
-    Axis values may be floats or exact ``fractions.Fraction`` values; the
-    latter are preserved so that the rational closure tests can work
-    exactly.  All geometric routines coerce to float.  The float arrays
-    ``eps``, ``axes_f``, ``signed_axes``, ``cofactors`` and
-    ``pair_denominators`` are built once and read-only.
+    Axis values may be floats or exact ``fractions.Fraction`` values, all
+    finite and positive; Fractions are kept so that the rational closure
+    tests can work exactly.  All geometric routines coerce to float.  The
+    read-only float arrays ``eps``, ``axes_f``, ``signed_axes``,
+    ``cofactors`` and ``pair_denominators``, and the ``pencil_product``
+    tuple, are built once.
     """
 
     sig: Signature
@@ -63,8 +64,8 @@ class ConfocalFamily:
         k, l = self.sig.k, self.sig.l
         if len(self.axes) != k + l:
             raise ValueError(f"expected {k + l} axis values, got {len(self.axes)}")
-        if any(a <= 0 for a in self.axes):
-            raise ValueError("axis parameters must be positive")
+        if not all(0 < a < INF for a in self.axes):
+            raise ValueError("axis parameters must be finite and positive")
         pos = self.axes[:k]
         neg = self.axes[k:]
         if any(pos[i] <= pos[i + 1] for i in range(len(pos) - 1)):
@@ -88,11 +89,6 @@ class ConfocalFamily:
     def eps(self) -> np.ndarray:
         return self.sig.eps
 
-    @property
-    def eps_exact(self) -> tuple:
-        """Metric signs as plain ints, for exact rational arithmetic."""
-        return tuple([1] * self.k + [-1] * self.l)
-
     @cached_property
     def axes_f(self) -> np.ndarray:
         return _read_only(np.asarray([float(a) for a in self.axes]))
@@ -108,6 +104,11 @@ class ConfocalFamily:
         rows = [linear_product(self.axes_f[keep], -self.eps[keep])
                 for keep in ~np.eye(self.d, dtype=bool)]
         return _read_only(np.array(rows))
+
+    @cached_property
+    def pencil_product(self) -> tuple:
+        """Ascending coefficients of prod_j (a_j - eps_j lambda); exact for Fraction axes."""
+        return tuple(linear_product(self.axes, [-1] * self.k + [1] * self.l))
 
     @cached_property
     def pair_denominators(self) -> np.ndarray:
@@ -276,11 +277,11 @@ def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
 def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
     """Pencil equation through x, denominators cleared; ascending, degree d.
 
-    The terms x_i^2 ``fam.cofactors[i]`` are subtracted in index order.
+    ``fam.pencil_product`` less x_i^2 ``fam.cofactors[i]``, in index order.
     """
     xv = _as_vector(x, fam.d)
     rows = np.zeros((fam.d + 1, fam.d + 1))
-    rows[0] = linear_product(fam.axes_f, -fam.eps)
+    rows[0] = fam.pencil_product
     rows[1:, :-1] = (xv * xv)[:, None] * fam.cofactors
     return np.subtract.reduce(rows, axis=0)
 
@@ -370,7 +371,7 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     Dragovic and Radnovic), so a complex root or a wrong root count means
     the line is too degenerate and raises RootIsolationError.
     """
-    x, v = line.base, line.direction
+    x, v = _as_vector(line.base, fam.d), line.direction
     disc, scale = chord_discriminant(fam.axes_f, x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")

@@ -41,7 +41,7 @@ from .errors import (
     OddPeriod,
     VacuousCondition,
 )
-from ._poly import linear_product
+from ._poly import linear_product, poly_mul
 
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
 ANGLE_TOL = 1e-12
@@ -110,7 +110,7 @@ def sqrt_series(q, n_terms: int) -> list:
 def build_P1(fam: ConfocalFamily, params) -> list:
     """Ascending coefficients of the pencil product for the caustic set.
 
-    P1(lam) = prod_finite (alpha_i - lam) * prod_j (a_j - eps_j lam); the
+    P1(lam) = prod_finite (alpha_i - lam) * ``fam.pencil_product``; the
     light-like caustic +inf contributes no factor.  Rational input stays
     rational.  Any other parameter that is degenerate
     (``fam.is_degenerate_parameter``: also nan and -inf) or collides with
@@ -127,8 +127,7 @@ def build_P1(fam: ConfocalFamily, params) -> list:
         raise DegenerateConfiguration(
             f"caustic parameters {vals} are degenerate or collide with each other"
         )
-    slopes = [-1] * len(finite) + [-e for e in fam.eps_exact]
-    return linear_product(finite + list(fam.axes), slopes)
+    return poly_mul(linear_product(finite, [-1] * len(finite)), fam.pencil_product)
 
 
 def cayley_matrix(B, d: int, n: int) -> np.ndarray:
@@ -248,8 +247,7 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
         raise ValueError("determinant scan is specific to the planar case")
     alpha = np.asarray(alpha, dtype=float)
     good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
-    slopes = [-1] + [-e for e in fam.eps_exact]
-    p1 = linear_product([np.where(good, alpha, math.nan), *fam.axes_f], slopes)
+    p1 = poly_mul([np.where(good, alpha, math.nan), -1.0], [float(c) for c in fam.pencil_product])
     M = cayley_matrix(sqrt_series([c / p1[0] for c in p1], n), 2, n)
     det = np.full(alpha.shape, math.nan)
     det[good] = np.linalg.det(M[good])
@@ -426,8 +424,7 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
-    ConstructionFailure ends a sample after SAMPLE_BUDGET draws.  Starts are
-    on Q_0 and strictly inward by construction, so skip ``trace``'s checks.
+    ConstructionFailure ends a sample after SAMPLE_BUDGET draws.
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")

@@ -130,8 +130,15 @@ def test_trace_diameter_through_lightlike_points():
 
 
 def test_trace_validates_start():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         trace(FAM3, [10.0, 0.0, 0.0], [1.0, 0.0, 0.0], 3)
+    # just past BOUNDARY_TOL outside, and inward: still outside
+    p = np.array([math.sqrt(5.0 * (1.0 + 1e-7)), 0.0, 0.0])
+    with pytest.raises(ValueError, match="outside"):
+        trace(FAM3, p, [-1.0, 0.1, 0.1], 3)
+    # the bounce loop holds the one start test
+    with pytest.raises(ValueError, match="outside"):
+        billiard._bounce(FAM3, p, np.array([-1.0, 0.1, 0.1]), 3)
 
 
 def test_trace_conserves_integrals_and_caustics():
@@ -201,8 +208,10 @@ def test_trace_boundary_start_needs_inward_direction():
     p = np.array([math.sqrt(5.0), 0.0, 0.0])
     traj = trace(FAM3, p, [-1.0, 0.1, 0.1], 10)
     assert len(traj.points) == 10
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inward"):
         trace(FAM3, p, [1.0, 0.1, 0.1], 10)
+    with pytest.raises(ValueError, match="inward"):
+        trace(FAM3, p, [0.0, 1.0, 0.1], 10)  # tangent to Q_0
 
 
 def test_bounce_off_the_boundary_stalls(monkeypatch):
@@ -360,8 +369,9 @@ def test_rectangle_ratio_values():
     assert rectangle_ratio(1.0, 1.0) == pytest.approx(1.0)
     assert rectangle_ratio(math.tan(math.pi / 6) ** 2, 1.0) == pytest.approx(2.0)
     assert rectangle_ratio(math.tan(math.pi / 8) ** 2, 1.0) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        rectangle_ratio(-1.0, 2.0)
+    for a, b in ((-1.0, 2.0), (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            rectangle_ratio(a, b)
 
 
 # ------------------------------------------------------ direction recovery

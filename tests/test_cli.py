@@ -321,3 +321,36 @@ def test_classify_point_rejects_wrong_length_point(capsys):
     )
     assert code == 2
     assert out == "" and "3-vector" in err
+
+
+@pytest.mark.parametrize("axes", ["nan,1", "inf,1", "1,nan"])
+def test_lightlike_rejects_non_finite_axes(capsys, axes):
+    # a nan ratio would print a NaN token, which is not valid JSON
+    code, out, err = run(capsys, "lightlike", "--axes", axes)
+    assert code == 2
+    assert out == "" and "finite and positive" in err
+
+
+@pytest.mark.parametrize("axes", ["inf,3,2", "5,3,nan"])
+def test_trace_rejects_non_finite_axes(capsys, axes):
+    code, out, err = run(
+        capsys, "trace", "--sig", "2,1", "--axes", axes,
+        "--start", "0.1,0.2,0.1", "--dir", "1,0.4,-0.3", "--bounces", "4",
+    )
+    assert code == 2
+    assert out == "" and "finite and positive" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda data: data["bounces"][2]["p"].__setitem__(0, float("nan")),
+    lambda data: data["bounces"][2]["p"].__setitem__(0, float("inf")),
+    lambda data: data["bounces"][3]["vout"].__setitem__(1, float("nan")),
+    lambda data: data.update(drift=float("nan")),
+    lambda data: data["axes"].__setitem__(0, float("inf")),
+], ids=["nan-point", "inf-point", "nan-vout", "nan-drift", "inf-axis"])
+def test_verify_rejects_non_finite_values(tmp_path, capsys, edit):
+    # json reads NaN and Infinity tokens; a report on them would print
+    # NaN tokens of its own
+    code, out, err = _verify_edited(tmp_path, capsys, edit)
+    assert code == 2
+    assert out == "" and "error:" in err and "finite" in err

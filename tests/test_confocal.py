@@ -12,6 +12,7 @@ against two independent oracles built here from first principles:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ def test_family_validation():
         ConfocalFamily(Signature(2, 1), (5.0, -3.0, 2.0))
     with pytest.raises(ValueError):
         ConfocalFamily(Signature(2, 1), (5.0, 3.0))
+    # nan fails every comparison, so only a test for finite and positive
+    # values keeps it out
+    for axes in ((5.0, 3.0, math.nan), (math.inf, 3.0, 2.0), (5.0, math.nan, 2.0),
+                 (Fraction(5), Fraction(3), math.inf)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ConfocalFamily(Signature(2, 1), axes)
 
 
 def test_signed_axes_decreasing():
@@ -155,6 +162,22 @@ def test_family_arrays_built_once_and_read_only():
     for i in range(FAM3.d):
         others = [j for j in range(FAM3.d) if j != i]
         assert list(FAM3.cofactors[i]) == linear_product(a[others], -eps[others])
+
+
+def test_pencil_product_cached_in_the_axes_number_type():
+    rng = np.random.default_rng(3)
+    for fam in (FAM3, FAM2, *(rand_family(rng, k, l) for k, l in ((2, 2), (1, 3), (3, 1)))):
+        assert fam.pencil_product is fam.pencil_product
+        got = np.array(fam.pencil_product, dtype=float)
+        want = np.array(linear_product(fam.axes_f, -fam.eps), dtype=float)
+        assert got.tobytes() == want.tobytes()
+    a = (Fraction(7, 3), Fraction(5, 4), Fraction(1, 6))
+    exact = ConfocalFamily(Signature(2, 1), a)
+    # (a1 - t)(a2 - t)(a3 + t), expanded by hand
+    want = (a[0] * a[1] * a[2], a[0] * a[1] - (a[0] + a[1]) * a[2],
+            a[2] - a[0] - a[1], Fraction(1))
+    assert exact.pencil_product == want
+    assert all(isinstance(c, (int, Fraction)) for c in exact.pencil_product)
 
 
 def test_degenerate_parameters():
@@ -380,6 +403,16 @@ def test_caustics_planar_examples():
     assert cs.has_infinite and cs.finite == ()
     with pytest.raises(NoIntersection):
         caustics(FAM2, Line((10.0, 10.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize("fam, line", [(FAM3, Line([0.1], [1.0])),
+                                       (FAM2, Line([0.1, 0.2, 0.1], [1.0, 0.4, -0.3]))])
+def test_line_must_match_the_family_dimension(fam, line):
+    # a 1-entry line would broadcast against the 3 axes and get answers
+    for call in (lambda: line_quadric_intersections(fam, 0.0, line),
+                 lambda: caustics(fam, line), lambda: interlacing_report(fam, line)):
+        with pytest.raises(ValueError, match=rf"expected a {fam.d}-vector"):
+            call()
 
 
 def test_caustics_of_lines_tangent_to_the_table():

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pbl._poly import poly_eval
 from pbl.billiard import (
     closure_test,
     direction_with_caustics,
@@ -114,6 +115,19 @@ def test_build_P1_lightlike_omits_infinite():
     got = np.polynomial.polynomial.polyval(xs, out)
     assert got == pytest.approx(expected, abs=1e-12)
     assert len(out) == 3
+
+
+def test_build_P1_stays_exact_on_fraction_input():
+    exact = ConfocalFamily(Signature(2, 1), (Fraction(5), Fraction(3), Fraction(2)))
+    alpha = (Fraction(-7, 3), Fraction(13, 6))
+    out = build_P1(exact, alpha)
+    assert all(isinstance(c, (int, Fraction)) for c in out)
+    for t in (Fraction(1, 2), Fraction(-4, 3), Fraction(7)):
+        want = (alpha[0] - t) * (alpha[1] - t) * (5 - t) * (3 - t) * (2 + t)
+        assert poly_eval(out, t) == want
+    # the float family's P1 has the same coefficients to rounding
+    assert np.allclose(np.array(out, dtype=float), build_P1(FAM3, [float(a) for a in alpha]),
+                       rtol=1e-14, atol=0.0)
 
 
 def test_build_P1_collision_guard():
