@@ -25,6 +25,8 @@ from .confocal import (
     DEGENERATE_TOL,
     INF,
     Line,
+    _caustic_json,
+    _caustic_set,
     _tangency_coefficients,
     caustics,
     chord_discriminant,
@@ -231,12 +233,20 @@ class ClosureReport:
     bounce_index: int | None
 
 
+def _check_tol(tol: float) -> None:
+    """ValueError unless the closure tolerance is finite and >= 0."""
+    if not 0.0 <= tol < INF:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+
+
 def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     """Detect whether the trajectory revisits its first bounce state.
 
     Compares position and outgoing direction of every later bounce with
-    bounce 0; the period is counted in reflections (doubles count twice).
+    bounce 0, each within ``tol`` (finite and >= 0, else ValueError); the
+    period is counted in reflections (doubles count twice).
     """
+    _check_tol(tol)
     if not len(traj.points):
         raise ValueError("trajectory has no bounces")
     P, D = traj.points, traj.directions
@@ -292,13 +302,12 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _admissible(fam: ConfocalFamily, params: tuple) -> None:
-    finite = [p for p in params if math.isfinite(p)]
-    if len(params) - len(finite) > 1 or np.any(fam.is_zero_caustic(finite)):
-        raise InadmissibleCaustics("degenerate caustic parameters")
-    checks, *_ = interlacing_checks(fam, params, trajectory_type_from_caustics(fam, params))
+def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
+    if np.any(fam.is_zero_caustic(cs.finite)):
+        raise InadmissibleCaustics(f"caustics {cs.params} hold a zero parameter")
+    checks, *_ = interlacing_checks(fam, cs, trajectory_type_from_caustics(fam, cs))
     if not all(checks.values()):
-        raise InadmissibleCaustics(f"caustics {params} violate the interlacing pattern")
+        raise InadmissibleCaustics(f"caustics {cs.params} violate the interlacing pattern")
 
 
 def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
@@ -322,19 +331,16 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     multiple Jacobi coordinate, or that no real line through x has these
     caustics.
     """
-    params = tuple(target) if not isinstance(target, CausticSet) else target.params
-    if len(params) != fam.d - 1:
-        raise ValueError(f"expected {fam.d - 1} caustic parameters")
-    _admissible(fam, params)
+    cs = _caustic_set(fam, target)
+    _admissible(fam, cs)
     xv = _as_vector(x, fam.d)
     d = fam.d
-    finite = [p for p in params if math.isfinite(p)]
     jc = jacobi_coordinates(fam, xv)
     if not jc.is_simple_real():
         raise NoSolution("x has a complex pair or a multiple Jacobi coordinate")
 
     def P(lam: float) -> float:
-        return math.prod(lam - alpha for alpha in finite)
+        return math.prod(lam - alpha for alpha in cs.finite)
 
     sign = math.copysign(1.0, P(0.0))  # -c in the formula above
     N = np.empty((d, d))
@@ -367,7 +373,7 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
         v = _canonical_direction(v)
         if any(np.linalg.norm(v - w) <= 1e-9 for w in out):
             continue
-        residuals = (chord_discriminant(fam.denominators(alpha), xv, v) for alpha in finite)
+        residuals = (chord_discriminant(fam.denominators(alpha), xv, v) for alpha in cs.finite)
         if all(abs(val) <= 1e-9 * scale for val, scale in residuals):
             out.append(v)
     if not out:
@@ -395,11 +401,11 @@ def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    """JSON-ready dictionary; infinite caustics are the string "inf"."""
+    """JSON-ready dictionary; the infinite caustic is the string "inf"."""
     return {
         "signature": [traj.family.k, traj.family.l],
         "axes": [float(a) for a in traj.family.axes],
-        "caustics": ["inf" if not math.isfinite(p) else p for p in traj.caustic_set],
+        "caustics": _caustic_json(traj.caustic_set),
         "lineType": traj.line_type.value,
         "bounces": [
             {"p": p, "vin": vin, "vout": vout, "double": double}
@@ -417,12 +423,14 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     top level or bounce record that is not an object, say), a vector that is
     not d finite floats, a drift that is not finite, or what ``trace`` never
     writes: a ``vin`` other than the previous bounce's ``vout``, a double
-    ``vout`` other than -``vin``, or a ``double`` other than the light-like
-    test of the bounce's normal."""
+    ``vout`` other than -``vin``, a ``double`` other than the light-like
+    test of the bounce's normal, a ``lineType`` other than the line type of
+    the first ``vin``, or caustics with +inf on a line that is not
+    light-like, or without it on one that is."""
     try:
         sig = Signature(*[int(s) for s in data["signature"]])
         fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
-        params = tuple(INF if c == "inf" else float(c) for c in data["caustics"])
+        cs = _caustic_set(fam, [INF if c == "inf" else float(c) for c in data["caustics"]])
         ltype = LineType(data["lineType"])
         drift = float(data["drift"])
         rows = [(raw["p"], raw["vin"], raw["vout"]) for raw in data["bounces"]]
@@ -444,12 +452,16 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     # one stacked call decides each row as the bounce loop did
     if np.any(_light_like(fam.eps * (points / fam.axes_f), fam.eps)[2] != double):
         raise ValueError("a bounce's double flag disagrees with its normal")
+    if len(vin) and line_type(vin[0], fam.sig) is not ltype:
+        raise ValueError(f"lineType {ltype.value} is not the line type of the first vin")
+    if cs.has_infinite != (ltype is LineType.LIGHT_LIKE):
+        raise ValueError(f"caustics {cs.params} do not fit a {ltype.value} line")
     return Trajectory(
         family=fam,
         points=points,
         directions=np.concatenate([vin[:1], vout]),
         double=double,
-        caustic_set=CausticSet(params),
+        caustic_set=cs,
         line_type=ltype,
         invariant_drift=drift,
         caustic_drift=math.nan,

@@ -27,6 +27,7 @@ from .confocal import (
     ConfocalFamily,
     INF,
     Line,
+    _caustic_json,
     interlacing_report,
     jacobi_coordinates,
 )
@@ -95,10 +96,6 @@ def _emit_json(payload, out_path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _caustic_list(params) -> list:
-    return ["inf" if not math.isfinite(p) else float(p) for p in params]
-
-
 # ------------------------------------------------------------- subcommands
 
 
@@ -113,7 +110,7 @@ def _cmd_caustics(args) -> int:
     fam = _family(args)
     rep = interlacing_report(fam, Line(_parse_vector(args.start), _parse_vector(args.dir)))
     payload = {
-        "caustics": _caustic_list(rep.caustic_set),
+        "caustics": _caustic_json(rep.caustic_set),
         "lineType": rep.line_type.value,
         "interlacingPassed": rep.passed,
     }
@@ -208,7 +205,7 @@ def _cmd_poncelet(args) -> int:
     payload = {
         "condition": rep.condition,
         "n": rep.n,
-        "caustics": _caustic_list(rep.caustics),
+        "caustics": _caustic_json(rep.caustics),
         "samples": rep.samples,
         "closed": rep.closed,
         "worstPositionError": rep.worst_position_error,

@@ -28,6 +28,7 @@ from numpy.polynomial.polynomial import polyroots
 from ._poly import linear_product, newton_polish
 from .errors import (
     AmbiguousSign,
+    DegenerateConfiguration,
     DegenerateParameter,
     NoIntersection,
     RootIsolationError,
@@ -159,32 +160,46 @@ class Line:
 
 @dataclass(frozen=True)
 class CausticSet:
-    """Tangency parameters of a line, sorted ascending, math.inf last.
+    """Tangency parameters of a line, sorted ascending, math.inf last (once).
 
-    Multiplicities are encoded by repetition.
+    Multiplicities are encoded by repetition; nan and -inf raise DegenerateConfiguration.
     """
 
     params: tuple
 
     def __post_init__(self) -> None:
-        finite = [p for p in self.params if math.isfinite(p)]
-        infinite = [p for p in self.params if not math.isfinite(p)]
-        ordered = tuple(sorted(finite)) + tuple(infinite)
-        object.__setattr__(self, "params", ordered)
+        params = tuple(self.params)
+        finite = sorted(p for p in params if -INF < p < INF)
+        if len(finite) + (INF in params) != len(params):
+            raise DegenerateConfiguration(f"caustics {params} hold nan, -inf or a second +inf")
+        object.__setattr__(self, "params", tuple(finite) + (INF,) * (INF in params))
 
     @property
     def finite(self) -> tuple:
-        return tuple(p for p in self.params if math.isfinite(p))
+        return self.params[:-1] if self.has_infinite else self.params
 
     @property
     def has_infinite(self) -> bool:
-        return any(not math.isfinite(p) for p in self.params)
+        return self.params[-1:] == (INF,)
 
     def __iter__(self):
         return iter(self.params)
 
     def __len__(self) -> int:
         return len(self.params)
+
+
+def _caustic_set(fam: ConfocalFamily, params) -> CausticSet:
+    """A CausticSet or any iterable as a caustic set of ``fam``: ValueError unless d - 1 long."""
+    cs = params if isinstance(params, CausticSet) else CausticSet(params)
+    if len(cs) != fam.d - 1:
+        raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(cs)}")
+    return cs
+
+
+def _caustic_json(params) -> list:
+    """Caustic parameters as JSON values: floats, and "inf" for +inf."""
+    return ["inf" if p == INF else float(p) for p in params]
 
 
 @dataclass(frozen=True)
@@ -388,7 +403,7 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
         roots.append(newton_polish(pc, z.real))
     if len(roots) != len(pc) - 1:
         raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
-    return CausticSet(tuple(sorted(roots)) + ((INF,) if light else ()))
+    return CausticSet(tuple(roots) + ((INF,) if light else ()))
 
 
 def trajectory_type_from_caustics(
@@ -401,14 +416,12 @@ def trajectory_type_from_caustics(
     time-like.  A zero caustic (``ConfocalFamily.is_zero_caustic``) leaves
     the sign ambiguous.
     """
-    params = tuple(caustic_set)
-    if len(params) != fam.d - 1:
-        raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
-    if any(not math.isfinite(p) for p in params):
+    cs = _caustic_set(fam, caustic_set)
+    if cs.has_infinite:
         return LineType.LIGHT_LIKE
-    if np.any(fam.is_zero_caustic(params)):
+    if np.any(fam.is_zero_caustic(cs.params)):
         raise AmbiguousSign("a caustic parameter is zero; sign rule undecided")
-    negatives = sum(1 for p in params if p < 0)
+    negatives = sum(1 for p in cs.params if p < 0)
     sign = (-1) ** (fam.l + negatives)
     return LineType.SPACE_LIKE if sign > 0 else LineType.TIME_LIKE
 
@@ -457,7 +470,7 @@ def _pair_positions(caustics: list, fixed: list, n_pairs: int, sign: int,
 
 
 def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
-    """Interlacing clauses for raw caustic parameters and a line type.
+    """Interlacing clauses for caustic parameters and a line type.
 
     Returns (checks, b, c, positive_positions, negative_positions); see
     InterlacingReport for the meaning of the pieces.  A space-like line has
@@ -468,13 +481,12 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     s = fam.signed_axes
     pos_poles = [si for si in s if si > 0]
     neg_poles = [si for si in s if si < 0]
-    finite = [p for p in params if math.isfinite(p)]
-    pos_caustics = sorted(p for p in finite if p > 0)
-    neg_caustics = sorted((p for p in finite if p < 0), reverse=True)
-    inf_count = sum(1 for p in params if not math.isfinite(p))
+    cs = _caustic_set(fam, params)
+    pos_caustics = [p for p in cs.finite if p > 0]
+    neg_caustics = [p for p in reversed(cs.finite) if p < 0]
 
-    b = sorted(pos_poles + pos_caustics) + [INF] * inf_count
-    c = sorted(neg_poles + list(neg_caustics), reverse=True)
+    b = sorted(pos_poles + pos_caustics) + [INF] * cs.has_infinite
+    c = sorted(neg_poles + neg_caustics, reverse=True)
     tie_tol = 1e-9 * fam.scale
 
     n_pos_pairs = k - (ltype is not LineType.TIME_LIKE)
@@ -487,7 +499,7 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     else:
         anchor = len(b) == exp_p and b[-1] == INF and abs(b[-2] - s[0]) <= tie_tol
 
-    ok_pos, pos_positions = _pair_positions(pos_caustics, pos_poles + [INF] * inf_count,
+    ok_pos, pos_positions = _pair_positions(pos_caustics, pos_poles + [INF] * cs.has_infinite,
                                             n_pos_pairs, 1, tie_tol)
     ok_neg, neg_positions = _pair_positions(neg_caustics, neg_poles, n_neg_pairs, -1, tie_tol)
     checks = {
@@ -504,7 +516,7 @@ def interlacing_report(fam: ConfocalFamily, line: Line) -> InterlacingReport:
     """Verify the interlacing of caustics and degenerate parameters."""
     cs = caustics(fam, line)
     ltype = line_type(line.direction, fam.sig)
-    checks, b, c, pos_positions, neg_positions = interlacing_checks(fam, tuple(cs), ltype)
+    checks, b, c, pos_positions, neg_positions = interlacing_checks(fam, cs, ltype)
     return InterlacingReport(
         caustic_set=cs,
         line_type=ltype,

@@ -24,12 +24,13 @@ import numpy as np
 
 from .billiard import (
     _bounce,
+    _check_tol,
     _closure_errors,
     direction_with_caustics,
     inward_direction,
     random_boundary_point,
 )
-from .confocal import DEGENERATE_TOL, INF, ConfocalFamily
+from .confocal import DEGENERATE_TOL, INF, ConfocalFamily, _caustic_set
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -110,22 +111,20 @@ def sqrt_series(q, n_terms: int) -> list:
 def build_P1(fam: ConfocalFamily, params) -> list:
     """Ascending coefficients of the pencil product for the caustic set.
 
-    P1(lam) = prod_finite (alpha_i - lam) * ``fam.pencil_product``; the
-    light-like caustic +inf contributes no factor.  Rational input stays
-    rational.  Any other parameter that is degenerate
-    (``fam.is_degenerate_parameter``: also nan and -inf) or collides with
-    another (within DEGENERATE_TOL times a_1 + a_d, an even factor under
-    the square root) raises DegenerateConfiguration.
+    P1(lam) = prod_finite (alpha_i - lam) * ``fam.pencil_product``, over
+    the finite caustics of ``_caustic_set``; the light-like caustic +inf
+    contributes no factor.  Rational input stays rational.  A finite
+    caustic that is zero (``fam.is_zero_caustic``: P1(0) vanishes),
+    degenerate (``fam.is_degenerate_parameter``) or collides with another
+    (within DEGENERATE_TOL times a_1 + a_d, an even factor under the square
+    root) raises DegenerateConfiguration.
     """
-    params = tuple(params)
-    if len(params) != fam.d - 1:
-        raise ValueError(f"expected {fam.d - 1} caustic parameters, got {len(params)}")
-    finite = [p for p in params if p != INF]
-    vals = sorted(float(p) for p in finite)
-    if (np.any(fam.is_degenerate_parameter(vals))
+    finite = _caustic_set(fam, params).finite
+    vals = [float(p) for p in finite]
+    if (np.any(fam.is_zero_caustic(vals)) or np.any(fam.is_degenerate_parameter(vals))
             or np.any(np.diff(vals) <= DEGENERATE_TOL * fam.scale)):
         raise DegenerateConfiguration(
-            f"caustic parameters {vals} are degenerate or collide with each other"
+            f"caustic parameters {vals} are zero, degenerate or collide with each other"
         )
     return poly_mul(linear_product(finite, [-1] * len(finite)), fam.pencil_product)
 
@@ -204,18 +203,13 @@ def numerical_rank(M: np.ndarray, scale: float | None = None) -> int:
 
 
 def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: bool = False) -> list:
-    """Series of sqrt(P1/P1(0)); rank computations are insensitive to the
-    dropped sqrt(P1(0)) factor, so a negative constant term is harmless.
-    A zero caustic makes P1(0) vanish and raises DegenerateConfiguration."""
+    """Series of sqrt(P1/P1(0)) for ``build_P1``; rank computations are
+    insensitive to the dropped sqrt(P1(0)) factor, so a negative constant
+    term is harmless."""
     if exact:
         fam = ConfocalFamily(fam.sig, tuple(Fraction(a) for a in fam.axes))
-        params = tuple(
-            p if (not isinstance(p, Fraction) and not math.isfinite(p)) else Fraction(p)
-            for p in params
-        )
+        params = [p if p == INF else Fraction(p) for p in _caustic_set(fam, params)]
     p1 = build_P1(fam, params)
-    if fam.is_zero_caustic(params).any():
-        raise DegenerateConfiguration("a caustic parameter is 0: P1 vanishes at lambda = 0")
     return sqrt_series([c / p1[0] for c in p1], n_terms)
 
 
@@ -308,9 +302,16 @@ def count_axis_ratios(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchWindow:
+    """Caustic interval [lo, hi] of a planar search; ValueError unless
+    lo < hi, both finite."""
+
     lo: float
     hi: float
     samples: int = SCAN_SAMPLES
+
+    def __post_init__(self) -> None:
+        if not -INF < self.lo < self.hi < INF:
+            raise ValueError(f"search window needs finite lo < hi, got {self.lo}, {self.hi}")
 
 
 def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> SearchWindow:
@@ -420,7 +421,8 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
-    Raises CayleyConditionFailed if the analytic condition fails, ValueError if samples < 0.
+    Raises CayleyConditionFailed if the analytic condition fails, ValueError
+    if samples < 0 or if tol is not finite and >= 0.
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
@@ -428,6 +430,7 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     """
     if samples < 0:
         raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_tol(tol)
     params = tuple(params)
     if not cayley_condition(fam, params, n):
         raise CayleyConditionFailed(

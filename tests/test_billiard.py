@@ -273,6 +273,13 @@ def test_closure_test_open_chord():
     assert rep.period is None
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, INF])
+def test_closure_test_rejects_a_malformed_tolerance(tol):
+    traj = trace(FAM2, [0.1, 0.2], [1.0, 0.3], 10)
+    with pytest.raises(ValueError, match="tolerance"):
+        closure_test(traj, tol)
+
+
 def _per_bounce_closure(traj, tol: float = 1e-6) -> ClosureReport:
     """Reference: every later bounce compared with bounce 0 in turn, the
     best match kept by a strict < on position plus direction error."""
@@ -479,6 +486,20 @@ def test_trajectory_round_trip():
     assert back.reflections == traj.reflections
     assert recompute_drift(back) == traj.invariant_drift
     assert back.double.tolist() == traj.double.tolist()
+
+
+@pytest.mark.parametrize("fam, start, direction", [
+    (FAM3, [0.1, 0.2, 0.1], [1.0, 0.4, -0.3]), (FAM3, [0.1, 0.2, 0.1], [0.3, 0.2, 1.0]),
+    (FAM3, [0.1, 0.2, 0.1], [0.6, 0.8, 1.0]), (FAM2, [0.1, 0.2], [1.0, 1.0]),
+], ids=["space", "time", "light", "planar-light"])
+def test_trajectory_round_trip_keeps_line_type_and_caustics(fam, start, direction):
+    # trajectory_from_dict decides the line type again from the first vin,
+    # and trace fixes it from that same vector
+    traj = trace(fam, start, direction, 6)
+    back = trajectory_from_dict(json.loads(json.dumps(trajectory_to_dict(traj))))
+    assert back.line_type is traj.line_type is line_type(direction, fam.sig)
+    assert back.caustic_set == traj.caustic_set
+    assert back.caustic_set.has_infinite == (traj.line_type is LineType.LIGHT_LIKE)
 
 
 def test_trajectory_dict_schema():

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, schemas, determinism, exit codes."""
 
 import json
+import re
 
 import pytest
 
@@ -354,3 +355,90 @@ def test_verify_rejects_non_finite_values(tmp_path, capsys, edit):
     code, out, err = _verify_edited(tmp_path, capsys, edit)
     assert code == 2
     assert out == "" and "error:" in err and "finite" in err
+
+
+def test_cayley_rejects_a_second_infinite_caustic(capsys):
+    # (inf, inf) used to answer "false", as if it were a caustic set
+    code, out, err = run(
+        capsys, "cayley", "--sig", "2,1", "--axes", "5,3,2", "--caustics", "inf,inf", "--n", "6",
+    )
+    assert code == 2
+    assert out == "" and "second +inf" in err
+
+
+def _readme_chord_trace(tmp_path, capsys):
+    out_file = tmp_path / "orbit.json"
+    code, _, _ = run(
+        capsys, "trace", "--sig", "2,1", "--axes", "5,3,2",
+        "--start", "0.1,0.2,0.1", "--dir", "1,0.4,-0.3", "--bounces", "20", "--out", str(out_file),
+    )
+    assert code == 0
+    return out_file, json.loads(out_file.read_text())
+
+
+@pytest.mark.parametrize("caustics, message", [
+    ([float("nan"), "inf"], "second \\+inf"),
+    ([1.0], "expected 2 caustic parameters"),
+    ([-3.0, -1.0, 1.0, 4.0], "expected 2 caustic parameters"),
+    (["inf", "inf"], "second \\+inf"),
+    ([float("-inf"), 1.0], "second \\+inf"),
+], ids=["nan-inf", "one", "four", "inf-inf", "minus-inf"])
+def test_verify_rejects_malformed_caustics(tmp_path, capsys, caustics, message):
+    out_file, data = _readme_chord_trace(tmp_path, capsys)
+    data["caustics"] = caustics
+    out_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert re.search(message, err)
+
+
+def test_verify_rejects_nan_among_planar_caustics(tmp_path, capsys):
+    code, out, err = _verify_edited(
+        tmp_path, capsys, lambda data: data.update(caustics=[float("nan"), 1.0, "inf"]))
+    assert code == 2
+    assert out == "" and "second +inf" in err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.update(lineType="time-like"), "lineType time-like"),
+    (lambda data: data.update(lineType="light-like"), "lineType light-like"),
+    (lambda data: data.update(caustics=[data["caustics"][0], "inf"]), "space-like line"),
+], ids=["time-like", "light-like", "space-like-with-inf"])
+def test_verify_decides_the_line_type_again(tmp_path, capsys, edit, message):
+    # trace fixes the line type from the start direction, the first vin
+    out_file, data = _readme_chord_trace(tmp_path, capsys)
+    assert data["lineType"] == "space-like"
+    edit(data)
+    out_file.write_text(json.dumps(data))
+    code, out, err = run(capsys, "verify", str(out_file))
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("window", ["1,-1", "nan,1", "0,inf", "1,1"])
+def test_search_periodic_rejects_a_malformed_window(capsys, window):
+    # 1,-1 printed "caustics": [] as if no caustic were periodic
+    code, out, err = run(
+        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", "--window", window,
+    )
+    assert code == 2
+    assert out == "" and "search window" in err
+
+
+def test_poncelet_rejects_a_nan_tolerance(capsys):
+    # every comparison with nan is false, so nothing closed
+    code, out, err = run(
+        capsys, "poncelet", "--sig", "1,1", "--axes", "2,1",
+        "--caustics", "0.6666666666666666", "--n", "4", "--samples", "2", "--tol", "nan",
+    )
+    assert code == 2
+    assert out == "" and "tolerance" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-6", "inf"])
+def test_verify_rejects_a_malformed_tolerance(tmp_path, capsys, tol):
+    out_file, _ = _planar_trace(tmp_path, capsys)
+    code, out, err = run(capsys, "verify", str(out_file), f"--tol={tol}")
+    assert code == 2
+    assert out == "" and "tolerance" in err

@@ -34,7 +34,7 @@ from pbl.confocal import (
 )
 from pbl._poly import linear_product
 from pbl.billiard import line_quadric_intersections, random_boundary_point
-from pbl.errors import AmbiguousSign, DegenerateParameter, NoIntersection
+from pbl.errors import AmbiguousSign, DegenerateConfiguration, DegenerateParameter, NoIntersection
 from pbl.metric import LineType, Signature, sq_norm
 
 FAM3 = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
@@ -479,6 +479,14 @@ def test_caustic_set_ordering():
     assert cs.params == (-1.0, 3.0, INF)
     assert cs.finite == (-1.0, 3.0)
     assert cs.has_infinite
+    cs = CausticSet([Fraction(1, 3), -2.0])
+    assert cs.params == (-2.0, Fraction(1, 3)) and cs.finite == cs.params
+    assert not cs.has_infinite
+    # +inf, at most once, is the only non-finite caustic
+    for params in ((math.nan,), (-INF,), (INF, INF), (1.0, math.nan, INF), (INF, -INF),
+                   (-INF, 2.0)):
+        with pytest.raises(DegenerateConfiguration, match="nan, -inf or a second"):
+            CausticSet(params)
 
 
 # ------------------------------------------------- type from caustic signs

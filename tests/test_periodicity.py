@@ -296,6 +296,14 @@ def test_find_periodic_respects_window():
     assert w.lo < -2.0 < 2.0 / 3.0 < w.hi
 
 
+
+@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.nan),
+                                    (-INF, 1.0), (0.0, INF)])
+def test_search_window_must_be_finite_and_increasing(lo, hi):
+    # an inverted window used to give no roots, a nan one a message about the sample count
+    with pytest.raises(ValueError, match="search window"):
+        SearchWindow(lo, hi)
+
 # ----------------------------------------------------- light-like closure
 
 
@@ -397,6 +405,22 @@ def test_poncelet_precondition():
 def test_poncelet_rejects_negative_samples():
     with pytest.raises(ValueError, match="samples"):
         poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=-3)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-6, INF])
+def test_poncelet_rejects_a_malformed_tolerance(monkeypatch, tol):
+    # checked before any sample is drawn
+    def no_draw(fam, rng):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr("pbl.periodicity.random_boundary_point", no_draw)
+    with pytest.raises(ValueError, match="tolerance"):
+        poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=3, tol=tol)
+
+
+def test_poncelet_report_keeps_the_caller_order():
+    rep = poncelet_verify(FAM3, PAIR6[::-1], 6, samples=1, seed=0)
+    assert rep.caustics == PAIR6[::-1]
 
 
 def test_poncelet_3d_period6_pair():
