@@ -303,8 +303,7 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
 
 
 def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
-    if np.any(fam.is_zero_caustic(cs.finite)):
-        raise InadmissibleCaustics(f"caustics {cs.params} hold a zero parameter")
+    fam.check_caustic_values(cs.finite)
     checks, *_ = interlacing_checks(fam, cs, trajectory_type_from_caustics(fam, cs))
     if not all(checks.values()):
         raise InadmissibleCaustics(f"caustics {cs.params} violate the interlacing pattern")
@@ -327,9 +326,11 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     through x; each of the 2^(d-1) sign patterns of the square roots gives
     one direction by a linear solve, kept if ``chord_discriminant`` is
     within 1e-9 of its scale for every finite caustic.  Directions are unit
-    length with a canonical sign.  NoSolution means that x has a complex pair or a
-    multiple Jacobi coordinate, or that no real line through x has these
-    caustics.
+    length with a canonical sign.  A zero, degenerate or colliding caustic
+    raises DegenerateConfiguration (``fam.check_caustic_values``), a set off
+    the interlacing pattern InadmissibleCaustics.  NoSolution means that x
+    has a complex pair or a multiple Jacobi coordinate, or that no real line
+    through x has these caustics.
     """
     cs = _caustic_set(fam, target)
     _admissible(fam, cs)

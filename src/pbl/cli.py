@@ -32,7 +32,7 @@ from .confocal import (
     jacobi_coordinates,
 )
 from .errors import NumericalError, ValidationError
-from .metric import Signature
+from .metric import Signature, sq_norm
 from .periodicity import (
     SCAN_SAMPLES,
     SearchWindow,
@@ -43,9 +43,12 @@ from .periodicity import (
     poncelet_verify,
 )
 from .relativistic import (
+    cusp_edge_lambda,
     decorated_coordinates,
     relativistic_type,
     tropic_point,
+    tropic_surface_normal,
+    tropic_tangent_norm_sq,
 )
 
 
@@ -94,6 +97,15 @@ def _emit(text: str, out_path: str | None) -> None:
 
 def _emit_json(payload, out_path: str | None) -> None:
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _closure_json(rep) -> dict:
+    """The simulated closure of a PonceletReport, as JSON fields."""
+    return {
+        "closed": rep.closed,
+        "samples": rep.samples,
+        "worstPositionError": rep.worst_position_error,
+    }
 
 
 # ------------------------------------------------------------- subcommands
@@ -158,7 +170,13 @@ def _cmd_search_periodic(args) -> int:
     else:
         window = default_search_window(fam, args.samples)
     roots = find_periodic_caustics_plane(fam, args.n, window)
-    _emit_json({"n": args.n, "caustics": roots}, args.out)
+    closure = []
+    for alpha in roots:
+        try:
+            closure.append(_closure_json(poncelet_verify(fam, (alpha,), args.n)))
+        except (ValidationError, NumericalError):
+            closure.append(None)
+    _emit_json({"n": args.n, "caustics": roots, "closure": closure}, args.out)
     return 0
 
 
@@ -175,25 +193,45 @@ def _cmd_lightlike(args) -> int:
 
 
 def _cmd_tropic(args) -> int:
+    """The tropic surface of the (2, 1) family as CSV kind,sheet,lambda,t,x,y,z.
+
+    One grid: lambda at the cell midpoints of (-c, a), each degenerate one
+    moved 1e-3 of a cell up, and t at the cell midpoints of (0, 2 pi).
+    ``surface`` rows skip the cusp neighbourhoods, where
+    ``tropic_tangent_norm_sq`` < 1e-6; ``cusp`` rows follow
+    ``cusp_edge_lambda`` on the same t; V1-V4 are the vertices of sheet +1.
+    The worst light-like residual |<n, n>| / |n|^2 of the surface normals
+    goes to stderr, so stdout stays CSV.
+    """
     fam = ConfocalFamily(Signature(2, 1), _parse_axes(args.axes))
     n_lam, n_t = (int(tok) for tok in args.grid.lower().split("x"))
     if n_lam < 1 or n_t < 1:
         raise ValueError("grid must be NxM with positive counts")
     a, b, c = (float(v) for v in fam.axes)
-    lo, hi = -c, a
-    step = (hi - lo) / n_lam
-    lines = ["sheet,lambda,t,x,y,z"]
-    for sheet, label in ((1, "+"), (-1, "-")):
-        for i in range(n_lam):
-            lam = lo + (i + 0.5) * step
-            if fam.is_degenerate_parameter(lam):
-                lam += 1e-3 * step
-            for j in range(n_t):
-                t = (j + 0.5) * 2.0 * math.pi / n_t
-                p = tropic_point(fam, lam, t, sheet)
-                x, y, z = (float(c) for c in p)
-                lines.append(f"{label},{lam!r},{t!r},{x!r},{y!r},{z!r}")
+    step = (a + c) / n_lam
+    lams = [-c + (i + 0.5) * step for i in range(n_lam)]
+    lams = [lam + 1e-3 * step if fam.is_degenerate_parameter(lam) else lam for lam in lams]
+    ts = [(j + 0.5) * 2.0 * math.pi / n_t for j in range(n_t)]
+    rows, worst = [], 0.0
+    for sheet in (1, -1):
+        for lam in lams:
+            for t in ts:
+                if tropic_tangent_norm_sq(fam, lam, t) < 1e-6:
+                    continue
+                normal = tropic_surface_normal(fam, lam, t, sheet)
+                worst = max(worst, abs(sq_norm(normal, fam.sig)) / float(normal @ normal))
+                rows.append(("surface", sheet, lam, t))
+    kept = len(rows)
+    for sheet in (1, -1):
+        rows.extend(("cusp", sheet, cusp_edge_lambda(fam, t), t) for t in ts)
+    rows += [("V1", 1, b, 0.0), ("V2", 1, b, math.pi),
+             ("V3", 1, a, 3 * math.pi / 2), ("V4", 1, a, math.pi / 2)]
+    lines = ["kind,sheet,lambda,t,x,y,z"]
+    for kind, sheet, lam, t in rows:
+        x, y, z = (float(v) for v in tropic_point(fam, lam, t, sheet))
+        lines.append(f"{kind},{sheet},{lam!r},{t!r},{x!r},{y!r},{z!r}")
     _emit("\n".join(lines) + "\n", args.out)
+    print(f"worst light-like residual over {kept} surface samples: {worst:.2e}", file=sys.stderr)
     return 0
 
 
@@ -206,9 +244,7 @@ def _cmd_poncelet(args) -> int:
         "condition": rep.condition,
         "n": rep.n,
         "caustics": _caustic_json(rep.caustics),
-        "samples": rep.samples,
-        "closed": rep.closed,
-        "worstPositionError": rep.worst_position_error,
+        **_closure_json(rep),
     }
     _emit_json(payload, args.out)
     return 0
@@ -284,7 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
                          "(inputs parsed as rationals p/q)")
     sp.set_defaults(func=_cmd_cayley)
 
-    sp = sub.add_parser("search-periodic", help="scan for periodic caustics (d=2)")
+    sp = sub.add_parser("search-periodic",
+                        help="scan for periodic caustics (d=2) and simulate their closure")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--window", help="scan interval lo,hi")
@@ -297,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", help="output file (default: stdout)")
     sp.set_defaults(func=_cmd_lightlike)
 
-    sp = sub.add_parser("tropic", help="export the tropic surface as CSV")
+    sp = sub.add_parser("tropic",
+                        help="export the tropic surface, its cusp edge and vertices as CSV")
     sp.add_argument("--axes", required=True, help="a,b,c of the (2, 1) family")
     sp.add_argument("--grid", default="100x100", help="lambda x t resolution, e.g. 100x100")
     sp.add_argument("--out", help="output file (default: stdout)")

@@ -143,6 +143,19 @@ class ConfocalFamily:
         vanishes.  Elementwise, like ``is_degenerate_parameter``."""
         return np.abs(np.asarray(alpha, dtype=float)) <= DEGENERATE_TOL * self.scale
 
+    def check_caustic_values(self, finite) -> None:
+        """The caustic-value rule of the Cayley condition and of direction
+        recovery: DegenerateConfiguration if a caustic of the ascending
+        ``finite`` is zero (``is_zero_caustic``), degenerate
+        (``is_degenerate_parameter``) or collides with the next one (within
+        DEGENERATE_TOL * (a_1 + a_d): an even factor under the square root
+        of P1, and a line that no direction constructs)."""
+        vals = np.array(finite, dtype=float)
+        if ((self.is_zero_caustic(vals) | self.is_degenerate_parameter(vals)).any()
+                or (np.diff(vals) <= DEGENERATE_TOL * self.scale).any()):
+            raise DegenerateConfiguration(f"caustic parameters {vals.tolist()} are zero, "
+                                          "degenerate or collide with each other")
+
 
 @dataclass
 class Line:
@@ -460,7 +473,7 @@ def _pair_positions(caustics: list, fixed: list, n_pairs: int, sign: int,
     ok, positions = True, []
     for i, alpha in enumerate(caustics, start=1):
         value = sign * alpha
-        others = [sign * o for o in fixed + [x for x in caustics if x is not alpha]]
+        others = [sign * o for o in fixed + caustics[:i - 1] + caustics[i:]]
         lo = 1 + sum(1 for o in others if o < value - tol)
         hi = 1 + sum(1 for o in others if o <= value + tol)
         pair = set(range(lo, hi + 1)) & {2 * i - 1, 2 * i}

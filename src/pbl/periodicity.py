@@ -30,7 +30,7 @@ from .billiard import (
     inward_direction,
     random_boundary_point,
 )
-from .confocal import DEGENERATE_TOL, INF, ConfocalFamily, _caustic_set
+from .confocal import INF, ConfocalFamily, _caustic_set
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -114,18 +114,11 @@ def build_P1(fam: ConfocalFamily, params) -> list:
     P1(lam) = prod_finite (alpha_i - lam) * ``fam.pencil_product``, over
     the finite caustics of ``_caustic_set``; the light-like caustic +inf
     contributes no factor.  Rational input stays rational.  A finite
-    caustic that is zero (``fam.is_zero_caustic``: P1(0) vanishes),
-    degenerate (``fam.is_degenerate_parameter``) or collides with another
-    (within DEGENERATE_TOL times a_1 + a_d, an even factor under the square
-    root) raises DegenerateConfiguration.
+    caustic that is zero, degenerate or collides with another raises
+    DegenerateConfiguration (``fam.check_caustic_values``).
     """
     finite = _caustic_set(fam, params).finite
-    vals = [float(p) for p in finite]
-    if (np.any(fam.is_zero_caustic(vals)) or np.any(fam.is_degenerate_parameter(vals))
-            or np.any(np.diff(vals) <= DEGENERATE_TOL * fam.scale)):
-        raise DegenerateConfiguration(
-            f"caustic parameters {vals} are zero, degenerate or collide with each other"
-        )
+    fam.check_caustic_values(finite)
     return poly_mul(linear_product(finite, [-1] * len(finite)), fam.pencil_product)
 
 
@@ -302,8 +295,9 @@ def count_axis_ratios(n: int) -> int:
 
 @dataclass(frozen=True)
 class SearchWindow:
-    """Caustic interval [lo, hi] of a planar search; ValueError unless
-    lo < hi, both finite."""
+    """Caustic interval [lo, hi] of a planar search, scanned at ``samples``
+    points; ValueError unless lo < hi, both finite, and samples is an int
+    >= 1."""
 
     lo: float
     hi: float
@@ -312,6 +306,8 @@ class SearchWindow:
     def __post_init__(self) -> None:
         if not -INF < self.lo < self.hi < INF:
             raise ValueError(f"search window needs finite lo < hi, got {self.lo}, {self.hi}")
+        if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
+            raise ValueError(f"search window needs an int samples >= 1, got {self.samples!r}")
 
 
 def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> SearchWindow:

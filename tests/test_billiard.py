@@ -35,6 +35,7 @@ from pbl.confocal import (
     tangency_polynomial,
 )
 from pbl.errors import (
+    DegenerateConfiguration,
     DegenerateParameter,
     InadmissibleCaustics,
     NoSolution,
@@ -470,8 +471,17 @@ def test_direction_recovery_no_real_line():
 def test_direction_recovery_rejects_bad_sets():
     with pytest.raises(InadmissibleCaustics):
         direction_with_caustics(FAM3, [0.1, 0.1, 0.1], (-2.5, -2.6))
-    with pytest.raises(InadmissibleCaustics):
+    with pytest.raises(DegenerateConfiguration):
         direction_with_caustics(FAM2, [0.1, 0.1], (0.0,))
+
+
+@pytest.mark.parametrize("fam, params", [
+    (FAM3, (3.0, INF)), (FAM3, (-2.0, 1.0)), (FAM3, (1.0, 3.0)), (FAM2, (2.0,)), (FAM2, (-1.0,)),
+], ids=["3,inf", "-2,1", "1,3", "planar-2", "planar--1"])
+def test_direction_recovery_rejects_degenerate_caustics(fam, params):
+    # admission used to pass these, and the tangency check then divided by zero
+    with pytest.raises(DegenerateConfiguration):
+        direction_with_caustics(fam, [0.1] * fam.d, params)
 
 
 # ---------------------------------------------------------- serialization

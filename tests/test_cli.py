@@ -1,12 +1,17 @@
 """Command-line interface: dispatch, schemas, determinism, exit codes."""
 
 import json
+import math
 import re
 
 import pytest
 
+from pbl import cli
 from pbl.cli import run_cli
-from pbl.errors import NumericalStall
+from pbl.confocal import ConfocalFamily
+from pbl.errors import ConstructionFailure, NumericalStall
+from pbl.metric import Signature
+from pbl.relativistic import cusp_edge_lambda
 
 
 def run(capsys, *argv):
@@ -85,6 +90,34 @@ def test_search_periodic(capsys):
     data = json.loads(out)
     assert data["n"] == 4
     assert data["caustics"] == pytest.approx([-2.0, -2.0 / 3.0, 2.0 / 3.0], abs=1e-9)
+    # each root's simulated closure, as pbl poncelet reports it
+    assert [c["closed"] for c in data["closure"]] == [20, 20, 20]
+    assert all(c["samples"] == 20 and c["worstPositionError"] <= 1e-6 for c in data["closure"])
+    code, out, _ = run(
+        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "5",
+    )
+    assert code == 0
+    assert json.loads(out) == {"n": 5, "caustics": [], "closure": []}
+
+
+def test_search_periodic_prints_null_for_a_root_it_cannot_verify(capsys, monkeypatch):
+    # a root whose simulation fails keeps its place, and the others are still verified
+    verify = cli.poncelet_verify
+
+    def fails_below_minus_one(fam, params, n):
+        if params[0] < -1.0:
+            raise ConstructionFailure("no start constructed")
+        return verify(fam, params, n)
+
+    monkeypatch.setattr(cli, "poncelet_verify", fails_below_minus_one)
+    code, out, _ = run(
+        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["caustics"]) == 3
+    assert data["closure"][0] is None
+    assert [c["closed"] for c in data["closure"][1:]] == [20, 20]
 
 
 def test_lightlike(capsys):
@@ -234,21 +267,29 @@ def test_trace_deterministic(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_tropic_csv(tmp_path, capsys):
-    out_file = tmp_path / "surf.csv"
-    code, _, _ = run(
-        capsys, "tropic", "--axes", "5,3,2", "--grid", "12x10", "--out", str(out_file),
-    )
+def test_tropic_csv(capsys):
+    # 7 x 3 puts the grid points (lambda, t) = (4.5, pi / 3) and (4.5, 5 pi / 3)
+    # on the cusp edge
+    code, out, err = run(capsys, "tropic", "--axes", "5,3,2", "--grid", "7x3")
     assert code == 0
-    lines = out_file.read_text().strip().splitlines()
-    assert lines[0] == "sheet,lambda,t,x,y,z"
-    assert len(lines) == 1 + 2 * 12 * 10
-    # spot check: every row satisfies the pencil equation of its lambda
-    for row in lines[1:20]:
-        sheet, lam, t, x, y, z = row.split(",")
-        lam, x, y, z = float(lam), float(x), float(y), float(z)
-        q = x * x / (5.0 - lam) + y * y / (3.0 - lam) + z * z / (2.0 + lam)
-        assert q == pytest.approx(1.0, abs=1e-10)
+    lines = out.strip().splitlines()
+    assert lines[0] == "kind,sheet,lambda,t,x,y,z"
+    rows = [row.split(",") for row in lines[1:]]
+    kinds = [row[0] for row in rows]
+    assert kinds == ["surface"] * 2 * (7 * 3 - 2) + ["cusp"] * 2 * 3 + ["V1", "V2", "V3", "V4"]
+    assert {row[1] for row in rows} == {"1", "-1"}
+    fam = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
+    for kind, _, lam, t, x, y, z in rows:
+        lam, t, x, y, z = (float(v) for v in (lam, t, x, y, z))
+        assert t in [(j + 0.5) * 2.0 * math.pi / 3 for j in range(3)] or kind.startswith("V")
+        if kind == "surface":
+            # every row satisfies the pencil equation of its lambda
+            q = x * x / (5.0 - lam) + y * y / (3.0 - lam) + z * z / (2.0 + lam)
+            assert q == pytest.approx(1.0, abs=1e-10)
+        elif kind == "cusp":
+            assert lam == cusp_edge_lambda(fam, t)
+    residual = re.fullmatch(r"worst light-like residual over 38 surface samples: (\S+)\n", err)
+    assert residual and float(residual.group(1)) <= 1e-12
 
 
 def test_poncelet_cli(capsys):
@@ -416,11 +457,15 @@ def test_verify_decides_the_line_type_again(tmp_path, capsys, edit, message):
     assert out == "" and message in err
 
 
-@pytest.mark.parametrize("window", ["1,-1", "nan,1", "0,inf", "1,1"])
+@pytest.mark.parametrize("window", [
+    ["--window", "1,-1"], ["--window", "nan,1"], ["--window", "0,inf"], ["--window", "1,1"],
+    ["--samples", "-5"],
+], ids=["1,-1", "nan,1", "0,inf", "1,1", "samples=-5"])
 def test_search_periodic_rejects_a_malformed_window(capsys, window):
-    # 1,-1 printed "caustics": [] as if no caustic were periodic
+    # 1,-1 printed "caustics": [] as if no caustic were periodic, and
+    # --samples -5 printed 4 of the 6 roots at --n 6
     code, out, err = run(
-        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", "--window", window,
+        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", *window,
     )
     assert code == 2
     assert out == "" and "search window" in err

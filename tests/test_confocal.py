@@ -575,6 +575,17 @@ def test_interlacing_checks_hand_cases():
         assert (got_checks, got_c, got_pos, got_neg) == (checks, c, pos, neg), (params, ltype)
 
 
+
+def test_interlacing_checks_read_a_double_caustic_by_index():
+    # a double caustic passed as one float object twice lost both copies
+    # from its own comparison list and failed positive_pairs
+    fam31 = ConfocalFamily(Signature(3, 1), (7.0, 5.0, 3.0, 2.0))
+    a = 4.0
+    same = interlacing_checks(fam31, (a, a, -1.0), LineType.SPACE_LIKE)
+    apart = interlacing_checks(fam31, (a, float("4.0"), -1.0), LineType.SPACE_LIKE)
+    assert same == apart
+    assert all(same[0].values()) and same[3] == (2, 3)
+
 def test_interlacing_random_chords():
     rng = np.random.default_rng(31)
     for k, l in [(2, 1), (1, 2), (2, 2), (3, 1), (1, 3)]:

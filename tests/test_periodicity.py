@@ -297,12 +297,16 @@ def test_find_periodic_respects_window():
 
 
 
-@pytest.mark.parametrize("lo, hi", [(1.0, -1.0), (1.0, 1.0), (math.nan, 1.0), (0.0, math.nan),
-                                    (-INF, 1.0), (0.0, INF)])
-def test_search_window_must_be_finite_and_increasing(lo, hi):
-    # an inverted window used to give no roots, a nan one a message about the sample count
+@pytest.mark.parametrize("lo, hi, samples", [
+    (1.0, -1.0, 1), (1.0, 1.0, 1), (math.nan, 1.0, 1), (0.0, math.nan, 1), (-INF, 1.0, 1),
+    (0.0, INF, 1), (-1.0, 1.0, 0), (-1.0, 1.0, -5), (-1.0, 1.0, 2.5),
+], ids=["1.0--1.0", "1.0-1.0", "nan-1.0", "0.0-nan", "-inf-1.0", "0.0-inf",
+        "samples=0", "samples=-5", "samples=2.5"])
+def test_search_window_must_be_finite_and_increasing(lo, hi, samples):
+    # an inverted window used to give no roots, a nan one a message about the
+    # sample count, and samples=-5 found 4 of the 6 period-6 roots of (2, 1)
     with pytest.raises(ValueError, match="search window"):
-        SearchWindow(lo, hi)
+        SearchWindow(lo, hi, samples)
 
 # ----------------------------------------------------- light-like closure
 

@@ -1,5 +1,5 @@
 """The Python example and the CLI examples of README.md run against the
-current API and command line."""
+current API and command line, and every script it names exists."""
 
 import json
 import os
@@ -26,6 +26,13 @@ def test_readme_python_example():
     assert out.stdout.splitlines()[-2:] == ["True", "20"]
 
 
+def test_readme_scripts_exist():
+    # the README may name only scripts that are still in scripts/
+    names = re.findall(r"python3 scripts/(\S+\.py)", (ROOT / "README.md").read_text())
+    assert names
+    assert [name for name in names if not (ROOT / "scripts" / name).is_file()] == []
+
+
 def _readme_cli_commands() -> list:
     """[argv, promised stdout or None] of each ``pbl`` command in the
     README's sh block: continuations joined, comments stripped, and a
@@ -49,8 +56,8 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = _readme_cli_commands()
     assert [argv[0] for argv, _ in commands] == [
-        "cayley", "cayley", "search-periodic", "lightlike", "classify-point", "classify-point",
-        "decorate", "caustics", "trace", "verify", "poncelet", "tropic"]
+        "cayley", "cayley", "search-periodic", "search-periodic", "lightlike", "classify-point",
+        "classify-point", "decorate", "caustics", "trace", "verify", "poncelet", "tropic"]
     assert sum(promised is not None for _, promised in commands) == 2
     for argv, promised in commands:
         code = run_cli(argv)

@@ -1,4 +1,4 @@
-"""The experiment scripts in scripts/ run end to end with small arguments."""
+"""The experiment script in scripts/ runs end to end with small arguments."""
 
 import os
 import re
@@ -47,15 +47,3 @@ def test_spatial_period_search_rejects_period(n):
     assert out.returncode == 2
     assert "even period >= 6" in out.stderr
 
-
-def test_planar_period_scan():
-    out = run_script("planar_period_scan.py", "--min-n", "4", "--max-n", "5", "--samples", "3")
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.count("closed 3/3") == 3
-
-
-def test_tropic_surface_export(tmp_path):
-    csv_path = tmp_path / "tropic.csv"
-    out = run_script("tropic_surface_export.py", "--out", str(csv_path), "--grid", "4x8")
-    assert out.returncode == 0, out.stderr
-    assert csv_path.read_text().startswith("kind,sheet,lambda,t,x,y,z")
