@@ -60,10 +60,12 @@ from .periodicity import (
     cayley_condition,
     cayley_matrix,
     count_axis_ratios,
+    find_periodic_caustics,
     find_periodic_caustics_plane,
     lightlike_period,
     numerical_rank,
     poncelet_verify,
+    rotation_vector,
     sqrt_series,
 )
 from .relativistic import (

@@ -175,8 +175,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     """
     x = _as_vector(start, fam.d)
     v = _as_vector(direction, fam.d)
-    if n_reflections < 1:
-        raise ValueError("need at least one reflection")
+    _check_count(n_reflections, "n_reflections", 1)
     ltype = line_type(v, fam.sig)
     points, directions, double, _ = _bounce(fam, x, v, n_reflections)
     cs0 = caustics(fam, Line(x, v))
@@ -239,6 +238,12 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
 
 
+def _check_count(value, name: str, least: int) -> None:
+    """ValueError unless the count ``value`` is an int (not bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     """Detect whether the trajectory revisits its first bounce state.
 
@@ -299,7 +304,6 @@ def _canonical_direction(v: np.ndarray) -> np.ndarray:
     for comp in v:
         if abs(comp) > 1e-12:
             return v if comp > 0 else -v
-    return v
 
 
 def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:

@@ -38,6 +38,7 @@ from .periodicity import (
     SearchWindow,
     cayley_condition,
     default_search_window,
+    find_periodic_caustics,
     find_periodic_caustics_plane,
     lightlike_period,
     poncelet_verify,
@@ -164,19 +165,27 @@ def _cmd_cayley(args) -> int:
 
 def _cmd_search_periodic(args) -> int:
     fam = _family(args)
-    if args.window:
-        lo, hi = (float(tok) for tok in args.window.split(","))
-        window = SearchWindow(lo, hi, args.samples)
+    if fam.d > 2:
+        if args.window is not None or args.samples is not None:
+            raise ValueError("--window and --samples are planar options")
+        sets = find_periodic_caustics(fam, args.n)
+        caustics = [list(cs) for cs in sets]
     else:
-        window = default_search_window(fam, args.samples)
-    roots = find_periodic_caustics_plane(fam, args.n, window)
+        samples = SCAN_SAMPLES if args.samples is None else args.samples
+        if args.window:
+            lo, hi = (float(tok) for tok in args.window.split(","))
+            window = SearchWindow(lo, hi, samples)
+        else:
+            window = default_search_window(fam, samples)
+        caustics = find_periodic_caustics_plane(fam, args.n, window)
+        sets = [(alpha,) for alpha in caustics]
     closure = []
-    for alpha in roots:
+    for cs in sets:
         try:
-            closure.append(_closure_json(poncelet_verify(fam, (alpha,), args.n)))
+            closure.append(_closure_json(poncelet_verify(fam, cs, args.n)))
         except (ValidationError, NumericalError):
             closure.append(None)
-    _emit_json({"n": args.n, "caustics": roots, "closure": closure}, args.out)
+    _emit_json({"n": args.n, "caustics": caustics, "closure": closure}, args.out)
     return 0
 
 
@@ -279,9 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, sig=True):
-        if sig:
-            sp.add_argument("--sig", required=True, help="signature k,l")
+    def common(sp):
+        sp.add_argument("--sig", required=True, help="signature k,l")
         sp.add_argument("--axes", required=True, help="axis parameters a1,a2,...")
         sp.add_argument("--out", help="output file (default: stdout)")
 
@@ -321,11 +329,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_cayley)
 
     sp = sub.add_parser("search-periodic",
-                        help="scan for periodic caustics (d=2) and simulate their closure")
+                        help="search for periodic caustics and simulate their closure")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--window", help="scan interval lo,hi")
-    sp.add_argument("--samples", type=int, default=SCAN_SAMPLES)
+    sp.add_argument("--window", help="planar scan interval lo,hi")
+    sp.add_argument("--samples", type=int,
+                    help=f"planar scan points (default {SCAN_SAMPLES})")
     sp.set_defaults(func=_cmd_search_periodic)
 
     sp = sub.add_parser("lightlike", help="light-like period of a planar table")

@@ -353,14 +353,13 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     roots = polyroots(coeffs)
     scale = fam.scale
     by_imag = sorted(roots, key=lambda z: abs(z.imag))
-    real_part = list(by_imag[:-2]) if len(by_imag) > 2 else []
-    tail = list(by_imag[-2:]) if len(by_imag) >= 2 else list(by_imag)
+    real_part, tail = by_imag[:-2], by_imag[-2:]
 
     def is_real(z) -> bool:
         return abs(z.imag) <= 1e-9 * max(scale, abs(z))
 
     complex_pair = None
-    if len(tail) == 2 and not (is_real(tail[0]) and is_real(tail[1])):
+    if not (is_real(tail[0]) and is_real(tail[1])):
         re = 0.5 * (tail[0].real + tail[1].real)
         im = 0.5 * (abs(tail[0].imag) + abs(tail[1].imag))
         complex_pair = (re, im)

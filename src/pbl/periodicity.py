@@ -15,6 +15,8 @@ is imaginary) and keeps the arithmetic rational for rational input.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,14 +25,16 @@ from math import gcd
 import numpy as np
 
 from .billiard import (
+    _admissible,
     _bounce,
+    _check_count,
     _check_tol,
     _closure_errors,
     direction_with_caustics,
     inward_direction,
     random_boundary_point,
 )
-from .confocal import INF, ConfocalFamily, _caustic_set
+from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -41,7 +45,9 @@ from .errors import (
     NumericalStall,
     OddPeriod,
     VacuousCondition,
+    ValidationError,
 )
+from .metric import _read_only
 from ._poly import linear_product, poly_mul
 
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
@@ -59,6 +65,12 @@ SAMPLE_BUDGET = 60
 #: Singular values below this times the scale do not count toward the
 #: float rank.
 RANK_TOL = 1e-9
+
+#: Quadrature nodes of each rotation-vector integral.
+ROTATION_NODES = 200
+
+#: Chebyshev-clustered grid points per caustic of the spatial search.
+GRID_POINTS = 16
 
 
 def _exact_sqrt(q) -> Fraction | None:
@@ -131,8 +143,7 @@ def cayley_matrix(B, d: int, n: int) -> np.ndarray:
     coefficients (a batch of float series) give a stack of matrices with
     the batch axes first.
     """
-    if n < 3:
-        raise ValueError("period must be at least 3")
+    _check_count(n, "period", 3)
     if n % 2 == 0:
         m = n // 2
         rows, cols, base = m - 1, m - d + 1, d + 1
@@ -212,12 +223,78 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
     Builds the closure matrix from the normalized square-root series and
     tests column dependence.  ``exact=True`` converts axes and caustics to
     Fractions (floats convert to their exact binary value) and decides the
-    rank without rounding.
+    rank without rounding.  ValueError unless n is an int >= 3.
     """
+    _check_count(n, "period", 3)
     B = normalized_sqrt_series(fam, params, n, exact=exact)
     M = cayley_matrix(B, fam.d, n)
     scale = max(1.0, max(abs(float(b)) for b in B))
     return numerical_rank(M, scale=scale) < M.shape[1]
+
+
+# ---------------------------------------------------------- rotation vector
+
+
+@functools.cache
+def _quadrature() -> tuple:
+    """Read-only Gauss-Chebyshev and Gauss-Legendre nodes on [0, 1], and the latter's weights."""
+    x, w = np.polynomial.legendre.leggauss(ROTATION_NODES)
+    theta = math.pi * (np.arange(ROTATION_NODES) + 0.5) / ROTATION_NODES
+    return tuple(map(_read_only, (0.5 * (1.0 + np.cos(theta)), 0.5 * (x + 1.0), 0.5 * w)))
+
+
+def _integrals(e: np.ndarray, lam: np.ndarray, skip: np.ndarray, weight) -> np.ndarray:
+    """Per row, sum_k weight_k lam_k^j / sqrt(prod |lam_k - e_m|), j < g, over
+    the e_m outside the mask ``skip``; |x| = sign(Re x) x passes a complex step."""
+    prod = np.ones_like(lam)
+    for m in range(e.shape[1]):
+        diff = lam - e[:, m, None]
+        prod = prod * np.where(skip[..., m, None], 1.0, np.sign(diff.real) * diff)
+    powers = np.arange(e.shape[1] // 2)[:, None]
+    return np.sum(lam[:, None] ** powers * (weight / np.sqrt(prod))[:, None], axis=-1)
+
+
+def _rotation(e: np.ndarray, p: int) -> tuple:
+    """``rotation_vector`` of the rows of ``e``: branch points ascending by
+    real part, the first p below 0 in every row.  Also returns the half
+    period of the rows whose e* is above 0; rho minus it is continuous."""
+    c, s, w = _quadrature()
+    index = np.arange(e.shape[1])
+    cols = [i for i in range(e.shape[1] - 1) if (i - p) % 2]  # where P1 has the sign of P1(0)
+    columns = []
+    for i in cols:
+        lam = e[:, i, None] + (e[:, i + 1, None] - e[:, i, None]) * c
+        skip = (index == i) | (index == i + 1)
+        columns.append(_integrals(e, lam, skip, 2.0 * math.pi / ROTATION_NODES))
+    omega = np.stack(columns, axis=-1)
+    # a signed axis lies on each side of 0, so 0 < p < 2g + 1
+    star = p - 1 + (np.abs(e[:, p].real) < np.abs(e[:, p - 1].real))
+    e_star = np.take_along_axis(e, star[:, None], axis=1)
+    integral = _integrals(e, e_star * (1.0 - s * s), index == star[:, None],
+                          2.0 * w * e_star / np.sqrt(np.sign(e_star.real) * e_star))
+    rho = np.linalg.solve(omega, integral[..., None])[..., 0]
+    return rho, 0.5 * (star == p)[:, None] * np.equal(cols, p - 1)
+
+
+def rotation_vector(fam: ConfocalFamily, params) -> np.ndarray:
+    """Rotation vector rho = Omega^-1 I of a caustic set without +inf
+    (ValueError; DegenerateConfiguration as ``build_P1``).
+
+    The branch points e_1 < ... < e_{2g+1}, g = d - 1, are the finite
+    caustics and the signed axes; |P1| = prod |lam - e_i|.  Column k of
+    Omega is 2 int lam^j dlam / sqrt|P1|, j < g, over the k-th bounded
+    (e_i, e_{i+1}) where P1 has the sign of P1(0) (Gauss-Chebyshev), and
+    I_j = int_0^{e*} lam^j dlam / sqrt|P1|, e* the branch point nearest 0
+    (Gauss-Legendre in s, lam = e* (1 - s^2)).  For even n, the set is
+    n-periodic iff n rho is integral; another e* moves rho by half a period.
+    """
+    cs = _caustic_set(fam, params)
+    if cs.has_infinite:
+        raise ValueError("the rotation vector of a light-like caustic set is not implemented")
+    fam.check_caustic_values(cs.finite)
+    e = np.sort(np.concatenate([cs.finite, fam.signed_axes]))
+    rho, _ = _rotation(e[None], int(np.count_nonzero(e < 0.0)))
+    return rho[0]
 
 
 def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
@@ -306,8 +383,7 @@ class SearchWindow:
     def __post_init__(self) -> None:
         if not -INF < self.lo < self.hi < INF:
             raise ValueError(f"search window needs finite lo < hi, got {self.lo}, {self.hi}")
-        if not (isinstance(self.samples, (int, np.integer)) and self.samples >= 1):
-            raise ValueError(f"search window needs an int samples >= 1, got {self.samples!r}")
+        _check_count(self.samples, "search window samples", 1)
 
 
 def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> SearchWindow:
@@ -318,6 +394,7 @@ def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> S
     return SearchWindow(-b - 3.0 * span, a + 3.0 * span, samples)
 
 
+@np.errstate(over="ignore")  # past n = 12 the determinant reaches +-inf next to 0
 def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
                                  window: SearchWindow | None = None) -> list:
     """All caustic parameters in the window whose planar trajectories are
@@ -359,8 +436,7 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
         zero = vals == 0.0
         zero[:-1] &= ~np.isnan(vals[1:])
         roots.extend(xs[zero].tolist())
-        with np.errstate(invalid="ignore"):
-            change = vals[:-1] * vals[1:] < 0.0
+        change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0
         brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change]))
     if brackets:
         roots.extend(_bisect_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
@@ -389,13 +465,107 @@ def _bisect_sign_changes(fam: ConfocalFamily, n: int, lo: np.ndarray, hi: np.nda
             break
         f_mid = planar_cayley_det(fam, mid[idx], n)
         active[idx[np.isnan(f_mid)]] = False
-        with np.errstate(invalid="ignore"):
-            left = f_lo[idx] * f_mid <= 0.0
+        left = np.sign(f_lo[idx]) * np.sign(f_mid) <= 0.0
         right = ~left & ~np.isnan(f_mid)
         hi[idx[left]] = mid[idx[left]]
         lo[idx[right]] = mid[idx[right]]
         f_lo[idx[right]] = f_mid[right]
     return (0.5 * (lo + hi)).tolist()
+
+
+def find_periodic_caustics(fam: ConfocalFamily, n: int) -> list:
+    """n-periodic caustic sets of a family with d >= 3, for an even
+    n >= 2d (else ValueError), as ascending tuples in sorted order.
+
+    A band puts each caustic in an interval of the line cut at the signed
+    axes and at 0; only bands on the interlacing pattern are searched.  A
+    caustic takes GRID_POINTS Chebyshev-clustered values per interval
+    (``_interval_grid``).  For each winding vector m = round(n rho) met on
+    a band's grid, one Newton run (``_band_roots``) starts at the grid set
+    nearest m, so the search returns at most one set per band and m: a
+    second root with the same m in the same band is missed.  Kept are the
+    sets that pass the interlacing pattern and ``cayley_condition``, less
+    those within 1e-9 (a_1 + a_d) of a kept one.
+    """
+    d, g, span = fam.d, fam.d - 1, fam.scale
+    _check_count(n, "period", 2 * d)
+    if d < 3 or n % 2:
+        raise ValueError(f"the spatial search needs d >= 3 and an even period, got {d}, {n}")
+    edges = np.concatenate([[-INF], np.sort(np.append(fam.signed_axes, 0.0)), [INF]])
+    found = []
+    for band in itertools.combinations_with_replacement(range(d + 2), g):
+        lo = edges[list(band)]
+        hi = edges[[b + 1 for b in band]]
+        values = [_interval_grid(lo_i, hi_i, span) for lo_i, hi_i in zip(lo, hi)]
+        grid = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, g)
+        grid = grid[np.all(np.diff(grid, axis=1) > 0.0, axis=1)]
+        try:
+            _admissible(fam, CausticSet(tuple(grid[0])))
+        except ValidationError:
+            continue
+        found.extend(_band_roots(fam, n, grid, lo, hi))
+    keep: list[tuple] = []
+    for alpha in sorted(found):
+        try:
+            _admissible(fam, CausticSet(alpha))
+            periodic = cayley_condition(fam, alpha, n)
+        except ValidationError:
+            continue
+        if not periodic:
+            continue
+        if all(max(abs(x - y) for x, y in zip(alpha, k)) > 1e-9 * span for k in keep):
+            keep.append(alpha)
+    return keep
+
+
+def _interval_grid(lo: float, hi: float, span: float) -> np.ndarray:
+    """GRID_POINTS values in (lo, hi) at u = (1 - cos(pi (i + 1/2) / N)) / 2,
+    clustered at both ends; on (-inf, hi) alpha = hi - span u / (1 - u),
+    likewise on (lo, inf)."""
+    u = 0.5 * (1.0 - np.cos(math.pi * (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS))
+    if lo == -INF:
+        return hi - span * u / (1.0 - u)
+    if hi == INF:
+        return lo + span * u / (1.0 - u)
+    return lo + (hi - lo) * u
+
+
+def _band_roots(fam: ConfocalFamily, n: int, grid: np.ndarray, lo: np.ndarray,
+                hi: np.ndarray) -> list:
+    """Newton on n rho(alpha) = m in the band (lo, hi), one run per m met on
+    its grid.  The Jacobian comes from a complex step alpha + h i e_q
+    through the same quadrature.  A run stops at max |n rho - m| < 1e-13;
+    it is dropped after 40 steps or when it leaves its band or passes
+    1e6 (a_1 + a_d)."""
+    d, g, span, h = fam.d, fam.d - 1, fam.scale, 1e-30
+    branch = np.concatenate([grid[0], fam.signed_axes])
+    order = np.argsort(branch)
+    p = int(np.count_nonzero(branch < 0.0))
+
+    def winding(alpha):
+        axes = np.broadcast_to(fam.signed_axes, (len(alpha), d))
+        rho, half = _rotation(np.concatenate([alpha, axes], axis=1)[:, order], p)
+        return n * (rho - half)  # continuous across the band
+
+    values = winding(grid)
+    target = np.round(values)
+    miss = np.max(np.abs(values - target), axis=1)
+    roots = []
+    for m in np.unique(target[np.isfinite(miss)], axis=0):
+        rows = np.flatnonzero(np.all(target == m, axis=1))
+        alpha = grid[rows[np.argmin(miss[rows])]]
+        for _ in range(40):
+            stepped = winding(alpha + h * 1j * np.eye(g))  # row q steps caustic q
+            residual = stepped[0].real - m
+            if np.max(np.abs(residual)) < 1e-13:
+                roots.append(tuple(alpha.tolist()))
+                break
+            jacobian = stepped.imag.T / h
+            alpha = alpha - np.linalg.lstsq(jacobian, residual)[0]
+            inside = (lo < alpha) & (alpha < hi) & (np.abs(alpha) < 1e6 * span)
+            if not (inside.all() and np.all(np.diff(alpha) > 0.0)):
+                break
+    return roots
 
 
 # ----------------------------------------------------- simulated closure
@@ -417,15 +587,14 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
-    Raises CayleyConditionFailed if the analytic condition fails, ValueError
-    if samples < 0 or if tol is not finite and >= 0.
+    Raises CayleyConditionFailed if the analytic condition fails,
+    ValueError unless samples is an int >= 0, n one >= 3, tol finite >= 0.
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
     ConstructionFailure ends a sample after SAMPLE_BUDGET draws.
     """
-    if samples < 0:
-        raise ValueError(f"samples must be >= 0, got {samples}")
+    _check_count(samples, "samples", 0)
     _check_tol(tol)
     params = tuple(params)
     if not cayley_condition(fam, params, n):

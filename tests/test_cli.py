@@ -11,6 +11,7 @@ from pbl.cli import run_cli
 from pbl.confocal import ConfocalFamily
 from pbl.errors import ConstructionFailure, NumericalStall
 from pbl.metric import Signature
+from pbl.periodicity import cayley_condition
 from pbl.relativistic import cusp_edge_lambda
 
 
@@ -118,6 +119,64 @@ def test_search_periodic_prints_null_for_a_root_it_cannot_verify(capsys, monkeyp
     assert len(data["caustics"]) == 3
     assert data["closure"][0] is None
     assert [c["closed"] for c in data["closure"][1:]] == [20, 20]
+
+
+SPATIAL = ("search-periodic", "--sig", "2,1", "--axes", "5,3,2")
+
+#: The period-8 sets that the former experiment script found, to the
+#: digits it printed.
+SCRIPT_SETS8 = [
+    (-8.257987535, 2.456528530), (-5.929714779, 4.290159171), (-2.177842391, 1.225673282),
+    (-2.019527520, 2.766086933), (-2.017597731, 3.331304726), (-1.982924927, 3.332015311),
+    (-1.981105315, 2.765646213),
+]
+
+
+def test_search_periodic_spatial_pair(capsys):
+    # the period-6 pair of the former script, to 1e-12, closing 20 of 20
+    code, out, _ = run(capsys, *SPATIAL, "--n", "6")
+    assert code == 0
+    data = json.loads(out)
+    assert data["n"] == 6
+    hits = [i for i, cs in enumerate(data["caustics"])
+            if cs == pytest.approx([-2.320953597016259, 2.154286930349592], abs=1e-12)]
+    assert len(hits) == 1
+    assert data["closure"][hits[0]]["closed"] == data["closure"][hits[0]]["samples"] == 20
+
+
+def test_search_periodic_spatial_two_column_matrix(capsys):
+    # at n = 8 the closure matrix is 3 x 2: every set the script found is
+    # there, and every reported set passes the Cayley test and closes
+    code, out, _ = run(capsys, *SPATIAL, "--n", "8")
+    assert code == 0
+    data = json.loads(out)
+    for want in SCRIPT_SETS8:
+        assert any(cs == pytest.approx(want, abs=1e-6) for cs in data["caustics"]), want
+    fam = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
+    assert all(cayley_condition(fam, tuple(cs), 8) for cs in data["caustics"])
+    assert all(c["closed"] == c["samples"] == 20 for c in data["closure"])
+
+
+@pytest.mark.parametrize("n", ["7", "4"])
+def test_search_periodic_rejects_a_spatial_period(capsys, n):
+    code, out, err = run(capsys, *SPATIAL, "--n", n)
+    assert code == 2
+    assert out == "" and "period" in err
+
+
+def test_search_periodic_spatial_is_deterministic(tmp_path, capsys):
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert run(capsys, *SPATIAL, "--n", "6", "--out", str(path))[0] == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--window=-1,1"], ["--samples", "4001"]],
+                         ids=["window", "samples"])
+def test_search_periodic_planar_options_need_a_plane(capsys, option):
+    code, out, err = run(capsys, *SPATIAL, "--n", "6", *option)
+    assert code == 2
+    assert out == "" and "planar options" in err
 
 
 def test_lightlike(capsys):

@@ -1,4 +1,4 @@
-"""No module of src/pbl, scripts/ or tests/ imports a name it never uses,
+"""No module of src/pbl or tests/ imports a name it never uses,
 and no function or class of src/pbl is left without a reader.
 
 No linter is a dependency of the project, so the checks read each file
@@ -30,7 +30,7 @@ def unused_imports(path: Path) -> list:
 
 def test_no_unused_imports():
     files = [p for p in (ROOT / "src" / "pbl").glob("*.py") if p.name != "__init__.py"]
-    files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    files += sorted((ROOT / "tests").glob("*.py"))
     unused = [entry for path in sorted(files) for entry in unused_imports(path)]
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
@@ -45,7 +45,7 @@ def _names_used(path: Path) -> set:
 
 def test_no_orphaned_definitions():
     # a helper that a refactor leaves behind is defined but never read in
-    # src/, scripts/, tests/ or perfbench/; dunder methods run implicitly
+    # src/, tests/ or perfbench/; dunder methods run implicitly
     defs = {}
     for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -53,7 +53,7 @@ def test_no_orphaned_definitions():
                     and not node.name.startswith("__")):
                 defs[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
     used = set()
-    for folder in ("src", "scripts", "tests", "perfbench"):
+    for folder in ("src", "tests", "perfbench"):
         for path in (ROOT / folder).rglob("*.py"):
             used |= _names_used(path)
     orphans = [f"{where} {name}" for name, where in sorted(defs.items()) if name not in used]

@@ -41,11 +41,13 @@ from pbl.periodicity import (
     cayley_matrix,
     count_axis_ratios,
     default_search_window,
+    find_periodic_caustics,
     find_periodic_caustics_plane,
     lightlike_period,
     numerical_rank,
     planar_cayley_det,
     poncelet_verify,
+    rotation_vector,
     sqrt_series,
 )
 
@@ -289,6 +291,16 @@ def test_find_periodic_pinned_roots():
         assert find_periodic_caustics_plane(FAM2, n) == pytest.approx(roots, rel=1e-12)
 
 
+def test_find_periodic_past_n12_without_overflow_warnings():
+    # the suite turns RuntimeWarning into an error, and next to the pole at
+    # 0 the determinants reach +-inf from n = 12 on: the sign scan compares
+    # signs, and the overflow is expected
+    for n, count in ((12, 13), (14, 16)):
+        roots = find_periodic_caustics_plane(FAM2, n)
+        assert len(roots) == count
+        assert all(cayley_condition(FAM2, (r,), n) for r in roots)
+
+
 def test_find_periodic_respects_window():
     roots = find_periodic_caustics_plane(FAM2, 4, window=SearchWindow(0.0, 1.0))
     assert roots == pytest.approx([2.0 / 3.0], abs=1e-10)
@@ -493,3 +505,70 @@ def test_poncelet_open_orbits_stay_open():
     traj = trace(FAM2, p, v, 5)
     rep = closure_test(traj)
     assert not rep.closed
+
+
+# ---------------------------------------------------------- rotation vector
+
+#: The period-6 pair of the (5, 3, 2) family that the Newton search of the
+#: former experiment script found.
+SCRIPT_PAIR6 = (-2.320953597016259, 2.154286930349592)
+
+
+def test_rotation_vector_is_integral_at_every_planar_root():
+    # the oracle: n rho is an integer vector at each n-periodic caustic
+    for n in range(4, 13):
+        for r in find_periodic_caustics_plane(FAM2, n):
+            w = n * rotation_vector(FAM2, (r,))
+            assert np.abs(w - np.round(w)).max() <= 1e-9, (n, r, w)
+
+
+def test_rotation_vector_is_not_integral_off_the_roots():
+    w = 4 * rotation_vector(FAM2, (0.5,))
+    assert np.abs(w - np.round(w)).max() > 1e-3
+
+
+@pytest.mark.parametrize("pair", [SCRIPT_PAIR6, PAIR6], ids=["script-pair", "pair6"])
+def test_rotation_vector_of_the_spatial_pairs(pair):
+    w = 6 * rotation_vector(FAM3, pair)
+    assert min(np.abs(w - [2, -1]).max(), np.abs(w + [2, -1]).max()) <= 1e-12
+
+
+def test_rotation_vector_rejects_a_light_like_set():
+    with pytest.raises(ValueError, match="light-like"):
+        rotation_vector(FAM3, (1.0, INF))
+
+
+def test_find_periodic_caustics_spatial():
+    # ascending sets in sorted order, each periodic by both routes
+    sets = find_periodic_caustics(FAM3, 10)
+    assert len(sets) == 14
+    assert sets == sorted(sets) and all(list(cs) == sorted(cs) for cs in sets)
+    for cs in sets:
+        assert cayley_condition(FAM3, cs, 10)
+        w = 10 * rotation_vector(FAM3, cs)
+        assert np.abs(w - np.round(w)).max() <= 1e-9
+    assert np.asarray(find_periodic_caustics(FAM3, 6)) == pytest.approx(
+        np.array([SCRIPT_PAIR6, PAIR6]), abs=1e-12)
+
+
+@pytest.mark.parametrize("fam, n", [(FAM2, 4), (FAM3, 7), (FAM3, 4), (FAM3, 6.0)],
+                         ids=["plane", "odd", "below-2d", "float"])
+def test_find_periodic_caustics_rejects(fam, n):
+    with pytest.raises(ValueError):
+        find_periodic_caustics(fam, n)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=2.0),
+    lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4.0),
+    lambda: cayley_condition(FAM2, (2.0 / 3.0,), 4.0),
+    lambda: trace(FAM2, [0.1, 0.2], [1.0, 0.4], 2.5),
+    lambda: SearchWindow(-1.0, 1.0, 2.0),
+    lambda: find_periodic_caustics(FAM3, 6.0),
+    lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=True),
+], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "window-samples",
+        "search-n", "bool-samples"])
+def test_every_count_must_be_an_int(call):
+    # these raised a numpy or range TypeError, and SearchWindow a ValueError
+    with pytest.raises(ValueError, match="must be an int"):
+        call()

@@ -1,5 +1,5 @@
 """The Python example and the CLI examples of README.md run against the
-current API and command line, and every script it names exists."""
+current API and command line, and it sends no one to a script."""
 
 import json
 import os
@@ -26,11 +26,10 @@ def test_readme_python_example():
     assert out.stdout.splitlines()[-2:] == ["True", "20"]
 
 
-def test_readme_scripts_exist():
-    # the README may name only scripts that are still in scripts/
-    names = re.findall(r"python3 scripts/(\S+\.py)", (ROOT / "README.md").read_text())
-    assert names
-    assert [name for name in names if not (ROOT / "scripts" / name).is_file()] == []
+def test_readme_names_no_script():
+    # every experiment is a pbl command; scripts/ is gone
+    assert "python3 scripts/" not in (ROOT / "README.md").read_text()
+    assert not (ROOT / "scripts").exists()
 
 
 def _readme_cli_commands() -> list:
@@ -56,7 +55,8 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     commands = _readme_cli_commands()
     assert [argv[0] for argv, _ in commands] == [
-        "cayley", "cayley", "search-periodic", "search-periodic", "lightlike", "classify-point",
+        "cayley", "cayley", "search-periodic", "search-periodic", "search-periodic",
+        "lightlike", "classify-point",
         "classify-point", "decorate", "caustics", "trace", "verify", "poncelet", "tropic"]
     assert sum(promised is not None for _, promised in commands) == 2
     for argv, promised in commands:
