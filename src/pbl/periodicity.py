@@ -53,7 +53,7 @@ from ._poly import linear_product, poly_mul
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
 ANGLE_TOL = 1e-12
 
-#: Relative width at which the bisection of a determinant sign change stops.
+#: Relative width at which the refinement of a determinant sign change stops.
 BISECT_TOL = 1e-13
 
 #: Scan points of a planar search window, unless it says otherwise.
@@ -407,10 +407,18 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
     Each side of 0 is sampled in one array call of ``planar_cayley_det``
     (nan at degenerate samples, which bound no sign change).  A sample
     where the determinant is exactly 0 is a root.  Every sign change is
-    then bisected, all at once: each step makes one array call on the
-    brackets still open, and a bracket stops when it is narrower than
-    ``BISECT_TOL`` relative to its midpoint, at a nan midpoint, or after
-    200 steps.
+    then refined by safeguarded Illinois steps (Dowell and Jarratt, 1971),
+    all at once, with one array call per step on the brackets still open.
+    A step takes the secant point of the bracket, and a secant step halves
+    the value held at the end it keeps unless the step before set that end
+    by a secant point.  A step takes the midpoint instead when the secant
+    point is not finite or not strictly inside the bracket, when the
+    previous secant point gave nan, or when the bracket has not halved over
+    the last two steps.  So the first step is a midpoint, which keeps
+    secant steps from settling on a degenerate value next to the root,
+    where the determinant goes to 0 without changing sign.  An exact 0 is a
+    root.  A bracket stops when it is narrower than ``BISECT_TOL`` relative
+    to its midpoint, at a nan midpoint, or after 200 steps.
     """
     if fam.d != 2:
         raise ValueError("this search is specific to the planar case")
@@ -437,9 +445,9 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
         zero[:-1] &= ~np.isnan(vals[1:])
         roots.extend(xs[zero].tolist())
         change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0
-        brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change]))
+        brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change], vals[1:][change]))
     if brackets:
-        roots.extend(_bisect_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
+        roots.extend(_refine_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
 
     keep: list[float] = []
     for r in sorted(roots):
@@ -451,25 +459,41 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
     return keep
 
 
-def _bisect_sign_changes(fam: ConfocalFamily, n: int, lo: np.ndarray, hi: np.ndarray,
-                         f_lo: np.ndarray) -> list:
+def _refine_sign_changes(fam: ConfocalFamily, n: int, lo: np.ndarray, hi: np.ndarray,
+                         f_lo: np.ndarray, f_hi: np.ndarray) -> list:
     """Midpoints of the brackets [lo, hi] of determinant sign changes
-    (f_lo at lo), each bisected as ``find_periodic_caustics_plane`` says.
-    The three arrays are updated in place."""
+    (f_lo at lo, f_hi at hi), each refined as ``find_periodic_caustics_plane``
+    says.  The four arrays are updated in place."""
     active = np.ones(lo.shape, dtype=bool)
+    w1 = w2 = hi - lo  # bracket widths one and two steps back
+    fresh = np.zeros(lo.shape)  # +1 (-1) where the last step's secant point set lo (hi)
+    nan_secant = np.zeros(lo.shape, dtype=bool)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        active &= hi - lo > BISECT_TOL * np.maximum(1.0, np.abs(mid))
+        width = hi - lo
+        active &= width > BISECT_TOL * np.maximum(1.0, np.abs(mid))
         idx = np.flatnonzero(active)
         if idx.size == 0:
             break
-        f_mid = planar_cayley_det(fam, mid[idx], n)
-        active[idx[np.isnan(f_mid)]] = False
-        left = np.sign(f_lo[idx]) * np.sign(f_mid) <= 0.0
-        right = ~left & ~np.isnan(f_mid)
-        hi[idx[left]] = mid[idx[left]]
-        lo[idx[right]] = mid[idx[right]]
-        f_lo[idx[right]] = f_mid[right]
+        l, h, fl, fh = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            x = l + (h - l) * (fl / (fl - fh))
+        bisect = ~((l < x) & (x < h)) | nan_secant[idx] | (width[idx] > 0.5 * w2[idx])
+        x[bisect] = mid[idx[bisect]]
+        w1, w2 = width, w1
+        f = planar_cayley_det(fam, x, n)
+        active[idx[np.isnan(f) & bisect]] = False
+        nan_secant[idx] = np.isnan(f) & ~bisect
+        left = np.sign(fl) * np.sign(f) < 0.0  # the root is in [l, x]
+        right = np.sign(fh) * np.sign(f) < 0.0  # the root is in [x, h]
+        f_hi[idx[right & ~bisect & (fresh[idx] >= 0)]] *= 0.5  # Illinois: a stale kept end
+        f_lo[idx[left & ~bisect & (fresh[idx] <= 0)]] *= 0.5
+        fresh[idx] = np.where(bisect, 0.0, right.astype(float) - left)
+        zero = f == 0.0
+        lo[idx[right | zero]] = x[right | zero]
+        hi[idx[left | zero]] = x[left | zero]
+        f_lo[idx[right]] = f[right]
+        f_hi[idx[left]] = f[left]
     return (0.5 * (lo + hi)).tolist()
 
 

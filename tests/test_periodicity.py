@@ -301,6 +301,29 @@ def test_find_periodic_past_n12_without_overflow_warnings():
         assert all(cayley_condition(FAM2, (r,), n) for r in roots)
 
 
+def test_find_periodic_keeps_a_root_next_to_a_degenerate_value():
+    # the scan's bracket [-0.39401, -0.38563] holds this root and also -b,
+    # where the determinant goes to 0 without changing sign: secant steps
+    # alone walk to -b, whose round-off sign change the degeneracy filter
+    # then drops, losing the root
+    fam = ConfocalFamily(Signature(1, 1), (4.3993186997143745, 0.38703092304999054))
+    roots = find_periodic_caustics_plane(fam, 10)
+    assert len(roots) == 10
+    assert min(abs(r + 0.39204926268057) for r in roots) <= 1e-12
+    assert all(cayley_condition(fam, (r,), 10) for r in roots)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
+def test_find_periodic_determinant_calls(monkeypatch, n):
+    # two scan calls plus one call per refinement step; bisecting every
+    # bracket down to BISECT_TOL took 38
+    calls = []
+    monkeypatch.setattr("pbl.periodicity.planar_cayley_det",
+                        lambda *args: calls.append(1) or planar_cayley_det(*args))
+    find_periodic_caustics_plane(FAM2, n)
+    assert len(calls) <= 24
+
+
 def test_find_periodic_respects_window():
     roots = find_periodic_caustics_plane(FAM2, 4, window=SearchWindow(0.0, 1.0))
     assert roots == pytest.approx([2.0 / 3.0], abs=1e-10)
