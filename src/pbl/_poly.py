@@ -64,3 +64,41 @@ def newton_polish(coeffs, x0: float) -> float:
             break
         x, fx = x_new, f_new
     return x
+
+
+def newton_polish_rows(coeffs: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """``newton_polish`` of each x0[s, j] on the polynomial coeffs[s], bit
+    for bit: the same steps and guards, on (S, n + 1) coefficients and
+    (S, m) starts, with a root frozen where its scalar loop would stop."""
+    c = coeffs[:, None, :]
+    der = c[..., 1:] * np.arange(1, c.shape[-1])
+
+    def ev(p, x):
+        acc = 0.0 * x
+        for j in range(p.shape[-1] - 1, -1, -1):
+            acc = acc * x + p[..., j]
+        return acc
+
+    x = np.array(x0, dtype=float)
+    fx = np.abs(ev(c, x))
+    go = np.ones(x.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        for _ in range(NEWTON_STEPS):
+            dfx = ev(der, x)
+            x_new = x - ev(c, x) / dfx
+            f_new = np.abs(ev(c, x_new))
+            go &= (dfx != 0.0) & np.isfinite(x_new) & ~(f_new > fx)
+            x = np.where(go, x_new, x)
+            fx = np.where(go, f_new, fx)
+    return x
+
+
+def companion_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Sorted complex roots of each row of (S, n + 1) ascending coefficients,
+    n >= 2 and nonzero leading ones: numpy's ``polyroots`` row by row, bit
+    for bit, from one stacked ``eigvals`` of the companion matrices."""
+    rows, n = coeffs.shape[0], coeffs.shape[1] - 1
+    mat = np.zeros((rows, n, n))
+    mat.reshape(rows, n * n)[:, n :: n + 1] = 1.0
+    mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
+    return np.sort(np.linalg.eigvals(mat).astype(complex), axis=-1)

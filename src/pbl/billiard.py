@@ -12,6 +12,7 @@ point's generalized Jacobi coordinates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .confocal import (
     Line,
     _caustic_json,
     _caustic_set,
+    _simple_jacobi_rows,
     _tangency_coefficients,
     caustics,
     chord_discriminant,
@@ -34,7 +36,6 @@ from .confocal import (
     evaluate_quadric,
     integrals_F,
     interlacing_checks,
-    jacobi_coordinates,
     trajectory_type_from_caustics,
 )
 from .errors import (
@@ -45,7 +46,7 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LineType, Signature, _as_vector, _light_like, _reflect, line_type
+from .metric import LineType, Signature, _as_rows, _as_vector, _light_like, _reflect, line_type
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -119,12 +120,23 @@ class Trajectory:
 
 
 def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from (x, v) until n reflections: the arrays of a ``Trajectory``
-    and the count reached, n + 1 after a last double bounce.  A step is the
-    chord root, a Newton step back onto Q_0 and the reflection.  Each
-    chord's q0 is the Q_0 residual of the point it leaves.  The start must
-    be inside Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError);
-    a bounce past BOUNDARY_TOL raises NumericalStall."""
+    """Step from (x, v) until n reflections.  A step is the chord root, a
+    Newton step back onto Q_0 and the reflection.  Each chord's q0 is the
+    Q_0 residual of the point it leaves.  The start must be inside Q_0, or
+    on it within BOUNDARY_TOL with q1 < 0 (ValueError).
+
+    The row count picks the loop.  One row, x and v of shape (d,), runs a
+    scalar loop on Python floats: it returns the arrays of a ``Trajectory``
+    and the count reached, n + 1 after a last double bounce, and a bounce
+    past BOUNDARY_TOL or a chord too short or not cutting raises
+    NumericalStall.  A stack, (S, d) rows, runs all rows in lockstep and
+    returns (S, n, d) points, (S, n + 1, d) directions, (S, n) double flags
+    and the (S,) counts: row s holds its bounces in its first m_s entries,
+    zeros after them, and a row that stalls is masked with count -1 while
+    the others go on.  Each row equals the scalar loop's result bit for
+    bit."""
+    if x.ndim == 2:
+        return _bounce_rows(fam, x, v, n)
     den, eps = fam.axes_f, fam.eps
     points = np.empty((n, fam.d))
     directions = np.empty((n + 1, fam.d))
@@ -156,6 +168,47 @@ def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
         directions[m + 1] = v
         refl += 2 if double[m] else 1
         m += 1
+
+
+def _bounce_rows(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
+    """The lockstep loop of ``_bounce``: the scalar loop's step as (S, d)
+    expressions on the open rows, which all make bounce m in pass m."""
+    den, eps = fam.axes_f, fam.eps
+    rows, d = x.shape
+    points = np.zeros((rows, n, d))
+    directions = np.zeros((rows, n + 1, d))
+    double = np.zeros((rows, n), dtype=bool)
+    refl = np.zeros(rows, dtype=int)
+    directions[:, 0] = v
+    live = np.arange(rows)  # the open rows; x and v hold theirs
+    short = STALL_TOL * math.sqrt(fam.scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for m in range(n + 1):
+            q2, q1, q0 = chord_quadratic(den, x, v)
+            off = np.abs(q0) > BOUNDARY_TOL
+            if not m:
+                if (off & (q0 > 0.0)).any():
+                    raise ValueError("start point lies outside the reference ellipsoid")
+                if (~off & (q1 >= 0.0)).any():
+                    raise ValueError("start on the boundary needs an inward direction")
+                off[:] = False
+            disc = q1 * q1 - q2 * q0
+            t = (-q1 + np.sqrt(disc)) / q2
+            off |= (refl[live] < n) & ((disc <= 0.0) | (t * np.sqrt(np.vecdot(v, v)) <= short))
+            refl[live[off]] = -1
+            go = ~off & (refl[live] < n)
+            if not go.all():
+                live, x, v, t = live[go], x[go], v[go], t[go]
+            if not live.size:
+                break
+            _, g1, g = chord_quadratic(den, x + t[:, None] * v, v)
+            t = np.where(g1 != 0.0, t - g / (2.0 * g1), t)
+            x = points[live, m] = x + t[:, None] * v
+            v, light = _reflect(v, eps * (x / den), eps)
+            directions[live, m + 1] = v
+            double[live, m] = light
+            refl[live] += np.where(light, 2, 1)
+    return points, directions, double, refl
 
 
 def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajectory:
@@ -299,13 +352,6 @@ def rectangle_ratio(a: float, b: float) -> float:
 # ---------------------------------------------------- direction construction
 
 
-def _canonical_direction(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    for comp in v:
-        if abs(comp) > 1e-12:
-            return v if comp > 0 else -v
-
-
 def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
     fam.check_caustic_values(cs.finite)
     checks, *_ = interlacing_checks(fam, cs, trajectory_type_from_caustics(fam, cs))
@@ -313,7 +359,32 @@ def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
         raise InadmissibleCaustics(f"caustics {cs.params} violate the interlacing pattern")
 
 
-def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
+#: Why a point has no direction, by the failure code of ``direction_with_caustics``.
+_NO_DIRECTION = (
+    None,
+    "x has a complex pair or a multiple Jacobi coordinate",
+    "no real line through x has these caustics",
+    "normals of the pencil members through x are dependent",
+    "no constructed direction passed the tangency check",
+)
+
+
+def _solve_rows(N: np.ndarray, B: np.ndarray) -> tuple:
+    """``np.linalg.solve`` on the stacks (N, B), and a mask of the rows it
+    solved: a stack that holds a singular matrix is solved row by row."""
+    try:
+        return np.linalg.solve(N, B), np.ones(len(N), dtype=bool)
+    except np.linalg.LinAlgError:
+        out, solved = np.zeros(B.shape), np.ones(len(N), dtype=bool)
+        for s in range(len(N)):
+            try:
+                out[s] = np.linalg.solve(N[s], B[s])
+            except np.linalg.LinAlgError:
+                solved[s] = False
+        return out, solved
+
+
+def direction_with_caustics(fam: ConfocalFamily, x, target, *, admitted: bool = False):
     """Directions v through x whose line has the target caustic set.
 
     Closed form from the generalized Jacobi coordinates lambda_k of x.
@@ -329,61 +400,92 @@ def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
     of v.  The rows x / D(lambda_k) are the normals of the pencil members
     through x; each of the 2^(d-1) sign patterns of the square roots gives
     one direction by a linear solve, kept if ``chord_discriminant`` is
-    within 1e-9 of its scale for every finite caustic.  Directions are unit
-    length with a canonical sign.  A zero, degenerate or colliding caustic
-    raises DegenerateConfiguration (``fam.check_caustic_values``), a set off
-    the interlacing pattern InadmissibleCaustics.  NoSolution means that x
-    has a complex pair or a multiple Jacobi coordinate, or that no real line
-    through x has these caustics.
+    within 1e-9 of its scale for every finite caustic and if no earlier
+    kept one lies within 1e-9 of it.  Directions are unit length with a
+    canonical sign (first component above 1e-12 positive).
+
+    x is one point, or an (S, d) stack of them that is built in one pass:
+    one admission of the caustic set, one stack of Jacobi polynomials, one
+    stacked solve over the sign patterns and one tangency check.  One point
+    gives the list of its directions; NoSolution means that x has a complex
+    pair or a multiple Jacobi coordinate, or that no real line through x
+    has these caustics.  A stack gives (V, kept): V (S, 2^(d-1), d) holds
+    the direction of every sign pattern, kept (S, 2^(d-1)) marks the ones
+    kept, and row s of V[kept] is the list of point s, bit for bit; a point
+    with no direction has no kept pattern and raises nothing.  A zero,
+    degenerate or colliding caustic raises DegenerateConfiguration
+    (``fam.check_caustic_values``), a set off the interlacing pattern
+    InadmissibleCaustics; ``admitted=True`` skips that admission, for a
+    caller that has made it already.
     """
     cs = _caustic_set(fam, target)
-    _admissible(fam, cs)
-    xv = _as_vector(x, fam.d)
-    d = fam.d
-    jc = jacobi_coordinates(fam, xv)
-    if not jc.is_simple_real():
-        raise NoSolution("x has a complex pair or a multiple Jacobi coordinate")
+    if not admitted:
+        _admissible(fam, cs)
+    single = np.ndim(x) < 2
+    X = _as_vector(x, fam.d)[None] if single else _as_rows(x, fam.d)
+    d, rows = fam.d, len(X)
+    patterns = _patterns(d)
+    fail = np.zeros(rows, dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        lam, simple = _simple_jacobi_rows(fam, X)
+        fail[~simple] = 1
+        P = np.ones(lam.shape)
+        for alpha in cs.finite:
+            P = P * (lam - alpha)
+        sign = math.copysign(1.0, math.prod(0.0 - alpha for alpha in cs.finite))  # -c above
+        # row k of den[s] holds D(lambda_k) of point s; i is its smallest entry
+        den = fam.axes_f - fam.eps * lam[..., None]
+        i = np.argmin(np.abs(den), axis=-1)
+        rest = patterns[0][i]
+        row = np.arange(rows)[:, None]
+        den_rest, x_rest = np.take_along_axis(den, rest, -1), X[row[..., None], rest]
+        u = x_rest / den_rest
+        r = 1.0 - np.vecdot(u, x_rest)  # x_i^2 / D_i by the pencil equation
+        # On or near the hyperplane x_i = 0, D_i is lost to rounding
+        # (relative error eps * scale / |D_i|) but r is not (eps / |r|):
+        # scale row k so that component i is 1, which needs no D_i.
+        near = np.abs(np.take_along_axis(den, i[..., None], -1)[..., 0]) <= np.abs(r) * fam.scale
+        N_near = np.zeros(den.shape)
+        np.put_along_axis(N_near, i[..., None], 1.0, -1)
+        np.put_along_axis(N_near, rest, (X[row, i] / r)[..., None] * u, -1)
+        N = np.where(near[..., None], N_near, X[:, None, :] / den)
+        rhs = np.where(near, sign * P / (r * np.prod(den_rest, axis=-1)),
+                       sign * P / np.prod(den, axis=-1))
+        fail[(fail == 0) & (rhs < 0.0).any(-1)] = 2
+        todo = np.flatnonzero(fail == 0)
+        W, solved = _solve_rows(N[todo], np.sqrt(rhs[todo])[..., None] * patterns[1])
+        fail[todo[~solved]] = 3
+        # column j of W[s] is the direction of sign pattern j
+        W = np.ascontiguousarray(W.swapaxes(-1, -2))
+        W = W / np.sqrt(np.vecdot(W, W))[..., None]
+        big = np.abs(W) > 1e-12
+        lead = np.take_along_axis(W, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
+        W = np.where((lead > 0.0)[..., None], W, -W)
+        ok = big.any(-1) & solved[:, None]
+        for alpha in cs.finite:
+            disc, scale = chord_discriminant(fam.denominators(alpha), X[todo][:, None, :], W)
+            ok &= np.abs(disc) <= 1e-9 * scale
+    kept = np.zeros((rows, patterns[1].shape[1]), dtype=bool)
+    for j in range(kept.shape[1]):
+        diff = W[:, j, None] - W[:, :j]
+        near_kept = (kept[todo, :j] & (np.sqrt(np.vecdot(diff, diff)) <= 1e-9)).any(-1)
+        kept[todo, j] = ok[:, j] & ~near_kept
+    V = np.zeros((rows, kept.shape[1], d))
+    V[todo] = W
+    fail[(fail == 0) & ~kept.any(-1)] = 4
+    if not single:
+        return V, kept
+    if fail[0]:
+        raise NoSolution(_NO_DIRECTION[fail[0]])
+    return list(V[0, kept[0]])
 
-    def P(lam: float) -> float:
-        return math.prod(lam - alpha for alpha in cs.finite)
 
-    sign = math.copysign(1.0, P(0.0))  # -c in the formula above
-    N = np.empty((d, d))
-    rhs = np.empty(d)
-    for k, lam in enumerate(jc.real_roots):
-        den = fam.denominators(lam)
-        i = int(np.argmin(np.abs(den)))
-        rest = np.arange(d) != i
-        u = xv[rest] / den[rest]
-        r = 1.0 - float(np.dot(u, xv[rest]))  # x_i^2 / D_i by the pencil equation
-        if abs(den[i]) <= abs(r) * fam.scale:
-            # On or near the hyperplane x_i = 0, D_i is lost to rounding
-            # (relative error eps * scale / |D_i|) but r is not (eps / |r|):
-            # scale row k so that component i is 1, which needs no D_i.
-            N[k, i] = 1.0
-            N[k, rest] = xv[i] / r * u
-            rhs[k] = sign * P(lam) / (r * float(np.prod(den[rest])))
-        else:
-            N[k] = xv / den
-            rhs[k] = sign * P(lam) / float(np.prod(den))
-    if np.any(rhs < 0.0):
-        raise NoSolution("no real line through x has these caustics")
-    signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
-    try:
-        V = np.linalg.solve(N, np.sqrt(rhs)[:, None] * signs)
-    except np.linalg.LinAlgError as exc:
-        raise NoSolution("normals of the pencil members through x are dependent") from exc
-    out: list[np.ndarray] = []
-    for v in V.T:
-        v = _canonical_direction(v)
-        if any(np.linalg.norm(v - w) <= 1e-9 for w in out):
-            continue
-        residuals = (chord_discriminant(fam.denominators(alpha), xv, v) for alpha in cs.finite)
-        if all(abs(val) <= 1e-9 * scale for val, scale in residuals):
-            out.append(v)
-    if not out:
-        raise NoSolution("no constructed direction passed the tangency check")
-    return out
+@functools.cache
+def _patterns(d: int) -> tuple:
+    """Row i of the first array lists the indices other than i; the columns
+    of the second are the 2^(d-1) sign patterns with a leading +1."""
+    rest = np.array([[j for j in range(d) if j != i] for i in range(d)])
+    return rest, np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
 
 
 def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray:

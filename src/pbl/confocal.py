@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial.polynomial import polyroots
 
-from ._poly import linear_product, newton_polish
+from ._poly import companion_roots, linear_product, newton_polish, newton_polish_rows
 from .errors import (
     AmbiguousSign,
     DegenerateConfiguration,
@@ -255,12 +255,16 @@ def chord_quadratic(den: np.ndarray, x, v) -> tuple:
 
     The member with denominators ``den`` meets the line where
     q2 t^2 + 2 q1 t + q0 = 0, with q2 = sum v_i^2/den_i,
-    q1 = sum x_i v_i/den_i and q0 = sum x_i^2/den_i - 1.
+    q1 = sum x_i v_i/den_i and q0 = sum x_i^2/den_i - 1.  One point and
+    direction give floats; stacks of them, (..., d) arrays broadcast
+    against each other, give arrays, each entry bit for bit its row's value.
     """
-    q2 = float(np.sum(v * v / den))
-    q1 = float(np.sum(x * v / den))
-    q0 = float(np.sum(x * x / den) - 1.0)
-    return q2, q1, q0
+    q2 = np.add.reduce(v * v / den, -1)
+    q1 = np.add.reduce(x * v / den, -1)
+    q0 = np.add.reduce(x * x / den, -1) - 1.0
+    if q0.ndim:
+        return q2, q1, q0
+    return float(q2), float(q1), float(q0)
 
 
 def chord_discriminant(den: np.ndarray, x, v) -> tuple:
@@ -270,13 +274,15 @@ def chord_discriminant(den: np.ndarray, x, v) -> tuple:
     The scale is disc built from the absolute values of the terms.  Terms
     of opposite metric sign cancel inside q2 and q1, and a tangency has q1
     and q0 near 0, so the rounding error of disc follows this scale.
+    Stacks give arrays, as in ``chord_quadratic``.
     """
     q2, q1, q0 = chord_quadratic(den, x, v)
     aden = np.abs(den)
-    s2 = float(np.sum(v * v / aden))
-    s1 = float(np.sum(np.abs(x * v) / aden))
-    s0 = float(np.sum(x * x / aden)) + 1.0
-    return q1 * q1 - q2 * q0, s1 * s1 + s2 * s0
+    s2 = np.add.reduce(v * v / aden, -1)
+    s1 = np.add.reduce(np.abs(x * v) / aden, -1)
+    s0 = np.add.reduce(x * x / aden, -1) + 1.0
+    scale = s1 * s1 + s2 * s0
+    return q1 * q1 - q2 * q0, scale if scale.ndim else float(scale)
 
 
 def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
@@ -307,11 +313,15 @@ def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
 
     ``fam.pencil_product`` less x_i^2 ``fam.cofactors[i]``, in index order.
     """
-    xv = _as_vector(x, fam.d)
-    rows = np.zeros((fam.d + 1, fam.d + 1))
-    rows[0] = fam.pencil_product
-    rows[1:, :-1] = (xv * xv)[:, None] * fam.cofactors
-    return np.subtract.reduce(rows, axis=0)
+    return _jacobi_polynomials(fam, _as_vector(x, fam.d)[None])[0]
+
+
+def _jacobi_polynomials(fam: ConfocalFamily, X: np.ndarray) -> np.ndarray:
+    """``jacobi_polynomial`` of each row of the (S, d) points X: (S, d + 1)."""
+    rows = np.zeros((len(X), fam.d + 1, fam.d + 1))
+    rows[:, 0] = fam.pencil_product
+    rows[:, 1:, :-1] = (X * X)[:, :, None] * fam.cofactors
+    return np.subtract.reduce(rows, axis=1)
 
 
 def tangency_polynomial(fam: ConfocalFamily, x, v) -> np.ndarray:
@@ -378,6 +388,23 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
         real_roots.extend([centre] * len(cluster))
         i = j + 1
     return GeneralizedJacobi(tuple(real_roots), complex_pair)
+
+
+def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
+    """The Jacobi coordinates of each row of the (S, d) points X, ascending,
+    and a mask of the rows where they are real and simple: row by row, bit
+    for bit, the ``real_roots`` of ``jacobi_coordinates`` where its
+    ``is_simple_real`` holds.  One stacked companion solve and one
+    vectorised polish replace the per-point ones, and the complex-pair test
+    reads the same two roots of largest imaginary part."""
+    coeffs = _jacobi_polynomials(fam, X)
+    roots = companion_roots(coeffs)
+    scale = fam.scale
+    by_imag = np.argsort(np.abs(roots.imag), axis=-1, kind="stable")
+    tail = np.take_along_axis(roots, by_imag[:, -2:], axis=-1)
+    real = (np.abs(tail.imag) <= 1e-9 * np.maximum(scale, np.abs(tail))).all(-1)
+    lam = np.sort(newton_polish_rows(coeffs, roots.real), axis=-1)
+    return lam, real & (np.diff(lam, axis=-1) > MULTIPLE_ROOT_TOL * scale).all(-1)
 
 
 # -------------------------------------------------------------- caustics

@@ -90,6 +90,18 @@ def _as_vector(x, d: int) -> np.ndarray:
     return v
 
 
+def _as_rows(x, d: int) -> np.ndarray:
+    """x as a float array of shape (S, d), the same check for a stack of
+    points: ValueError for another shape or a non-finite entry."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2 or v.shape[1] != d:
+        raise ValueError(f"expected a stack of {d}-vectors, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        bad = np.flatnonzero(~np.isfinite(v).all(1))[0]
+        raise ValueError(f"expected finite {d}-vectors, got row {bad}: {v[bad]}")
+    return v
+
+
 def _light_like(w: np.ndarray, eps: np.ndarray) -> tuple:
     """The light-like rule for a vector, or for each row of a (..., d) stack,
     bit for bit: (ws, <ws, ws>, light).  ws is w scaled exactly by a power
@@ -147,8 +159,13 @@ def reflect_direction(v, n, sig: Signature) -> np.ndarray:
 
 def _reflect(v: np.ndarray, n: np.ndarray, eps: np.ndarray) -> tuple:
     """``reflect_direction`` unchecked: (v', False), or (-v, True) where n is
-    light-like.  v' is formed with n scaled by ``_light_like``."""
+    light-like.  v' is formed with n scaled by ``_light_like``.  Stacks of
+    rows v and n, (S, d), give the (S, d) directions and (S,) flags, each
+    row bit for bit its single-vector value."""
     nn, n2, light = _light_like(n, eps)
+    if v.ndim > 1:
+        w = (2.0 * np.vecdot(eps * v, nn)) / np.where(light, 1.0, n2)
+        return np.where(light[:, None], -v, v - w[:, None] * nn), light
     if light:
         return -v, True
     return v - (2.0 * float(np.dot(eps * v, nn)) / n2) * nn, False

@@ -31,7 +31,6 @@ from .billiard import (
     _check_tol,
     _closure_errors,
     direction_with_caustics,
-    inward_direction,
     random_boundary_point,
 )
 from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
@@ -40,9 +39,7 @@ from .errors import (
     ConstructionFailure,
     DegenerateConfiguration,
     InsufficientOrder,
-    NoSolution,
     NonpositiveConstantTerm,
-    NumericalStall,
     OddPeriod,
     VacuousCondition,
     ValidationError,
@@ -617,6 +614,12 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
     ConstructionFailure ends a sample after SAMPLE_BUDGET draws.
+
+    The samples run in rounds: round r makes draw r of every sample still
+    open, with one stacked ``direction_with_caustics`` call, which admits
+    the caustic set in round 0 only, and one lockstep ``_bounce`` over the
+    open rows.  Each sample takes the first direction of its point, turned
+    inward, so it draws the same starts in the same order as it would alone.
     """
     _check_count(samples, "samples", 0)
     _check_tol(tol)
@@ -625,28 +628,34 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         raise CayleyConditionFailed(
             f"caustics {params} do not satisfy the period-{n} condition"
         )
-    states = []  # per sample: start point and direction, n-th bounce point and direction
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        for _ in range(SAMPLE_BUDGET):
-            p = random_boundary_point(fam, rng)
-            try:
-                v = inward_direction(fam, p, direction_with_caustics(fam, p, params)[0])
-                points, directions, _, refl = _bounce(fam, p, v, n)
-            except (NoSolution, NumericalStall):
-                continue
-            if refl == n:
-                states.append((p, v, points[-1], directions[-1]))
-                break
-        else:
-            raise ConstructionFailure(f"sample {i} not constructed within {SAMPLE_BUDGET} attempts")
-    p0, v0, p1, v1 = np.reshape(states, (len(states), 4, fam.d)).transpose(1, 0, 2)
-    pos, dirr = _closure_errors(p1, v1, p0, v0)
+    rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
+    # per sample: start point and direction, n-th bounce point and direction
+    states = np.empty((4, samples, fam.d))
+    todo = np.arange(samples)
+    for r in range(SAMPLE_BUDGET):
+        if not todo.size:
+            break
+        p = np.array([random_boundary_point(fam, rngs[i]) for i in todo])
+        V, kept = direction_with_caustics(fam, p, params, admitted=r > 0)
+        v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
+        s = np.add.reduce(p * v / fam.axes_f, -1)  # inward_direction, row by row
+        v = np.where((s < 0.0)[:, None], v, -v)
+        drawn = np.flatnonzero(kept.any(1) & (s != 0.0))
+        points, directions, double, refl = _bounce(fam, p[drawn], v[drawn], n)
+        done = refl == n
+        m = n - np.count_nonzero(double[done], axis=1)
+        ends = drawn[done]
+        states[:, todo[ends]] = p[ends], v[ends], points[done, m - 1], directions[done, m]
+        todo = np.delete(todo, ends)
+    if todo.size:
+        raise ConstructionFailure(
+            f"sample {todo[0]} not constructed within {SAMPLE_BUDGET} attempts")
+    pos, dirr = _closure_errors(states[2], states[3], states[0], states[1])
     return PonceletReport(
         condition=True,
         n=n,
         caustics=params,
-        samples=len(states),
+        samples=samples,
         closed=int(np.count_nonzero((pos <= tol) & (dirr <= tol))),
         worst_position_error=float(np.max(pos, initial=0.0)),
         worst_direction_error=float(np.max(dirr, initial=0.0)),

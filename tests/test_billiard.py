@@ -1,5 +1,6 @@
 """Billiard dynamics: chords, reflections, invariants, closure, recovery."""
 
+import itertools
 import json
 import math
 
@@ -27,9 +28,11 @@ from pbl.billiard import (
 )
 from pbl.confocal import (
     INF,
+    CausticSet,
     ConfocalFamily,
     Line,
     caustics,
+    chord_discriminant,
     evaluate_quadric,
     jacobi_coordinates,
     tangency_polynomial,
@@ -168,6 +171,63 @@ def test_trace_lightlike_keeps_its_line_type(fam, x, v, n):
     assert traj.line_type is LineType.LIGHT_LIKE
     assert traj.invariant_drift <= 1e-9
     assert traj.caustic_drift <= 1e-9
+
+
+def _bounce_starts(fam, seed: int, count: int) -> tuple:
+    """Seeded interior starts with random directions."""
+    rng = np.random.default_rng(seed)
+    X = np.array([rng.uniform(0.1, 0.9) * random_boundary_point(fam, rng) for _ in range(count)])
+    return X, rng.normal(size=(count, fam.d))
+
+
+def _assert_rows_equal_the_one_row_loop(fam, X, V, n) -> list:
+    """Each row of the lockstep ``_bounce`` against the one-row loop, bit
+    for bit; returns the counts the one-row loop reached, None where it
+    stalled, which the lockstep loop masks with -1."""
+    points, directions, double, refl = billiard._bounce(fam, X, V, n)
+    counts = []
+    for s in range(len(X)):
+        try:
+            p, dirs, dbl, count = billiard._bounce(fam, X[s], V[s], n)
+        except NumericalStall:
+            assert refl[s] == -1
+            counts.append(None)
+            continue
+        m = len(p)
+        assert refl[s] == count
+        assert points[s, :m].tobytes() == p.tobytes()
+        assert directions[s, : m + 1].tobytes() == dirs.tobytes()
+        assert double[s, :m].tolist() == dbl.tolist()
+        assert not points[s, m:].any() and not double[s, m:].any()
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.parametrize("fam, n", [(FAM2, 9), (FAM3, 12)], ids=["planar", "spatial"])
+def test_lockstep_bounce_equals_the_one_row_loop(fam, n):
+    X, V = _bounce_starts(fam, 23, 16)
+    assert _assert_rows_equal_the_one_row_loop(fam, X, V, n) == [n] * 16
+
+
+def test_lockstep_bounce_masks_a_stall_and_keeps_a_last_double():
+    # row 0 runs the circle's diameter, whose every bounce is a double: its
+    # last one passes n = 3 and reaches 4; row 1 starts on the boundary
+    # almost along it, so its first chord is shorter than 1e-12 and stalls
+    s = 1.0 / math.sqrt(2.0)
+    X, V = _bounce_starts(CIRC, 29, 6)
+    X = np.concatenate([[[s, s], [1.0, 0.0]], X])
+    V = np.concatenate([[[-s, -s], [-1e-14, 1.0]], V])
+    counts = _assert_rows_equal_the_one_row_loop(CIRC, X, V, 3)
+    assert counts[:2] == [4, None] and None not in counts[2:]
+
+
+def test_lockstep_bounce_masks_stalls_midway(monkeypatch):
+    # at a tolerance of 4e-16 some rows stall, each at the bounce where
+    # rounding leaves a larger residual; the other rows go on
+    monkeypatch.setattr(billiard, "BOUNDARY_TOL", 4e-16)
+    X, V = _bounce_starts(FAM3, 31, 24)
+    counts = _assert_rows_equal_the_one_row_loop(FAM3, X, V, 12)
+    assert None in counts and 12 in counts
 
 
 def _per_segment_caustic_drift(traj) -> float:
@@ -482,6 +542,107 @@ def test_direction_recovery_rejects_degenerate_caustics(fam, params):
     # admission used to pass these, and the tangency check then divided by zero
     with pytest.raises(DegenerateConfiguration):
         direction_with_caustics(fam, [0.1] * fam.d, params)
+
+
+def _per_point_directions(fam, x, target, branches: list) -> list:
+    """Reference: the closed form built point by point, as before the stack
+    form: ``jacobi_coordinates``, one normal row and one square per
+    coordinate, one solve, and the checks direction by direction.  Appends
+    to ``branches`` whether each row took the scaled-row branch."""
+    cs = CausticSet(tuple(target))
+    jc = jacobi_coordinates(fam, x)
+    if not jc.is_simple_real():
+        raise NoSolution("x has a complex pair or a multiple Jacobi coordinate")
+
+    def P(lam):
+        return math.prod(lam - alpha for alpha in cs.finite)
+
+    d, sign = fam.d, math.copysign(1.0, P(0.0))
+    N, rhs = np.empty((d, d)), np.empty(d)
+    for k, lam in enumerate(jc.real_roots):
+        den = fam.denominators(lam)
+        i = int(np.argmin(np.abs(den)))
+        rest = np.arange(d) != i
+        u = x[rest] / den[rest]
+        r = 1.0 - float(np.dot(u, x[rest]))
+        branches.append(abs(den[i]) <= abs(r) * fam.scale)
+        if branches[-1]:
+            N[k, i] = 1.0
+            N[k, rest] = x[i] / r * u
+            rhs[k] = sign * P(lam) / (r * float(np.prod(den[rest])))
+        else:
+            N[k] = x / den
+            rhs[k] = sign * P(lam) / float(np.prod(den))
+    if np.any(rhs < 0.0):
+        raise NoSolution("no real line through x has these caustics")
+    signs = np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
+    out = []
+    for v in np.linalg.solve(N, np.sqrt(rhs)[:, None] * signs).T:
+        v = v / np.linalg.norm(v)
+        v = v if v[np.flatnonzero(np.abs(v) > 1e-12)[0]] > 0 else -v
+        if any(np.linalg.norm(v - w) <= 1e-9 for w in out):
+            continue
+        residuals = (chord_discriminant(fam.denominators(a), x, v) for a in cs.finite)
+        if all(abs(val) <= 1e-9 * scale for val, scale in residuals):
+            out.append(v)
+    if not out:
+        raise NoSolution("no constructed direction passed the tangency check")
+    return out
+
+
+def _direction_rows(fam, seed: int) -> np.ndarray:
+    """Seeded points: boundary points, points of a box around Q_0 (where
+    many have a complex Jacobi pair), and boundary points within 1e-12 of
+    each coordinate hyperplane, which take the scaled-row branch."""
+    rng = np.random.default_rng(seed)
+    rows = [random_boundary_point(fam, rng) for _ in range(12)]
+    rows += list(rng.uniform(-3.0, 3.0, size=(12, fam.d)))
+    for i in range(fam.d):
+        for scale in (1e-12, -3e-13):
+            p = random_boundary_point(fam, rng)
+            p[i] *= scale
+            rows.append(p / math.sqrt(evaluate_quadric(fam, 0.0, p) + 1.0))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("fam, target", [
+    (FAM2, (2.0 / 3.0,)), (FAM2, (-0.6666666666666894,)), (FAM2, (INF,)),
+    (FAM3, (-2.320953597016259, 2.154286930349592)), (FAM3, (1.0, INF)), (FAM3, (4.0, INF)),
+], ids=["planar", "planar-negative", "planar-light", "pair6", "light", "light-far"])
+def test_stacked_directions_equal_the_per_point_lists(fam, target):
+    # the stack form builds every row at once; each row must be the list
+    # of its point alone, and that list the point-by-point closed form,
+    # bit for bit, including the rows that have no direction
+    X = _direction_rows(fam, 17)
+    V, kept = direction_with_caustics(fam, X, target)
+    reasons, branches = set(), []
+    for x, v_row, k_row in zip(X, V, kept):
+        try:
+            ref = _per_point_directions(fam, x, target, branches)
+        except NoSolution as exc:
+            reasons.add(str(exc))
+            assert not k_row.any()
+            with pytest.raises(NoSolution, match=str(exc)):
+                direction_with_caustics(fam, x, target)
+            continue
+        one = direction_with_caustics(fam, x, target)
+        assert len(ref) == len(one) == k_row.sum()
+        for a, b, c in zip(ref, one, v_row[k_row]):
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+    # the seeded rows reach the complex pair, the negative squares and
+    # the scaled rows next to a hyperplane
+    assert reasons >= {"x has a complex pair or a multiple Jacobi coordinate",
+                       "no real line through x has these caustics"}
+    assert any(branches)
+
+
+def test_solve_rows_masks_a_singular_row():
+    # one singular matrix fails the whole stacked solve; the rows are then
+    # solved one by one, and only the singular one is masked
+    N = np.array([np.eye(3), np.zeros((3, 3)), 2.0 * np.eye(3)])
+    W, solved = billiard._solve_rows(N, np.ones((3, 3, 4)))
+    assert solved.tolist() == [True, False, True]
+    assert (W[0] == 1.0).all() and (W[2] == 0.5).all()
 
 
 # ---------------------------------------------------------- serialization

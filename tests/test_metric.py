@@ -290,3 +290,14 @@ def test_vector_entries_reject_wrong_shape_and_non_finite(entry, bad):
     w = [0.5] if bad == "short" else [float(bad)] + good[1:]
     with pytest.raises(ValueError, match=r"expected a (finite )?\d-vector"):
         call(w)
+
+
+@pytest.mark.parametrize("bad", ["short", "long", "inf", "nan", "cube"])
+def test_stacked_points_reject_wrong_shape_and_non_finite(bad):
+    # a stack of points passes the same door as one point: metric._as_rows
+    call = lambda rows: direction_with_caustics(FAM3, rows, CAUSTICS)  # noqa: E731
+    call([P, X])
+    rows = {"short": [[0.5, 0.5]] * 2, "long": [X + [0.0]] * 2, "inf": [P, [math.inf] + X[1:]],
+            "nan": [P, [math.nan] + X[1:]], "cube": [[P, X]]}[bad]
+    with pytest.raises(ValueError, match=r"expected (a stack of|finite) 3-vectors"):
+        call(rows)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from pbl import billiard, periodicity
 from pbl._poly import poly_eval
 from pbl.billiard import (
     closure_test,
@@ -500,6 +501,19 @@ def _reference_poncelet(fam, params, n, samples, seed, tol=1e-6):
         worst_position_error=max((pos for pos, _ in results), default=0.0),
         worst_direction_error=max((dirr for _, dirr in results), default=0.0),
     )
+
+
+def test_poncelet_admits_the_caustic_set_once(monkeypatch):
+    # the set is fixed for the call: the first round admits it, and the
+    # later rounds build their directions without admitting it again
+    admitted, rounds = [], []
+    admit, build = billiard._admissible, periodicity.direction_with_caustics
+    monkeypatch.setattr(billiard, "_admissible", lambda *a: admitted.append(a) or admit(*a))
+    monkeypatch.setattr(periodicity, "direction_with_caustics",
+                        lambda *a, **k: rounds.append(a) or build(*a, **k))
+    rep = poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=20, seed=3)
+    assert rep.closed == 20
+    assert len(admitted) == 1 and len(rounds) > 1
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])
