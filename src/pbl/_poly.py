@@ -1,9 +1,9 @@
 """Polynomial helpers shared across modules.
 
 Coefficients are stored in ascending order: p[i] multiplies lambda**i.
-The generic routines (`poly_mul`, `poly_eval`, `poly_der`) work for any
+The generic routines (`poly_mul`, `poly_eval`) work for any
 number type that supports + and * (floats, Fractions), which the exact
-rational rank mode relies on.  Root polishing is float only.
+rational rank mode relies on.  Root finding and polishing are float only.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_der(p):
-    return [i * c for i, c in enumerate(p)][1:] or [0 * p[0]]
-
-
 def linear_product(constants, slopes):
     """Expanded product of linear factors (constants[i] + slopes[i] * lambda)."""
     coeffs = [1]
@@ -44,14 +40,16 @@ def linear_product(constants, slopes):
 
 # ------------------------------------------------------------ float roots
 
-#: Newton steps in ``newton_polish``.
+#: Newton steps in ``newton_polish`` and ``newton_polish_rows``.
 NEWTON_STEPS = 3
 
 
 def newton_polish(coeffs, x0: float) -> float:
-    """A few guarded Newton steps on a float polynomial."""
+    """A few guarded Newton steps on a float polynomial, in Python floats:
+    one root of one polynomial costs a few microseconds, where the numpy
+    calls of ``newton_polish_rows`` cost several times more."""
     coeffs = np.asarray(coeffs, dtype=float).tolist()  # same bits, faster than numpy scalars
-    der = poly_der(coeffs)
+    der = [i * c for i, c in enumerate(coeffs)][1:]
     x = float(x0)
     fx = abs(poly_eval(coeffs, x))
     for _ in range(NEWTON_STEPS):
@@ -67,37 +65,41 @@ def newton_polish(coeffs, x0: float) -> float:
 
 
 def newton_polish_rows(coeffs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """``newton_polish`` of each x0[s, j] on the polynomial coeffs[s], bit
-    for bit: the same steps and guards, on (S, n + 1) coefficients and
-    (S, m) starts, with a root frozen where its scalar loop would stop."""
+    """``newton_polish`` from each start x0[s, j] on the polynomial
+    coeffs[s], bit for bit: (S, n + 1) coefficients, (S, m) starts, the
+    same steps and guards, and a root frozen where its scalar loop stops."""
     c = coeffs[:, None, :]
-    der = c[..., 1:] * np.arange(1, c.shape[-1])
+    n = c.shape[-1] - 1
+    cols = [c[..., j] for j in range(n, -1, -1)]
+    dcols = [j * c[..., j] for j in range(n, 0, -1)]
 
-    def ev(p, x):
+    def ev(cols, x):
         acc = 0.0 * x
-        for j in range(p.shape[-1] - 1, -1, -1):
-            acc = acc * x + p[..., j]
+        for cj in cols:
+            acc = acc * x + cj
         return acc
 
-    x = np.array(x0, dtype=float)
-    fx = np.abs(ev(c, x))
-    go = np.ones(x.shape, dtype=bool)
     with np.errstate(all="ignore"):
+        x = np.array(x0, dtype=float)
+        fx = ev(cols, x)
         for _ in range(NEWTON_STEPS):
-            dfx = ev(der, x)
-            x_new = x - ev(c, x) / dfx
-            f_new = np.abs(ev(c, x_new))
-            go &= (dfx != 0.0) & np.isfinite(x_new) & ~(f_new > fx)
+            dfx = ev(dcols, x)
+            x_new = x - fx / dfx
+            f_new = ev(cols, x_new)
+            # a frozen root meets the same stop again at every later step
+            go = (dfx != 0.0) & np.isfinite(x_new) & ~(np.abs(f_new) > np.abs(fx))
             x = np.where(go, x_new, x)
             fx = np.where(go, f_new, fx)
     return x
 
 
 def companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Sorted complex roots of each row of (S, n + 1) ascending coefficients,
-    n >= 2 and nonzero leading ones: numpy's ``polyroots`` row by row, bit
-    for bit, from one stacked ``eigvals`` of the companion matrices."""
+    """Sorted complex roots of each row of (S, n + 1) ascending coefficients
+    with nonzero leading ones: numpy's ``polyroots`` row by row, bit for
+    bit, from one stacked ``eigvals`` of the companion matrices."""
     rows, n = coeffs.shape[0], coeffs.shape[1] - 1
+    if n < 2:
+        return (-coeffs[:, :n] / coeffs[:, n:]).astype(complex)
     mat = np.zeros((rows, n, n))
     mat.reshape(rows, n * n)[:, n :: n + 1] = 1.0
     mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]

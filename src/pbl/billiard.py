@@ -120,23 +120,12 @@ class Trajectory:
 
 
 def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from (x, v) until n reflections.  A step is the chord root, a
-    Newton step back onto Q_0 and the reflection.  Each chord's q0 is the
-    Q_0 residual of the point it leaves.  The start must be inside Q_0, or
-    on it within BOUNDARY_TOL with q1 < 0 (ValueError).
-
-    The row count picks the loop.  One row, x and v of shape (d,), runs a
-    scalar loop on Python floats: it returns the arrays of a ``Trajectory``
-    and the count reached, n + 1 after a last double bounce, and a bounce
-    past BOUNDARY_TOL or a chord too short or not cutting raises
-    NumericalStall.  A stack, (S, d) rows, runs all rows in lockstep and
-    returns (S, n, d) points, (S, n + 1, d) directions, (S, n) double flags
-    and the (S,) counts: row s holds its bounces in its first m_s entries,
-    zeros after them, and a row that stalls is masked with count -1 while
-    the others go on.  Each row equals the scalar loop's result bit for
-    bit."""
-    if x.ndim == 2:
-        return _bounce_rows(fam, x, v, n)
+    """Step from (x, v) until n reflections: the arrays of a ``Trajectory``
+    and the count reached, n + 1 after a last double bounce.  A step is the
+    chord root, a Newton step back onto Q_0 and the reflection.  Each
+    chord's q0 is the Q_0 residual of the point it leaves.  The start must
+    be inside Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError);
+    a bounce past BOUNDARY_TOL raises NumericalStall."""
     den, eps = fam.axes_f, fam.eps
     points = np.empty((n, fam.d))
     directions = np.empty((n + 1, fam.d))
@@ -171,8 +160,14 @@ def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
 
 
 def _bounce_rows(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """The lockstep loop of ``_bounce``: the scalar loop's step as (S, d)
-    expressions on the open rows, which all make bounce m in pass m."""
+    """``_bounce`` on (S, d) rows x and v in lockstep: its step as (S, d)
+    expressions on the open rows, which all make bounce m in pass m.
+    Returns (S, n, d) points, (S, n + 1, d) directions, (S, n) double flags
+    and the (S,) counts: row s holds its bounces in its first m_s entries,
+    zeros after them.  A row where ``_bounce`` raises NumericalStall is
+    masked with count -1 while the others go on; a start that ``_bounce``
+    rejects raises ValueError.  Each row equals ``_bounce``'s result bit
+    for bit."""
     den, eps = fam.axes_f, fam.eps
     rows, d = x.shape
     points = np.zeros((rows, n, d))
@@ -384,7 +379,7 @@ def _solve_rows(N: np.ndarray, B: np.ndarray) -> tuple:
         return out, solved
 
 
-def direction_with_caustics(fam: ConfocalFamily, x, target, *, admitted: bool = False):
+def direction_with_caustics(fam: ConfocalFamily, x, target, *, _admitted: bool = False):
     """Directions v through x whose line has the target caustic set.
 
     Closed form from the generalized Jacobi coordinates lambda_k of x.
@@ -415,11 +410,10 @@ def direction_with_caustics(fam: ConfocalFamily, x, target, *, admitted: bool = 
     with no direction has no kept pattern and raises nothing.  A zero,
     degenerate or colliding caustic raises DegenerateConfiguration
     (``fam.check_caustic_values``), a set off the interlacing pattern
-    InadmissibleCaustics; ``admitted=True`` skips that admission, for a
-    caller that has made it already.
+    InadmissibleCaustics.
     """
     cs = _caustic_set(fam, target)
-    if not admitted:
+    if not _admitted:  # a caller that admitted the set already skips it
         _admissible(fam, cs)
     single = np.ndim(x) < 2
     X = _as_vector(x, fam.d)[None] if single else _as_rows(x, fam.d)
@@ -498,7 +492,7 @@ def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:
     """Flip v if needed so it points into the ellipsoid at boundary point p."""
     pv = _as_vector(p, fam.d)
     vv = _as_vector(v, fam.d)
-    s = float(np.sum(pv * vv / fam.axes_f))
+    s = chord_quadratic(fam.axes_f, pv, vv)[1]
     if s == 0.0:
         raise NoSolution("direction is tangent to the boundary")
     return vv if s < 0 else -vv

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial.polynomial import polyroots
 
 from ._poly import companion_roots, linear_product, newton_polish, newton_polish_rows
 from .errors import (
@@ -359,24 +358,15 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     complex pair.  Real roots closer than ``MULTIPLE_ROOT_TOL * (a_1 + a_d)``
     are collapsed into a multiple root.
     """
-    coeffs = jacobi_polynomial(fam, x)
-    roots = polyroots(coeffs)
-    scale = fam.scale
-    by_imag = sorted(roots, key=lambda z: abs(z.imag))
-    real_part, tail = by_imag[:-2], by_imag[-2:]
-
-    def is_real(z) -> bool:
-        return abs(z.imag) <= 1e-9 * max(scale, abs(z))
-
+    coeffs, roots, real = _jacobi_rows(fam, _as_vector(x, fam.d)[None])
+    roots = roots[0]
     complex_pair = None
-    if not (is_real(tail[0]) and is_real(tail[1])):
-        re = 0.5 * (tail[0].real + tail[1].real)
-        im = 0.5 * (abs(tail[0].imag) + abs(tail[1].imag))
-        complex_pair = (re, im)
-    else:
-        real_part.extend(tail)
-
-    polished = sorted(newton_polish(coeffs, z.real) for z in real_part)
+    if not real[0]:
+        z0, z1 = roots[-2:]
+        complex_pair = (0.5 * (z0.real + z1.real), 0.5 * (abs(z0.imag) + abs(z1.imag)))
+        roots = roots[:-2]
+    polished = sorted(newton_polish(coeffs[0], z) for z in roots.real.tolist())
+    scale = fam.scale
     real_roots: list[float] = []
     i = 0
     while i < len(polished):
@@ -390,21 +380,27 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     return GeneralizedJacobi(tuple(real_roots), complex_pair)
 
 
+def _jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
+    """The Jacobi polynomial of each row of the (S, d) points X, its complex
+    roots in order of |imag|, and a mask of the rows whose last two roots,
+    the place of a complex pair, are real within 1e-9."""
+    coeffs = _jacobi_polynomials(fam, X)
+    roots = companion_roots(coeffs)
+    by_imag = np.abs(roots.imag).argsort(axis=-1, kind="stable")
+    roots = roots[np.arange(len(X))[:, None], by_imag]
+    tail = roots[:, -2:]
+    real = np.abs(tail.imag) <= 1e-9 * np.maximum(fam.scale, np.abs(tail))
+    return coeffs, roots, real[:, 0] & real[:, 1]
+
+
 def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
     """The Jacobi coordinates of each row of the (S, d) points X, ascending,
     and a mask of the rows where they are real and simple: row by row, bit
     for bit, the ``real_roots`` of ``jacobi_coordinates`` where its
-    ``is_simple_real`` holds.  One stacked companion solve and one
-    vectorised polish replace the per-point ones, and the complex-pair test
-    reads the same two roots of largest imaginary part."""
-    coeffs = _jacobi_polynomials(fam, X)
-    roots = companion_roots(coeffs)
-    scale = fam.scale
-    by_imag = np.argsort(np.abs(roots.imag), axis=-1, kind="stable")
-    tail = np.take_along_axis(roots, by_imag[:, -2:], axis=-1)
-    real = (np.abs(tail.imag) <= 1e-9 * np.maximum(scale, np.abs(tail))).all(-1)
+    ``is_simple_real`` holds."""
+    coeffs, roots, real = _jacobi_rows(fam, X)
     lam = np.sort(newton_polish_rows(coeffs, roots.real), axis=-1)
-    return lam, real & (np.diff(lam, axis=-1) > MULTIPLE_ROOT_TOL * scale).all(-1)
+    return lam, real & (np.diff(lam, axis=-1) > MULTIPLE_ROOT_TOL * fam.scale).all(-1)
 
 
 # -------------------------------------------------------------- caustics
@@ -433,16 +429,19 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     light = line_type(v, fam.sig) is LineType.LIGHT_LIKE
     if light:
         pc = pc[:-1]
-    roots = []
-    for z in polyroots(pc):
+    c = pc
+    while len(c) > 1 and c[-1] == 0.0:  # a zero leading coefficient lowers the degree
+        c = c[:-1]
+    roots = companion_roots(c[None])[0]
+    for z in roots:
         if abs(z.imag) > 1e-6 * max(fam.scale, abs(z)):
             raise RootIsolationError(
                 f"complex tangency root {z}; the line is too degenerate to isolate caustics"
             )
-        roots.append(newton_polish(pc, z.real))
     if len(roots) != len(pc) - 1:
         raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
-    return CausticSet(tuple(roots) + ((INF,) if light else ()))
+    polished = tuple(newton_polish(pc, z) for z in roots.real.tolist())
+    return CausticSet(polished + ((INF,) if light else ()))
 
 
 def trajectory_type_from_caustics(

@@ -26,14 +26,14 @@ import numpy as np
 
 from .billiard import (
     _admissible,
-    _bounce,
+    _bounce_rows,
     _check_count,
     _check_tol,
     _closure_errors,
     direction_with_caustics,
     random_boundary_point,
 )
-from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
+from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set, chord_quadratic
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -617,9 +617,10 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
 
     The samples run in rounds: round r makes draw r of every sample still
     open, with one stacked ``direction_with_caustics`` call, which admits
-    the caustic set in round 0 only, and one lockstep ``_bounce`` over the
-    open rows.  Each sample takes the first direction of its point, turned
-    inward, so it draws the same starts in the same order as it would alone.
+    the caustic set in round 0 only, and one lockstep ``_bounce_rows``
+    over the open rows.  Each sample takes the first direction of its
+    point, turned inward, so it draws the same starts in the same order as
+    it would alone.
     """
     _check_count(samples, "samples", 0)
     _check_tol(tol)
@@ -636,12 +637,12 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         if not todo.size:
             break
         p = np.array([random_boundary_point(fam, rngs[i]) for i in todo])
-        V, kept = direction_with_caustics(fam, p, params, admitted=r > 0)
+        V, kept = direction_with_caustics(fam, p, params, _admitted=r > 0)
         v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
-        s = np.add.reduce(p * v / fam.axes_f, -1)  # inward_direction, row by row
+        s = chord_quadratic(fam.axes_f, p, v)[1]  # inward_direction, row by row
         v = np.where((s < 0.0)[:, None], v, -v)
         drawn = np.flatnonzero(kept.any(1) & (s != 0.0))
-        points, directions, double, refl = _bounce(fam, p[drawn], v[drawn], n)
+        points, directions, double, refl = _bounce_rows(fam, p[drawn], v[drawn], n)
         done = refl == n
         m = n - np.count_nonzero(double[done], axis=1)
         ends = drawn[done]

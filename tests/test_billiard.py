@@ -181,10 +181,10 @@ def _bounce_starts(fam, seed: int, count: int) -> tuple:
 
 
 def _assert_rows_equal_the_one_row_loop(fam, X, V, n) -> list:
-    """Each row of the lockstep ``_bounce`` against the one-row loop, bit
-    for bit; returns the counts the one-row loop reached, None where it
-    stalled, which the lockstep loop masks with -1."""
-    points, directions, double, refl = billiard._bounce(fam, X, V, n)
+    """Each row of the lockstep ``_bounce_rows`` against the one-row
+    ``_bounce``, bit for bit; returns the counts the one-row loop reached,
+    None where it stalled, which the lockstep loop masks with -1."""
+    points, directions, double, refl = billiard._bounce_rows(fam, X, V, n)
     counts = []
     for s in range(len(X)):
         try:
