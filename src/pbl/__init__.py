@@ -55,7 +55,6 @@ from .metric import (
 )
 from .periodicity import (
     PonceletReport,
-    SearchWindow,
     build_P1,
     cayley_condition,
     cayley_matrix,

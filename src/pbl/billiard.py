@@ -485,7 +485,7 @@ def _patterns(d: int) -> tuple:
 def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray:
     """A uniform-ish random point of the reference ellipsoid Q_0."""
     u = rng.normal(size=fam.d)
-    return u / math.sqrt(float(np.sum(u * u / fam.axes_f)))
+    return u / math.sqrt(float(np.add.reduce(u * u / fam.axes_f)))
 
 
 def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:

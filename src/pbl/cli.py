@@ -34,10 +34,7 @@ from .confocal import (
 from .errors import NumericalError, ValidationError
 from .metric import Signature, sq_norm
 from .periodicity import (
-    SCAN_SAMPLES,
-    SearchWindow,
     cayley_condition,
-    default_search_window,
     find_periodic_caustics,
     find_periodic_caustics_plane,
     lightlike_period,
@@ -166,18 +163,10 @@ def _cmd_cayley(args) -> int:
 def _cmd_search_periodic(args) -> int:
     fam = _family(args)
     if fam.d > 2:
-        if args.window is not None or args.samples is not None:
-            raise ValueError("--window and --samples are planar options")
         sets = find_periodic_caustics(fam, args.n)
         caustics = [list(cs) for cs in sets]
     else:
-        samples = SCAN_SAMPLES if args.samples is None else args.samples
-        if args.window:
-            lo, hi = (float(tok) for tok in args.window.split(","))
-            window = SearchWindow(lo, hi, samples)
-        else:
-            window = default_search_window(fam, samples)
-        caustics = find_periodic_caustics_plane(fam, args.n, window)
+        caustics = find_periodic_caustics_plane(fam, args.n)
         sets = [(alpha,) for alpha in caustics]
     closure = []
     for cs in sets:
@@ -332,9 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="search for periodic caustics and simulate their closure")
     common(sp)
     sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--window", help="planar scan interval lo,hi")
-    sp.add_argument("--samples", type=int,
-                    help=f"planar scan points (default {SCAN_SAMPLES})")
     sp.set_defaults(func=_cmd_search_periodic)
 
     sp = sub.add_parser("lightlike", help="light-like period of a planar table")

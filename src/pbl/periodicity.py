@@ -53,7 +53,7 @@ ANGLE_TOL = 1e-12
 #: Relative width at which the refinement of a determinant sign change stops.
 BISECT_TOL = 1e-13
 
-#: Scan points of a planar search window, unless it says otherwise.
+#: Evenly spaced scan points of the planar search on [-b - 3 (a + b), a + 3 (a + b)].
 SCAN_SAMPLES = 4001
 
 #: Boundary points a Poncelet sample may draw before it gives up.
@@ -240,14 +240,14 @@ def _quadrature() -> tuple:
     return tuple(map(_read_only, (0.5 * (1.0 + np.cos(theta)), 0.5 * (x + 1.0), 0.5 * w)))
 
 
-def _integrals(e: np.ndarray, lam: np.ndarray, skip: np.ndarray, weight) -> np.ndarray:
-    """Per row, sum_k weight_k lam_k^j / sqrt(prod |lam_k - e_m|), j < g, over
-    the e_m outside the mask ``skip``; |x| = sign(Re x) x passes a complex step."""
+def _integrals(e: np.ndarray, lam: np.ndarray, g: int, weight) -> np.ndarray:
+    """Per row, sum_k weight_k lam_k^j / sqrt(prod_m |lam_k - e_m|), j < g;
+    |x| = sign(Re x) x passes a complex step."""
     prod = np.ones_like(lam)
     for m in range(e.shape[1]):
         diff = lam - e[:, m, None]
-        prod = prod * np.where(skip[..., m, None], 1.0, np.sign(diff.real) * diff)
-    powers = np.arange(e.shape[1] // 2)[:, None]
+        prod = prod * (np.sign(diff.real) * diff)
+    powers = np.arange(g)[:, None]
     return np.sum(lam[:, None] ** powers * (weight / np.sqrt(prod))[:, None], axis=-1)
 
 
@@ -256,18 +256,19 @@ def _rotation(e: np.ndarray, p: int) -> tuple:
     real part, the first p below 0 in every row.  Also returns the half
     period of the rows whose e* is above 0; rho minus it is continuous."""
     c, s, w = _quadrature()
-    index = np.arange(e.shape[1])
+    g = e.shape[1] // 2
     cols = [i for i in range(e.shape[1] - 1) if (i - p) % 2]  # where P1 has the sign of P1(0)
     columns = []
     for i in cols:
         lam = e[:, i, None] + (e[:, i + 1, None] - e[:, i, None]) * c
-        skip = (index == i) | (index == i + 1)
-        columns.append(_integrals(e, lam, skip, 2.0 * math.pi / ROTATION_NODES))
+        columns.append(_integrals(np.delete(e, [i, i + 1], axis=1), lam, g,
+                                  2.0 * math.pi / ROTATION_NODES))
     omega = np.stack(columns, axis=-1)
     # a signed axis lies on each side of 0, so 0 < p < 2g + 1
     star = p - 1 + (np.abs(e[:, p].real) < np.abs(e[:, p - 1].real))
     e_star = np.take_along_axis(e, star[:, None], axis=1)
-    integral = _integrals(e, e_star * (1.0 - s * s), index == star[:, None],
+    rest = e[np.arange(e.shape[1]) != star[:, None]].reshape(len(e), -1)
+    integral = _integrals(rest, e_star * (1.0 - s * s), g,
                           2.0 * w * e_star / np.sqrt(np.sign(e_star.real) * e_star))
     rho = np.linalg.solve(omega, integral[..., None])[..., 0]
     return rho, 0.5 * (star == p)[:, None] * np.equal(cols, p - 1)
@@ -367,40 +368,23 @@ def count_axis_ratios(n: int) -> int:
 # --------------------------------------------------------- periodic search
 
 
-@dataclass(frozen=True)
-class SearchWindow:
-    """Caustic interval [lo, hi] of a planar search, scanned at ``samples``
-    points; ValueError unless lo < hi, both finite, and samples is an int
-    >= 1."""
-
-    lo: float
-    hi: float
-    samples: int = SCAN_SAMPLES
-
-    def __post_init__(self) -> None:
-        if not -INF < self.lo < self.hi < INF:
-            raise ValueError(f"search window needs finite lo < hi, got {self.lo}, {self.hi}")
-        _check_count(self.samples, "search window samples", 1)
-
-
-def default_search_window(fam: ConfocalFamily, samples: int = SCAN_SAMPLES) -> SearchWindow:
-    """Window wide enough for the classical closed-form solutions, which can
-    fall below -b (e.g. ab/(b-a) for a > b)."""
-    a, b = (float(t) for t in fam.axes)
-    span = a + b
-    return SearchWindow(-b - 3.0 * span, a + 3.0 * span, samples)
-
-
 @np.errstate(over="ignore")  # past n = 12 the determinant reaches +-inf next to 0
-def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
-                                 window: SearchWindow | None = None) -> list:
-    """All caustic parameters in the window whose planar trajectories are
-    n-periodic, found as sign changes of the closure determinant.
+def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
+    """All caustic parameters whose planar trajectories are n-periodic,
+    found as sign changes of the closure determinant.
 
-    The scan skips alpha = 0 (where the normalized series has a pole) and
-    drops roots that coincide with the degenerate pencil values a and -b.
-    Roots of even multiplicity would not flip the determinant sign and
-    would be missed; the classical period conditions have simple roots.
+    The scan covers [-b - 3 (a + b), a + 3 (a + b)], where the classical
+    closed-form solutions lie (ab/(b - a) falls below -b for a > b), with
+    SCAN_SAMPLES evenly spaced points split at 0, and skips |alpha| <
+    1e-9 (a + b), where the normalized series has a pole.  Each side then
+    runs on outward, to about 6.6e3 (a + b) past its edge, with a tail of
+    64 points of ``_interval_grid``, whose spacing grows with the distance.
+    The scan misses roots of even multiplicity (the determinant does not
+    change sign there; the classical period conditions have simple roots),
+    roots beyond the tails' reach, and two roots closer together than the
+    scan spacing.  Roots that coincide with the degenerate pencil values a
+    and -b, or with 0, are dropped.
+
     Each side of 0 is sampled in one array call of ``planar_cayley_det``
     (nan at degenerate samples, which bound no sign change).  A sample
     where the determinant is exactly 0 is a root.  Every sign change is
@@ -421,30 +405,23 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int,
         raise ValueError("this search is specific to the planar case")
     a, b = (float(t) for t in fam.axes)
     span = a + b
-    if window is None:
-        window = default_search_window(fam)
-    delta = 1e-9 * span
-
+    lo, hi, delta = -b - 3.0 * span, a + 3.0 * span, 1e-9 * span
+    sides = (
+        np.concatenate([_interval_grid(-INF, lo, span, 64)[::-1],
+                        np.linspace(lo, -delta, int(SCAN_SAMPLES * (-delta - lo) / (hi - lo)))]),
+        np.concatenate([np.linspace(delta, hi, int(SCAN_SAMPLES * (hi - delta) / (hi - lo))),
+                        _interval_grid(hi, INF, span, 64)]),
+    )
     roots: list[float] = []
     brackets = []
-    segments = []
-    if window.lo < -delta:
-        segments.append((window.lo, min(-delta, window.hi)))
-    if window.hi > delta:
-        segments.append((max(delta, window.lo), window.hi))
-    for lo, hi in segments:
-        if hi <= lo:
-            continue
-        m = max(16, int(window.samples * (hi - lo) / (window.hi - window.lo)))
-        xs = np.linspace(lo, hi, m)
+    for xs in sides:
         vals = planar_cayley_det(fam, xs, n)
         zero = vals == 0.0
         zero[:-1] &= ~np.isnan(vals[1:])
         roots.extend(xs[zero].tolist())
         change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0
         brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change], vals[1:][change]))
-    if brackets:
-        roots.extend(_refine_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
+    roots.extend(_refine_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
 
     keep: list[float] = []
     for r in sorted(roots):
@@ -517,7 +494,7 @@ def find_periodic_caustics(fam: ConfocalFamily, n: int) -> list:
     for band in itertools.combinations_with_replacement(range(d + 2), g):
         lo = edges[list(band)]
         hi = edges[[b + 1 for b in band]]
-        values = [_interval_grid(lo_i, hi_i, span) for lo_i, hi_i in zip(lo, hi)]
+        values = [_interval_grid(lo_i, hi_i, span, GRID_POINTS) for lo_i, hi_i in zip(lo, hi)]
         grid = np.stack(np.meshgrid(*values, indexing="ij"), axis=-1).reshape(-1, g)
         grid = grid[np.all(np.diff(grid, axis=1) > 0.0, axis=1)]
         try:
@@ -539,11 +516,11 @@ def find_periodic_caustics(fam: ConfocalFamily, n: int) -> list:
     return keep
 
 
-def _interval_grid(lo: float, hi: float, span: float) -> np.ndarray:
-    """GRID_POINTS values in (lo, hi) at u = (1 - cos(pi (i + 1/2) / N)) / 2,
-    clustered at both ends; on (-inf, hi) alpha = hi - span u / (1 - u),
+def _interval_grid(lo: float, hi: float, span: float, points: int) -> np.ndarray:
+    """``points`` values in (lo, hi) at u = (1 - cos(pi (i + 1/2) / points)) / 2,
+    i < points, clustered at both ends; on (-inf, hi) alpha = hi - span u / (1 - u),
     likewise on (lo, inf)."""
-    u = 0.5 * (1.0 - np.cos(math.pi * (np.arange(GRID_POINTS) + 0.5) / GRID_POINTS))
+    u = 0.5 * (1.0 - np.cos(math.pi * (np.arange(points) + 0.5) / points))
     if lo == -INF:
         return hi - span * u / (1.0 - u)
     if hi == INF:

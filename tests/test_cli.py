@@ -171,12 +171,26 @@ def test_search_periodic_spatial_is_deterministic(tmp_path, capsys):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_search_periodic_far_classical_root(capsys):
+    # ab/(b - a) = -402 lies past the evenly scanned interval, in a tail of the scan
+    code, out, _ = run(
+        capsys, "search-periodic", "--sig", "1,1", "--axes", "2.01,2", "--n", "4",
+    )
+    assert code == 0
+    data = json.loads(out)
+    assert len(data["caustics"]) == 3
+    assert data["caustics"][0] == pytest.approx(-402.0, rel=1e-12)
+    assert [c["closed"] for c in data["closure"]] == [20, 20, 20]
+
+
 @pytest.mark.parametrize("option", [["--window=-1,1"], ["--samples", "4001"]],
                          ids=["window", "samples"])
-def test_search_periodic_planar_options_need_a_plane(capsys, option):
-    code, out, err = run(capsys, *SPATIAL, "--n", "6", *option)
-    assert code == 2
-    assert out == "" and "planar options" in err
+def test_search_periodic_has_no_scan_options(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", *option])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "unrecognized arguments" in err
 
 
 def test_lightlike(capsys):
@@ -514,20 +528,6 @@ def test_verify_decides_the_line_type_again(tmp_path, capsys, edit, message):
     code, out, err = run(capsys, "verify", str(out_file))
     assert code == 2
     assert out == "" and message in err
-
-
-@pytest.mark.parametrize("window", [
-    ["--window", "1,-1"], ["--window", "nan,1"], ["--window", "0,inf"], ["--window", "1,1"],
-    ["--samples", "-5"],
-], ids=["1,-1", "nan,1", "0,inf", "1,1", "samples=-5"])
-def test_search_periodic_rejects_a_malformed_window(capsys, window):
-    # 1,-1 printed "caustics": [] as if no caustic were periodic, and
-    # --samples -5 printed 4 of the 6 roots at --n 6
-    code, out, err = run(
-        capsys, "search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", *window,
-    )
-    assert code == 2
-    assert out == "" and "search window" in err
 
 
 def test_poncelet_rejects_a_nan_tolerance(capsys):

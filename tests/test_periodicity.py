@@ -36,12 +36,10 @@ from pbl.metric import Signature
 from pbl.periodicity import (
     SAMPLE_BUDGET,
     PonceletReport,
-    SearchWindow,
     build_P1,
     cayley_condition,
     cayley_matrix,
     count_axis_ratios,
-    default_search_window,
     find_periodic_caustics,
     find_periodic_caustics_plane,
     lightlike_period,
@@ -325,24 +323,24 @@ def test_find_periodic_determinant_calls(monkeypatch, n):
     assert len(calls) <= 24
 
 
-def test_find_periodic_respects_window():
-    roots = find_periodic_caustics_plane(FAM2, 4, window=SearchWindow(0.0, 1.0))
-    assert roots == pytest.approx([2.0 / 3.0], abs=1e-10)
-    w = default_search_window(FAM2)
-    assert w.lo < -2.0 < 2.0 / 3.0 < w.hi
+def test_find_periodic_finds_the_classical_root_far_below_minus_b():
+    # ab/(b - a) = -402 lies far below the evenly scanned [-b - 3(a + b), a + 3(a + b)]
+    a, b = 2.01, 2.0
+    fam = ConfocalFamily(Signature(1, 1), (a, b))
+    want = [a * b / (b - a), -a * b / (a + b), a * b / (a + b)]
+    roots = find_periodic_caustics_plane(fam, 4)
+    assert len(roots) == 3
+    assert all(abs(r - w) <= 1e-9 * (a + b) for r, w in zip(roots, want))
 
 
+def test_find_periodic_finds_a_closing_root_past_the_scan_interval():
+    # -27.2445 lies past -b - 3(a + b) = -10; 10 rho is integral there
+    roots = find_periodic_caustics_plane(FAM2, 10)
+    assert len(roots) == 10
+    assert roots[0] == pytest.approx(-27.244498273749, rel=1e-12)
+    rep = poncelet_verify(FAM2, (roots[0],), 10)
+    assert rep.closed == rep.samples == 20
 
-@pytest.mark.parametrize("lo, hi, samples", [
-    (1.0, -1.0, 1), (1.0, 1.0, 1), (math.nan, 1.0, 1), (0.0, math.nan, 1), (-INF, 1.0, 1),
-    (0.0, INF, 1), (-1.0, 1.0, 0), (-1.0, 1.0, -5), (-1.0, 1.0, 2.5),
-], ids=["1.0--1.0", "1.0-1.0", "nan-1.0", "0.0-nan", "-inf-1.0", "0.0-inf",
-        "samples=0", "samples=-5", "samples=2.5"])
-def test_search_window_must_be_finite_and_increasing(lo, hi, samples):
-    # an inverted window used to give no roots, a nan one a message about the
-    # sample count, and samples=-5 found 4 of the 6 period-6 roots of (2, 1)
-    with pytest.raises(ValueError, match="search window"):
-        SearchWindow(lo, hi, samples)
 
 # ----------------------------------------------------- light-like closure
 
@@ -600,12 +598,10 @@ def test_find_periodic_caustics_rejects(fam, n):
     lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4.0),
     lambda: cayley_condition(FAM2, (2.0 / 3.0,), 4.0),
     lambda: trace(FAM2, [0.1, 0.2], [1.0, 0.4], 2.5),
-    lambda: SearchWindow(-1.0, 1.0, 2.0),
     lambda: find_periodic_caustics(FAM3, 6.0),
     lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=True),
-], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "window-samples",
-        "search-n", "bool-samples"])
+], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "search-n", "bool-samples"])
 def test_every_count_must_be_an_int(call):
-    # these raised a numpy or range TypeError, and SearchWindow a ValueError
+    # these raised a numpy or range TypeError
     with pytest.raises(ValueError, match="must be an int"):
         call()
