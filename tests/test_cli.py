@@ -185,9 +185,12 @@ def test_search_periodic_far_classical_root(capsys):
 
 @pytest.mark.parametrize("option", [["--window=-1,1"], ["--samples", "4001"]],
                          ids=["window", "samples"])
-def test_search_periodic_has_no_scan_options(capsys, option):
+@pytest.mark.parametrize("table", [
+    ["--sig", "1,1", "--axes", "2,1", "--n", "4"], ["--sig", "2,1", "--axes", "5,3,2", "--n", "6"],
+], ids=["plane", "space"])
+def test_search_periodic_has_no_scan_options(capsys, table, option):
     with pytest.raises(SystemExit) as exc:
-        run_cli(["search-periodic", "--sig", "1,1", "--axes", "2,1", "--n", "4", *option])
+        run_cli(["search-periodic", *table, *option])
     out, err = capsys.readouterr()
     assert exc.value.code == 2
     assert out == "" and "unrecognized arguments" in err

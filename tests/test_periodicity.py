@@ -342,6 +342,37 @@ def test_find_periodic_finds_a_closing_root_past_the_scan_interval():
     assert rep.closed == rep.samples == 20
 
 
+@pytest.mark.parametrize("a, b", [
+    (2.0, 1.0), (1.0, 2.0), (2.01, 2.0), (4.3993186997143745, 0.38703092304999054),
+    (3.0, 0.5), (0.5, 3.0), (5.0, 1.0), (1.0, 5.0),
+])
+def test_find_periodic_n4_gives_exactly_the_classical_roots(a, b):
+    # ab/(b - a) and +-ab/(a + b), wherever on the line they fall
+    fam = ConfocalFamily(Signature(1, 1), (a, b))
+    want = sorted([a * b / (b - a), -a * b / (a + b), a * b / (a + b)])
+    roots = find_periodic_caustics_plane(fam, 4)
+    assert len(roots) == 3
+    assert all(abs(r - w) <= 1e-9 * (a + b) for r, w in zip(roots, want))
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (2.0, 1.0, 10), (1.0, 2.0, 10), (2.01, 2.0, 4), (2.01, 2.0, 8), (2.01, 2.0, 12),
+    (3.0, 0.5, 8), (0.5, 3.0, 8),
+])
+def test_find_periodic_roots_past_the_scan_interval_are_periodic(a, b, n):
+    # each of these searches finds a root outside [-b - 3(a + b), a + 3(a + b)]
+    fam = ConfocalFamily(Signature(1, 1), (a, b))
+    lo, hi = -b - 3.0 * (a + b), a + 3.0 * (a + b)
+    far = [r for r in find_periodic_caustics_plane(fam, n) if not lo <= r <= hi]
+    assert far
+    for r in far:
+        assert cayley_condition(fam, (r,), n)
+        nrho = n * rotation_vector(fam, (r,))
+        assert np.abs(nrho - np.round(nrho)).max() < 1e-9
+        rep = poncelet_verify(fam, (r,), n)
+        assert rep.closed == rep.samples == 20
+
+
 # ----------------------------------------------------- light-like closure
 
 
