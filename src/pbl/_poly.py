@@ -3,7 +3,10 @@
 Coefficients are stored in ascending order: p[i] multiplies lambda**i.
 The generic routines (`poly_mul`, `poly_eval`) work for any
 number type that supports + and * (floats, Fractions), which the exact
-rational rank mode relies on.  Root finding and polishing are float only.
+rational rank mode relies on.  Root finding and polishing are float only:
+the roots of a stack of polynomials come from one stacked eigenvalue call,
+and each root is then polished alone on Python floats by ``newton_polish``,
+the one polish of a single polynomial and of a stack.
 """
 
 from __future__ import annotations
@@ -40,56 +43,27 @@ def linear_product(constants, slopes):
 
 # ------------------------------------------------------------ float roots
 
-#: Newton steps in ``newton_polish`` and ``newton_polish_rows``.
+#: Newton steps in ``newton_polish``.
 NEWTON_STEPS = 3
 
 
 def newton_polish(coeffs, x0: float) -> float:
-    """A few guarded Newton steps on a float polynomial, in Python floats:
-    one root of one polynomial costs a few microseconds, where the numpy
-    calls of ``newton_polish_rows`` cost several times more."""
+    """A few guarded Newton steps on a float polynomial, in Python floats,
+    a few microseconds a root: a step that would leave the finite floats
+    or raise |p| is not taken, and the polish stops there."""
     coeffs = np.asarray(coeffs, dtype=float).tolist()  # same bits, faster than numpy scalars
     der = [i * c for i, c in enumerate(coeffs)][1:]
     x = float(x0)
-    fx = abs(poly_eval(coeffs, x))
+    fx = poly_eval(coeffs, x)
     for _ in range(NEWTON_STEPS):
         dfx = poly_eval(der, x)
         if dfx == 0.0:
             break
-        x_new = x - poly_eval(coeffs, x) / dfx
-        f_new = abs(poly_eval(coeffs, x_new))
-        if not math.isfinite(x_new) or f_new > fx:
+        x_new = x - fx / dfx
+        f_new = poly_eval(coeffs, x_new)
+        if not math.isfinite(x_new) or abs(f_new) > abs(fx):
             break
         x, fx = x_new, f_new
-    return x
-
-
-def newton_polish_rows(coeffs: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """``newton_polish`` from each start x0[s, j] on the polynomial
-    coeffs[s], bit for bit: (S, n + 1) coefficients, (S, m) starts, the
-    same steps and guards, and a root frozen where its scalar loop stops."""
-    c = coeffs[:, None, :]
-    n = c.shape[-1] - 1
-    cols = [c[..., j] for j in range(n, -1, -1)]
-    dcols = [j * c[..., j] for j in range(n, 0, -1)]
-
-    def ev(cols, x):
-        acc = 0.0 * x
-        for cj in cols:
-            acc = acc * x + cj
-        return acc
-
-    with np.errstate(all="ignore"):
-        x = np.array(x0, dtype=float)
-        fx = ev(cols, x)
-        for _ in range(NEWTON_STEPS):
-            dfx = ev(dcols, x)
-            x_new = x - fx / dfx
-            f_new = ev(cols, x_new)
-            # a frozen root meets the same stop again at every later step
-            go = (dfx != 0.0) & np.isfinite(x_new) & ~(np.abs(f_new) > np.abs(fx))
-            x = np.where(go, x_new, x)
-            fx = np.where(go, f_new, fx)
     return x
 
 

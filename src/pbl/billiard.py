@@ -46,7 +46,16 @@ from .errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from .metric import LineType, Signature, _as_rows, _as_vector, _light_like, _reflect, line_type
+from .metric import (
+    LineType,
+    Signature,
+    _as_rows,
+    _as_vector,
+    _fdot,
+    _light_like,
+    _reflect,
+    line_type,
+)
 
 #: Chord parameters below this are treated as a stalled trajectory.
 STALL_TOL = 1e-12
@@ -90,7 +99,8 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v):
     res = evaluate_quadric(fam, 0.0, pv)
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
-    return _reflect(vv, fam.eps * (pv / fam.axes_f), fam.eps)
+    out, light = _reflect(vv.tolist(), (fam.eps * (pv / fam.axes_f)).tolist(), fam.eps.tolist())
+    return np.array(out), light
 
 
 @dataclass
@@ -120,90 +130,51 @@ class Trajectory:
 
 
 def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from (x, v) until n reflections: the arrays of a ``Trajectory``
-    and the count reached, n + 1 after a last double bounce.  A step is the
-    chord root, a Newton step back onto Q_0 and the reflection.  Each
-    chord's q0 is the Q_0 residual of the point it leaves.  The start must
-    be inside Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError);
-    a bounce past BOUNDARY_TOL raises NumericalStall."""
-    den, eps = fam.axes_f, fam.eps
-    points = np.empty((n, fam.d))
-    directions = np.empty((n + 1, fam.d))
-    double = np.empty(n, dtype=bool)
-    directions[0] = v
-    m = refl = 0
+    """Step from (x, v) until n reflections: the bounce points, directions
+    and double flags of a ``Trajectory``, as lists of floats, and the count
+    reached, n + 1 after a last double bounce.  A step is the chord root,
+    a Newton step back onto Q_0 and the reflection.  Each chord's q0 is
+    the Q_0 residual of the point it leaves.  The start must be inside
+    Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError); a bounce
+    past BOUNDARY_TOL, a chord that misses Q_0 or one shorter than
+    STALL_TOL raises NumericalStall.
+
+    The one bounce loop, of ``trace`` and of each ``poncelet_verify``
+    sample, on Python floats: about 10 us a bounce for d <= 4.  Its chord
+    sums (``chord_quadratic``) and dot products (``_fdot``, in
+    ``_reflect``) keep the order of the numpy expressions they stand for,
+    ``np.add.reduce`` below 8 terms and ``np.dot``, bit for bit."""
+    den, eps = fam.axes_f.tolist(), fam.eps.tolist()
+    x, v = x.tolist(), v.tolist()
+    points, directions, double, refl = [], [v], [], 0
+    short, least = STALL_TOL * math.sqrt(fam.scale), min(den)
     while True:
         q2, q1, q0 = chord_quadratic(den, x, v)
         if abs(q0) > BOUNDARY_TOL:
-            if m:
+            if points:
                 raise NumericalStall(f"Q_0 residual {q0} too large at {x}")
             if q0 > 0.0:
                 raise ValueError("start point lies outside the reference ellipsoid")
-        elif not m and q1 >= 0.0:
+        elif not points and q1 >= 0.0:
             raise ValueError("start on the boundary needs an inward direction")
         if refl >= n:
-            return points[:m], directions[: m + 1], double[:m], refl
+            return points, directions, double, refl
         disc = q1 * q1 - q2 * q0
         if disc <= 0.0:
             raise NumericalStall("tangent or exterior chord")
         t = (-q1 + math.sqrt(disc)) / q2
-        if t * math.sqrt(float(np.dot(v, v))) <= STALL_TOL * math.sqrt(fam.scale):
+        # |v|^2 >= q2 min(den): a chord of twice the threshold needs no |v|
+        if t * math.sqrt(q2 * least) <= 2.0 * short and t * math.sqrt(_fdot(v, v)) <= short:
             raise NumericalStall("chord length below 1e-12")
-        _, g1, g = chord_quadratic(den, x + t * v, v)
+        _, g1, g = chord_quadratic(den, [a + t * b for a, b in zip(x, v)], v)
         if g1 != 0.0:
             t = t - g / (2.0 * g1)
-        x = points[m] = x + t * v
-        v, double[m] = _reflect(v, eps * (x / den), eps)
-        directions[m + 1] = v
-        refl += 2 if double[m] else 1
-        m += 1
-
-
-def _bounce_rows(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """``_bounce`` on (S, d) rows x and v in lockstep: its step as (S, d)
-    expressions on the open rows, which all make bounce m in pass m.
-    Returns (S, n, d) points, (S, n + 1, d) directions, (S, n) double flags
-    and the (S,) counts: row s holds its bounces in its first m_s entries,
-    zeros after them.  A row where ``_bounce`` raises NumericalStall is
-    masked with count -1 while the others go on; a start that ``_bounce``
-    rejects raises ValueError.  Each row equals ``_bounce``'s result bit
-    for bit."""
-    den, eps = fam.axes_f, fam.eps
-    rows, d = x.shape
-    points = np.zeros((rows, n, d))
-    directions = np.zeros((rows, n + 1, d))
-    double = np.zeros((rows, n), dtype=bool)
-    refl = np.zeros(rows, dtype=int)
-    directions[:, 0] = v
-    live = np.arange(rows)  # the open rows; x and v hold theirs
-    short = STALL_TOL * math.sqrt(fam.scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for m in range(n + 1):
-            q2, q1, q0 = chord_quadratic(den, x, v)
-            off = np.abs(q0) > BOUNDARY_TOL
-            if not m:
-                if (off & (q0 > 0.0)).any():
-                    raise ValueError("start point lies outside the reference ellipsoid")
-                if (~off & (q1 >= 0.0)).any():
-                    raise ValueError("start on the boundary needs an inward direction")
-                off[:] = False
-            disc = q1 * q1 - q2 * q0
-            t = (-q1 + np.sqrt(disc)) / q2
-            off |= (refl[live] < n) & ((disc <= 0.0) | (t * np.sqrt(np.vecdot(v, v)) <= short))
-            refl[live[off]] = -1
-            go = ~off & (refl[live] < n)
-            if not go.all():
-                live, x, v, t = live[go], x[go], v[go], t[go]
-            if not live.size:
-                break
-            _, g1, g = chord_quadratic(den, x + t[:, None] * v, v)
-            t = np.where(g1 != 0.0, t - g / (2.0 * g1), t)
-            x = points[live, m] = x + t[:, None] * v
-            v, light = _reflect(v, eps * (x / den), eps)
-            directions[live, m + 1] = v
-            double[live, m] = light
-            refl[live] += np.where(light, 2, 1)
-    return points, directions, double, refl
+        x = [a + t * b for a, b in zip(x, v)]
+        v, light = _reflect(v, [e * (a / c) for e, a, c in zip(eps, x, den)], eps)
+        points.append(x)
+        directions.append(v)
+        double.append(light)
+        refl += 2 if light else 1
 
 
 def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajectory:
@@ -226,6 +197,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     _check_count(n_reflections, "n_reflections", 1)
     ltype = line_type(v, fam.sig)
     points, directions, double, _ = _bounce(fam, x, v, n_reflections)
+    points, directions, double = np.array(points), np.array(directions), np.array(double)
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
     integrals, drift = _segment_integrals(fam, points, directions)
@@ -334,13 +306,18 @@ def arc_hit_counts(traj: Trajectory) -> tuple[int, int]:
     return int(np.count_nonzero((qy > qx) & (y > 0))), int(np.count_nonzero((qx > qy) & (x > 0)))
 
 
+def _check_axes(a, b) -> None:
+    """ValueError unless the planar axis parameters a, b are finite and > 0."""
+    if not (0 < a < INF and 0 < b < INF):
+        raise ValueError("axis parameters must be finite and positive")
+
+
 def rectangle_ratio(a: float, b: float) -> float:
     """Side ratio of the rectangle equivalent to the planar light-like flow.
 
         pi / (2 arctan sqrt(a/b)) - 1
     """
-    if not (0 < a < INF and 0 < b < INF):
-        raise ValueError("axis parameters must be finite and positive")
+    _check_axes(a, b)
     return math.pi / (2.0 * math.atan(math.sqrt(float(a) / float(b)))) - 1.0
 
 
@@ -550,8 +527,8 @@ def trajectory_from_dict(data: dict) -> Trajectory:
         raise ValueError("a bounce's vin differs from the previous bounce's vout")
     if np.any(vout[double] != -vin[double]):
         raise ValueError("a double bounce's vout is not -vin")
-    # one stacked call decides each row as the bounce loop did
-    if np.any(_light_like(fam.eps * (points / fam.axes_f), fam.eps)[2] != double):
+    eps, normals = fam.eps.tolist(), (fam.eps * (points / fam.axes_f)).tolist()
+    if [_light_like(w, eps)[2] for w in normals] != double.tolist():  # the loop's rule
         raise ValueError("a bounce's double flag disagrees with its normal")
     if len(vin) and line_type(vin[0], fam.sig) is not ltype:
         raise ValueError(f"lineType {ltype.value} is not the line type of the first vin")

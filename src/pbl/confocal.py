@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._poly import companion_roots, linear_product, newton_polish, newton_polish_rows
+from ._poly import companion_roots, linear_product, newton_polish
 from .errors import (
     AmbiguousSign,
     DegenerateConfiguration,
@@ -249,21 +249,26 @@ def evaluate_quadric(fam: ConfocalFamily, lam: float, x) -> float:
     return float(np.sum(xv * xv / fam.denominators(lam)) - 1.0)
 
 
-def chord_quadratic(den: np.ndarray, x, v) -> tuple:
+def chord_quadratic(den, x, v) -> tuple:
     """Coefficients (q2, q1, q0) of the line x + t v against a pencil member.
 
     The member with denominators ``den`` meets the line where
     q2 t^2 + 2 q1 t + q0 = 0, with q2 = sum v_i^2/den_i,
-    q1 = sum x_i v_i/den_i and q0 = sum x_i^2/den_i - 1.  One point and
-    direction give floats; stacks of them, (..., d) arrays broadcast
-    against each other, give arrays, each entry bit for bit its row's value.
+    q1 = sum x_i v_i/den_i and q0 = sum x_i^2/den_i - 1, summed left to
+    right from +0.0.  One point and direction give floats, summed in
+    Python; stacks of them, (..., d) arrays broadcast against each other,
+    give arrays from ``np.add.reduce``, which sums in order only below 8
+    terms, so for d >= 8 an entry may differ from its line's in the last bit.
     """
-    q2 = np.add.reduce(v * v / den, -1)
-    q1 = np.add.reduce(x * v / den, -1)
-    q0 = np.add.reduce(x * x / den, -1) - 1.0
-    if q0.ndim:
-        return q2, q1, q0
-    return float(q2), float(q1), float(q0)
+    if getattr(x, "ndim", 1) > 1 or getattr(v, "ndim", 1) > 1:
+        return (np.add.reduce(v * v / den, -1), np.add.reduce(x * v / den, -1),
+                np.add.reduce(x * x / den, -1) - 1.0)
+    q2 = q1 = q0 = 0.0
+    for c, a, b in zip(den, x, v):
+        q2 += b * b / c
+        q1 += a * b / c
+        q0 += a * a / c
+    return float(q2), float(q1), float(q0) - 1.0
 
 
 def chord_discriminant(den: np.ndarray, x, v) -> tuple:
@@ -399,7 +404,8 @@ def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
     for bit, the ``real_roots`` of ``jacobi_coordinates`` where its
     ``is_simple_real`` holds."""
     coeffs, roots, real = _jacobi_rows(fam, X)
-    lam = np.sort(newton_polish_rows(coeffs, roots.real), axis=-1)
+    polished = [[newton_polish(c, z) for z in zs] for c, zs in zip(coeffs, roots.real.tolist())]
+    lam = np.sort(np.reshape(polished, roots.shape), axis=-1)
     return lam, real & (np.diff(lam, axis=-1) > MULTIPLE_ROOT_TOL * fam.scale).all(-1)
 
 

@@ -102,14 +102,38 @@ def _as_rows(x, d: int) -> np.ndarray:
     return v
 
 
-def _light_like(w: np.ndarray, eps: np.ndarray) -> tuple:
-    """The light-like rule for a vector, or for each row of a (..., d) stack,
-    bit for bit: (ws, <ws, ws>, light).  ws is w scaled exactly by a power
-    of two to a largest component in [1/2, 1), so nothing underflows or
-    overflows; light holds where |<ws, ws>| <= LIGHT_TOL |ws|^2, w = 0 too."""
-    ws = np.ldexp(w, -np.frexp(np.abs(w).max(-1, keepdims=True))[1])
-    s = np.vecdot(eps * ws, ws)
-    return ws, s, abs(s) <= LIGHT_TOL * np.vecdot(ws, ws)
+def _fdot(x, y) -> float:
+    """sum_i x_i y_i of two sequences of floats as a chain of fused
+    multiply-adds, acc = fma(x_i, y_i, acc) in index order from acc = +0.0,
+    which is how ``np.dot`` rounds short vectors on the usual BLAS builds.
+    math.fma needs Python 3.13, so each step is math.fsum of acc and the
+    exact product by Dekker's (1971) split with 2^27 + 1.  Exact while every
+    |x_i|, |y_i| < 1.3e300 and no product nears the subnormal range: callers
+    scale a vector to a largest entry in [1/2, 1) first."""
+    pairs = zip(x, y)
+    a, b = next(pairs)
+    acc = a * b + 0.0
+    for a, b in pairs:
+        p = a * b
+        c = 134217729.0 * a
+        ah = c - (c - a)
+        c = 134217729.0 * b
+        bh = c - (c - b)
+        al, bl = a - ah, b - bh
+        acc = math.fsum((p, ((ah * bh - p) + ah * bl + al * bh) + al * bl, acc))
+    return acc
+
+
+def _light_like(w, eps) -> tuple:
+    """The light-like rule for one vector of floats w, signs eps:
+    (ws, <ws, ws>, light).  ws is w scaled exactly by a power of two to a
+    largest component in [1/2, 1), for ``_fdot``; light holds where
+    |<ws, ws>| <= LIGHT_TOL |ws|^2, w = 0 too.  As 1/4 <= |ws|^2 <= d,
+    |ws|^2 is formed only where |<ws, ws>| <= d LIGHT_TOL."""
+    e = math.frexp(max(map(abs, w)))[1]
+    ws = [math.ldexp(c, -e) for c in w]
+    s = _fdot([a * c for a, c in zip(eps, ws)], ws)
+    return ws, s, abs(s) <= len(ws) * LIGHT_TOL and abs(s) <= LIGHT_TOL * _fdot(ws, ws)
 
 
 def dot(x, y, sig: Signature) -> float:
@@ -126,9 +150,9 @@ def sq_norm(x, sig: Signature) -> float:
 
 def line_type(v, sig: Signature) -> LineType:
     """Classify a direction vector as space-, time- or light-like."""
-    vv, s, light = _light_like(_as_vector(v, sig.d), sig.eps)
+    vv, s, light = _light_like(_as_vector(v, sig.d).tolist(), sig.eps.tolist())
     if light:
-        if not vv.any():
+        if not any(vv):
             raise ValueError("zero vector has no line type")
         return LineType.LIGHT_LIKE
     return LineType.SPACE_LIKE if s > 0 else LineType.TIME_LIKE
@@ -151,24 +175,27 @@ def reflect_direction(v, n, sig: Signature) -> np.ndarray:
     Raises ``LightLikeNormal`` when n is light-like (``_light_like``), in
     which case the reflection is not defined.
     """
-    out, light = _reflect(_as_vector(v, sig.d), _as_vector(n, sig.d), sig.eps)
+    out, light = _reflect(_as_vector(v, sig.d).tolist(), _as_vector(n, sig.d).tolist(),
+                          sig.eps.tolist())
     if light:
         raise LightLikeNormal("normal is light-like; reflection undefined")
-    return out
+    return np.array(out)
 
 
-def _reflect(v: np.ndarray, n: np.ndarray, eps: np.ndarray) -> tuple:
-    """``reflect_direction`` unchecked: (v', False), or (-v, True) where n is
-    light-like.  v' is formed with n scaled by ``_light_like``.  Stacks of
-    rows v and n, (S, d), give the (S, d) directions and (S,) flags, each
-    row bit for bit its single-vector value."""
+def _reflect(v, n, eps) -> tuple:
+    """``reflect_direction`` unchecked, on floats: (v', False), or (-v, True)
+    where n is light-like.  v' is formed with n scaled by ``_light_like``,
+    and a v outside [2^-400, 2^400] is scaled likewise for ``_fdot``, and
+    v' back: no bit of v' changes."""
     nn, n2, light = _light_like(n, eps)
-    if v.ndim > 1:
-        w = (2.0 * np.vecdot(eps * v, nn)) / np.where(light, 1.0, n2)
-        return np.where(light[:, None], -v, v - w[:, None] * nn), light
     if light:
-        return -v, True
-    return v - (2.0 * float(np.dot(eps * v, nn)) / n2) * nn, False
+        return [-c for c in v], True
+    e = math.frexp(max(map(abs, v)))[1]
+    if abs(e) > 400:
+        out, _ = _reflect([math.ldexp(c, -e) for c in v], nn, eps)
+        return [math.ldexp(c, e) for c in out], False
+    w = 2.0 * _fdot([a * b for a, b in zip(eps, v)], nn) / n2
+    return [a - w * b for a, b in zip(v, nn)], False
 
 
 def pseudo_cross(x, y) -> np.ndarray:

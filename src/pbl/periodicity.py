@@ -26,7 +26,8 @@ import numpy as np
 
 from .billiard import (
     _admissible,
-    _bounce_rows,
+    _bounce,
+    _check_axes,
     _check_count,
     _check_tol,
     _closure_errors,
@@ -40,6 +41,7 @@ from .errors import (
     DegenerateConfiguration,
     InsufficientOrder,
     NonpositiveConstantTerm,
+    NumericalStall,
     OddPeriod,
     VacuousCondition,
     ValidationError,
@@ -333,11 +335,11 @@ def lightlike_period(a, b, max_n: int = 128):
     The admissible k/n are the p/q in (0, 1/2) in lowest terms: n = q for
     even q, n = 2q for odd q.  Fractions with denominators up to max_n are
     more than 1/max_n^2 apart, so for max_n <= 10**6 (pi/max_n^2 > 2
-    ANGLE_TOL) only the best approximation of theta/pi can match.
+    ANGLE_TOL) only the best approximation of theta/pi can match.  Axes
+    that are not finite and positive raise ValueError.
     """
+    _check_axes(a, b)
     theta = math.atan(math.sqrt(float(a) / float(b)))
-    if math.isnan(theta):
-        return None
     frac = Fraction(theta / math.pi).limit_denominator(max(1, max_n))
     k, n = frac.numerator, frac.denominator
     if n % 2:
@@ -354,12 +356,12 @@ def count_axis_ratios(n: int) -> int:
     Enumerates admissible winding numbers k (coprime with n/2) and
     identifies k with n/2 - k, which swaps the ratio with its reciprocal.
     For n > 4 this equals phi(n)/2 when 4 does not divide n and phi(n)/4
-    when it does; at n = 4 the lone ratio 1 is self-reciprocal.
+    when it does; at n = 4 the lone ratio 1 is self-reciprocal.  An odd
+    int n raises OddPeriod, any other n that is not an int >= 4 ValueError.
     """
-    if n % 2 != 0:
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n % 2:
         raise OddPeriod("light-like trajectories have even period")
-    if n < 4:
-        raise ValueError("period must be at least 4")
+    _check_count(n, "period", 4)
     half = n // 2
     ks = [k for k in range(1, half) if gcd(k, half) == 1]
     return len({frozenset((k, half - k)) for k in ks})
@@ -594,10 +596,10 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
 
     The samples run in rounds: round r makes draw r of every sample still
     open, with one stacked ``direction_with_caustics`` call, which admits
-    the caustic set in round 0 only, and one lockstep ``_bounce_rows``
-    over the open rows.  Each sample takes the first direction of its
-    point, turned inward, so it draws the same starts in the same order as
-    it would alone.
+    the caustic set in round 0 only, and then bounces each drawn start
+    with ``_bounce``, the loop of ``trace``.  Each sample takes the first
+    direction of its point, turned inward, so it draws the same starts in
+    the same order as it would alone.
     """
     _check_count(samples, "samples", 0)
     _check_tol(tol)
@@ -618,12 +620,15 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
         s = chord_quadratic(fam.axes_f, p, v)[1]  # inward_direction, row by row
         v = np.where((s < 0.0)[:, None], v, -v)
-        drawn = np.flatnonzero(kept.any(1) & (s != 0.0))
-        points, directions, double, refl = _bounce_rows(fam, p[drawn], v[drawn], n)
-        done = refl == n
-        m = n - np.count_nonzero(double[done], axis=1)
-        ends = drawn[done]
-        states[:, todo[ends]] = p[ends], v[ends], points[done, m - 1], directions[done, m]
+        ends = []
+        for j in np.flatnonzero(kept.any(1) & (s != 0.0)).tolist():
+            try:
+                points, directions, _, refl = _bounce(fam, p[j], v[j], n)
+            except NumericalStall:
+                continue
+            if refl == n:
+                states[:, todo[j]] = p[j], v[j], points[-1], directions[-1]
+                ends.append(j)
         todo = np.delete(todo, ends)
     if todo.size:
         raise ConstructionFailure(

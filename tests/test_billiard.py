@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from fma_reference import fma_chain
 from numpy.polynomial.polynomial import polyroots
 
 from pbl import billiard
@@ -45,7 +46,7 @@ from pbl.errors import (
     NumericalStall,
     PointNotOnBoundary,
 )
-from pbl.metric import LineType, Signature, line_type, sq_norm
+from pbl.metric import LIGHT_TOL, LineType, Signature, line_type, sq_norm
 
 FAM3 = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
 FAM2 = ConfocalFamily(Signature(1, 1), (2.0, 1.0))
@@ -173,61 +174,145 @@ def test_trace_lightlike_keeps_its_line_type(fam, x, v, n):
     assert traj.caustic_drift <= 1e-9
 
 
-def _bounce_starts(fam, seed: int, count: int) -> tuple:
+def _reference_light_rule(w, eps) -> tuple:
+    """The light-like rule on numpy vectors, its dot products exact FMA
+    chains: (w scaled to a largest component in [1/2, 1), <ws, ws>, light)."""
+    ws = np.ldexp(w, -np.frexp(np.abs(w).max())[1])
+    s = fma_chain(eps * ws, ws)
+    return ws, s, abs(s) <= LIGHT_TOL * fma_chain(ws, ws)
+
+
+def _reference_chord(den, x, v) -> tuple:
+    """The chord quadratic on numpy vectors, by ``np.add.reduce``."""
+    return (float(np.add.reduce(v * v / den)), float(np.add.reduce(x * v / den)),
+            float(np.add.reduce(x * x / den)) - 1.0)
+
+
+def _reference_bounce(fam, x, v, n) -> tuple:
+    """Reference: the bounce loop on numpy vectors, as it ran before it
+    moved to Python floats, with its dot products taken by ``fma_chain``
+    and its tolerances read from ``billiard`` at call time."""
+    den, eps = fam.axes_f, fam.eps
+    points = np.empty((n, fam.d))
+    directions = np.empty((n + 1, fam.d))
+    double = np.empty(n, dtype=bool)
+    directions[0] = v
+    m = refl = 0
+    while True:
+        q2, q1, q0 = _reference_chord(den, x, v)
+        if abs(q0) > billiard.BOUNDARY_TOL:
+            if m:
+                raise NumericalStall("residual")
+            if q0 > 0.0:
+                raise ValueError("start point lies outside the reference ellipsoid")
+        elif not m and q1 >= 0.0:
+            raise ValueError("start on the boundary needs an inward direction")
+        if refl >= n:
+            return points[:m], directions[: m + 1], double[:m], refl
+        disc = q1 * q1 - q2 * q0
+        if disc <= 0.0:
+            raise NumericalStall("tangent or exterior chord")
+        t = (-q1 + math.sqrt(disc)) / q2
+        if t * math.sqrt(fma_chain(v, v)) <= billiard.STALL_TOL * math.sqrt(fam.scale):
+            raise NumericalStall("chord length below 1e-12")
+        _, g1, g = _reference_chord(den, x + t * v, v)
+        if g1 != 0.0:
+            t = t - g / (2.0 * g1)
+        x = points[m] = x + t * v
+        nn, n2, double[m] = _reference_light_rule(eps * (x / den), eps)
+        if double[m]:
+            v = -v
+        else:
+            v = v - (2.0 * fma_chain(eps * v, nn) / n2) * nn
+        directions[m + 1] = v
+        refl += 2 if double[m] else 1
+        m += 1
+
+
+def _assert_bounce_matches_the_reference(fam, x, v, n):
+    """``_bounce`` against ``_reference_bounce``, bit for bit, or the same
+    exception; returns the count reached, None after a stall."""
+    try:
+        want = _reference_bounce(fam, np.asarray(x, dtype=float), np.asarray(v, dtype=float), n)
+    except (NumericalStall, ValueError) as exc:
+        with pytest.raises(type(exc)):
+            billiard._bounce(fam, np.asarray(x, dtype=float), np.asarray(v, dtype=float), n)
+        return None
+    got = billiard._bounce(fam, np.asarray(x, dtype=float), np.asarray(v, dtype=float), n)
+    assert np.array(got[0]).reshape(-1, fam.d).tobytes() == want[0].tobytes()
+    assert np.array(got[1]).tobytes() == want[1].tobytes()
+    assert got[2] == want[2].tolist() and got[3] == want[3]
+    return got[3]
+
+
+def _bounce_starts(fam, seed: int, count: int) -> list:
     """Seeded interior starts with random directions."""
     rng = np.random.default_rng(seed)
-    X = np.array([rng.uniform(0.1, 0.9) * random_boundary_point(fam, rng) for _ in range(count)])
-    return X, rng.normal(size=(count, fam.d))
+    return [(rng.uniform(0.1, 0.9) * random_boundary_point(fam, rng), rng.normal(size=fam.d))
+            for _ in range(count)]
 
 
-def _assert_rows_equal_the_one_row_loop(fam, X, V, n) -> list:
-    """Each row of the lockstep ``_bounce_rows`` against the one-row
-    ``_bounce``, bit for bit; returns the counts the one-row loop reached,
-    None where it stalled, which the lockstep loop masks with -1."""
-    points, directions, double, refl = billiard._bounce_rows(fam, X, V, n)
-    counts = []
-    for s in range(len(X)):
-        try:
-            p, dirs, dbl, count = billiard._bounce(fam, X[s], V[s], n)
-        except NumericalStall:
-            assert refl[s] == -1
-            counts.append(None)
-            continue
-        m = len(p)
-        assert refl[s] == count
-        assert points[s, :m].tobytes() == p.tobytes()
-        assert directions[s, : m + 1].tobytes() == dirs.tobytes()
-        assert double[s, :m].tolist() == dbl.tolist()
-        assert not points[s, m:].any() and not double[s, m:].any()
-        counts.append(count)
-    return counts
+def _light_like_starts(fam, seed: int, count: int) -> list:
+    """Seeded interior starts with light-like directions: unit blocks of
+    each metric sign."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for _ in range(count):
+        v = rng.normal(size=fam.d)
+        v[: fam.k] /= np.linalg.norm(v[: fam.k])
+        v[fam.k :] /= np.linalg.norm(v[fam.k :])
+        starts.append((rng.uniform(0.1, 0.9) * random_boundary_point(fam, rng), v))
+    return starts
 
 
-@pytest.mark.parametrize("fam, n", [(FAM2, 9), (FAM3, 12)], ids=["planar", "spatial"])
-def test_lockstep_bounce_equals_the_one_row_loop(fam, n):
-    X, V = _bounce_starts(fam, 23, 16)
-    assert _assert_rows_equal_the_one_row_loop(fam, X, V, n) == [n] * 16
+#: A table of each kind, with a boundary point whose normal is light-like:
+#: on sum x_i^2 / a_i = 1 where sum eps_i x_i^2 / a_i^2 = 0.
+LIGHT_NORMAL_POINTS = [
+    (FAM2, [2.0 / math.sqrt(3.0), 1.0 / math.sqrt(3.0)]),
+    (FAM3, [5.0 / math.sqrt(7.0), 0.0, 2.0 / math.sqrt(7.0)]),
+    (ConfocalFamily(Signature(2, 2), (5.0, 3.0, 2.0, 4.0)),
+     [5.0 / math.sqrt(7.0), 0.0, 2.0 / math.sqrt(7.0), 0.0]),
+]
 
 
-def test_lockstep_bounce_masks_a_stall_and_keeps_a_last_double():
-    # row 0 runs the circle's diameter, whose every bounce is a double: its
-    # last one passes n = 3 and reaches 4; row 1 starts on the boundary
-    # almost along it, so its first chord is shorter than 1e-12 and stalls
+@pytest.mark.parametrize("fam, p", LIGHT_NORMAL_POINTS, ids=["planar", "spatial", "(2, 2)"])
+def test_bounce_equals_the_numpy_reference(fam, p):
+    # seeded space-, time- and light-like orbits, and a diameter through
+    # points with light-like normals, whose every bounce is a double one
+    starts = _bounce_starts(fam, 23, 12) + _light_like_starts(fam, 24, 6)
+    counts = [_assert_bounce_matches_the_reference(fam, x, v, 40) for x, v in starts]
+    assert counts.count(40) + counts.count(41) == len(starts)
+    p = np.array(p)
+    assert abs(evaluate_quadric(fam, 0.0, p)) <= 1e-15
+    assert _assert_bounce_matches_the_reference(fam, np.zeros(fam.d), p, 5) == 6
+    assert all(billiard._bounce(fam, np.zeros(fam.d), p, 5)[2])
+
+
+def test_bounce_keeps_a_last_double_and_stalls_on_a_short_chord():
+    # the circle's diameter has a double bounce at each end: the last one
+    # passes n = 3 and reaches 4; a start on the boundary almost along it
+    # has a first chord shorter than 1e-12, which stalls
     s = 1.0 / math.sqrt(2.0)
-    X, V = _bounce_starts(CIRC, 29, 6)
-    X = np.concatenate([[[s, s], [1.0, 0.0]], X])
-    V = np.concatenate([[[-s, -s], [-1e-14, 1.0]], V])
-    counts = _assert_rows_equal_the_one_row_loop(CIRC, X, V, 3)
-    assert counts[:2] == [4, None] and None not in counts[2:]
+    assert _assert_bounce_matches_the_reference(CIRC, [s, s], [-s, -s], 3) == 4
+    with pytest.raises(NumericalStall, match="below 1e-12"):
+        billiard._bounce(CIRC, np.array([1.0, 0.0]), np.array([-1e-14, 1.0]), 3)
+    assert _assert_bounce_matches_the_reference(CIRC, [1.0, 0.0], [-1e-14, 1.0], 3) is None
+    # from (1, 0) along (-e, 1) the first chord is 2e long: just below and
+    # just above 1e-12 sqrt(a_1 + a_d)
+    short = billiard.STALL_TOL * math.sqrt(CIRC.scale)
+    assert _assert_bounce_matches_the_reference(CIRC, [1.0, 0.0], [-0.495 * short, 1.0], 3) is None
+    assert _assert_bounce_matches_the_reference(CIRC, [1.0, 0.0], [-0.505 * short, 1.0], 3) == 3
 
 
-def test_lockstep_bounce_masks_stalls_midway(monkeypatch):
-    # at a tolerance of 4e-16 some rows stall, each at the bounce where
-    # rounding leaves a larger residual; the other rows go on
+def test_bounce_stalls_midway_at_a_tight_tolerance(monkeypatch):
+    # at a tolerance of 4e-16 some starts stall, each at the bounce where
+    # rounding leaves a larger residual; the others reach n
     monkeypatch.setattr(billiard, "BOUNDARY_TOL", 4e-16)
-    X, V = _bounce_starts(FAM3, 31, 24)
-    counts = _assert_rows_equal_the_one_row_loop(FAM3, X, V, 12)
+    counts = [_assert_bounce_matches_the_reference(FAM3, x, v, 12)
+              for x, v in _bounce_starts(FAM3, 31, 24)]
     assert None in counts and 12 in counts
+    with pytest.raises(NumericalStall, match="residual"):
+        billiard._bounce(FAM3, *_bounce_starts(FAM3, 31, 24)[counts.index(None)], 12)
 
 
 def _per_segment_caustic_drift(traj) -> float:

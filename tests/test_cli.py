@@ -449,6 +449,14 @@ def test_lightlike_rejects_non_finite_axes(capsys, axes):
     assert out == "" and "finite and positive" in err
 
 
+@pytest.mark.parametrize("axes", ["1,0", "0,1", "-1,1", "1,-2"])
+def test_lightlike_rejects_a_zero_or_negative_axis(capsys, axes):
+    # a usage error (2), not a traceback from the square root or division
+    code, out, err = run(capsys, "lightlike", f"--axes={axes}")
+    assert code == 2
+    assert out == "" and "finite and positive" in err
+
+
 @pytest.mark.parametrize("axes", ["inf,3,2", "5,3,nan"])
 def test_trace_rejects_non_finite_axes(capsys, axes):
     code, out, err = run(

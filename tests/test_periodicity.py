@@ -18,6 +18,7 @@ from pbl.billiard import (
     direction_with_caustics,
     inward_direction,
     random_boundary_point,
+    rectangle_ratio,
     trace,
 )
 from pbl.confocal import INF, ConfocalFamily
@@ -410,6 +411,28 @@ def test_lightlike_period_recovers_every_table():
             assert lightlike_period(a, b, max_n) == _lightlike_period_by_search(a, b, max_n)
 
 
+@pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0), (1.0, -3.0),
+                                  (math.nan, 1.0), (1.0, math.inf)])
+def test_lightlike_period_rejects_a_bad_axis(a, b):
+    # the check of rectangle_ratio: once None, math domain error or ZeroDivisionError
+    with pytest.raises(ValueError, match="finite and positive"):
+        lightlike_period(a, b)
+    with pytest.raises(ValueError, match="finite and positive"):
+        rectangle_ratio(a, b)
+
+
+@pytest.mark.parametrize("n", [4.0, 3.0, "6", True, 2, 0])
+def test_count_axis_ratios_needs_an_int_of_at_least_4(n):
+    with pytest.raises(ValueError, match="int >= 4"):
+        count_axis_ratios(n)
+
+
+@pytest.mark.parametrize("n", [3, 5, np.int64(7), -1])
+def test_count_axis_ratios_rejects_an_odd_int(n):
+    with pytest.raises(OddPeriod):
+        count_axis_ratios(n)
+
+
 def test_lightlike_agrees_with_cayley():
     for a, b in [(1.0, 1.0), (3.0, 1.0), (1.0, 3.0), (math.tan(math.pi / 8) ** 2, 1.0)]:
         n, _ = lightlike_period(a, b)
@@ -559,6 +582,25 @@ def test_poncelet_matches_full_trace_reference_spatial(samples):
     rep = poncelet_verify(FAM3, PAIR6, 6, samples=samples, seed=4)
     assert repr(rep) == repr(_reference_poncelet(FAM3, PAIR6, 6, samples, 4))
     assert rep.samples == samples
+
+
+def test_poncelet_redraws_a_stalled_sample(monkeypatch):
+    # at a tolerance of 4e-16 some starts stall midway; each such sample
+    # draws again from its own stream, as its one-sample trace would
+    monkeypatch.setattr(billiard, "BOUNDARY_TOL", 4e-16)
+    stalled, bounce = [], periodicity._bounce
+
+    def recorded(*args):
+        try:
+            return bounce(*args)
+        except NumericalStall:
+            stalled.append(args)
+            raise
+
+    monkeypatch.setattr(periodicity, "_bounce", recorded)
+    rep = poncelet_verify(FAM3, PAIR6, 6, samples=8, seed=1)
+    assert stalled and rep.closed == 8
+    assert repr(rep) == repr(_reference_poncelet(FAM3, PAIR6, 6, 8, 1))
 
 
 def test_poncelet_open_orbits_stay_open():
