@@ -45,6 +45,7 @@ from .errors import (
     NotPlanarLightLike,
     NumericalStall,
     PointNotOnBoundary,
+    RootIsolationError,
 )
 from .metric import (
     LineType,
@@ -331,13 +332,16 @@ def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
         raise InadmissibleCaustics(f"caustics {cs.params} violate the interlacing pattern")
 
 
-#: Why a point has no direction, by the failure code of ``direction_with_caustics``.
+#: The error and its reason for a point with no direction, by the failure
+#: code of ``direction_with_caustics``; codes 1 and 2 are those of
+#: ``_simple_jacobi_rows``.
 _NO_DIRECTION = (
     None,
-    "x has a complex pair or a multiple Jacobi coordinate",
-    "no real line through x has these caustics",
-    "normals of the pencil members through x are dependent",
-    "no constructed direction passed the tangency check",
+    (NoSolution, "x has a complex pair or a multiple Jacobi coordinate"),
+    (RootIsolationError, "rounding loses the Jacobi coordinates of x"),
+    (NoSolution, "no real line through x has these caustics"),
+    (NoSolution, "normals of the pencil members through x are dependent"),
+    (NoSolution, "no constructed direction passed the tangency check"),
 )
 
 
@@ -356,7 +360,7 @@ def _solve_rows(N: np.ndarray, B: np.ndarray) -> tuple:
         return out, solved
 
 
-def direction_with_caustics(fam: ConfocalFamily, x, target, *, _admitted: bool = False):
+def direction_with_caustics(fam: ConfocalFamily, x, target):
     """Directions v through x whose line has the target caustic set.
 
     Closed form from the generalized Jacobi coordinates lambda_k of x.
@@ -377,86 +381,80 @@ def direction_with_caustics(fam: ConfocalFamily, x, target, *, _admitted: bool =
     canonical sign (first component above 1e-12 positive).
 
     x is one point, or an (S, d) stack of them that is built in one pass:
-    one admission of the caustic set, one stack of Jacobi polynomials, one
-    stacked solve over the sign patterns and one tangency check.  One point
-    gives the list of its directions; NoSolution means that x has a complex
-    pair or a multiple Jacobi coordinate, or that no real line through x
-    has these caustics.  A stack gives (V, kept): V (S, 2^(d-1), d) holds
-    the direction of every sign pattern, kept (S, 2^(d-1)) marks the ones
-    kept, and row s of V[kept] is the list of point s, bit for bit; a point
-    with no direction has no kept pattern and raises nothing.  A zero,
-    degenerate or colliding caustic raises DegenerateConfiguration
-    (``fam.check_caustic_values``), a set off the interlacing pattern
-    InadmissibleCaustics.
+    one stack of Jacobi polynomials, one stacked solve over the sign
+    patterns and one tangency check.  Every call admits the caustic set
+    first: a zero, degenerate or colliding caustic raises
+    DegenerateConfiguration (``fam.check_caustic_values``), a set off the
+    interlacing pattern InadmissibleCaustics.  One point gives the list of
+    its directions; NoSolution means that x has a complex pair or a
+    multiple Jacobi coordinate, or that no real line through x has these
+    caustics, and RootIsolationError that x is so far out that rounding
+    loses its Jacobi coordinates (``jacobi_coordinates``).  A stack gives
+    (V, kept): V (S, 2^(d-1), d) holds the direction of every sign
+    pattern, kept (S, 2^(d-1)) marks the ones kept, and row s of V[kept] is
+    the list of point s, bit for bit; a point with no direction has no
+    kept pattern and raises nothing.
     """
     cs = _caustic_set(fam, target)
-    if not _admitted:  # a caller that admitted the set already skips it
-        _admissible(fam, cs)
+    _admissible(fam, cs)
     single = np.ndim(x) < 2
     X = _as_vector(x, fam.d)[None] if single else _as_rows(x, fam.d)
     d, rows = fam.d, len(X)
     patterns = _patterns(d)
-    fail = np.zeros(rows, dtype=int)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam, simple = _simple_jacobi_rows(fam, X)
-        fail[~simple] = 1
+        lam, fail = _simple_jacobi_rows(fam, X)
         P = np.ones(lam.shape)
         for alpha in cs.finite:
             P = P * (lam - alpha)
         sign = math.copysign(1.0, math.prod(0.0 - alpha for alpha in cs.finite))  # -c above
-        # row k of den[s] holds D(lambda_k) of point s; i is its smallest entry
+        # row k of den[s] holds D(lambda_k) of point s; is_i marks its smallest entry, i
         den = fam.axes_f - fam.eps * lam[..., None]
-        i = np.argmin(np.abs(den), axis=-1)
-        rest = patterns[0][i]
-        row = np.arange(rows)[:, None]
-        den_rest, x_rest = np.take_along_axis(den, rest, -1), X[row[..., None], rest]
-        u = x_rest / den_rest
-        r = 1.0 - np.vecdot(u, x_rest)  # x_i^2 / D_i by the pencil equation
+        is_i = np.arange(d) == np.argmin(np.abs(den), axis=-1)[..., None]
+        normals = X[:, None, :] / den
+        u = np.where(is_i, 0.0, normals)  # the normal row x / D less entry i
+        r = 1.0 - np.vecdot(u, X[:, None, :])  # x_i^2 / D_i by the pencil equation
         # On or near the hyperplane x_i = 0, D_i is lost to rounding
         # (relative error eps * scale / |D_i|) but r is not (eps / |r|):
         # scale row k so that component i is 1, which needs no D_i.
-        near = np.abs(np.take_along_axis(den, i[..., None], -1)[..., 0]) <= np.abs(r) * fam.scale
-        N_near = np.zeros(den.shape)
-        np.put_along_axis(N_near, i[..., None], 1.0, -1)
-        np.put_along_axis(N_near, rest, (X[row, i] / r)[..., None] * u, -1)
-        N = np.where(near[..., None], N_near, X[:, None, :] / den)
-        rhs = np.where(near, sign * P / (r * np.prod(den_rest, axis=-1)),
-                       sign * P / np.prod(den, axis=-1))
-        fail[(fail == 0) & (rhs < 0.0).any(-1)] = 2
+        near = np.min(np.abs(den), axis=-1) <= np.abs(r) * fam.scale
+        x_i = np.broadcast_to(X[:, None, :], den.shape)[is_i].reshape(lam.shape)
+        N = np.where(near[..., None], np.where(is_i, 1.0, (x_i / r)[..., None] * u), normals)
+        rhs = sign * P / np.where(near, r * np.prod(np.where(is_i, 1.0, den), axis=-1),
+                                  np.prod(den, axis=-1))
+        fail[(fail == 0) & (rhs < 0.0).any(-1)] = 3
         todo = np.flatnonzero(fail == 0)
-        W, solved = _solve_rows(N[todo], np.sqrt(rhs[todo])[..., None] * patterns[1])
-        fail[todo[~solved]] = 3
+        W, solved = _solve_rows(N[todo], np.sqrt(rhs[todo])[..., None] * patterns)
+        fail[todo[~solved]] = 4
         # column j of W[s] is the direction of sign pattern j
         W = np.ascontiguousarray(W.swapaxes(-1, -2))
         W = W / np.sqrt(np.vecdot(W, W))[..., None]
         big = np.abs(W) > 1e-12
-        lead = np.take_along_axis(W, np.argmax(big, axis=-1)[..., None], -1)[..., 0]
+        lead = np.where(big & (np.cumsum(big, axis=-1) == 1), W, 0.0).sum(-1)
         W = np.where((lead > 0.0)[..., None], W, -W)
         ok = big.any(-1) & solved[:, None]
         for alpha in cs.finite:
             disc, scale = chord_discriminant(fam.denominators(alpha), X[todo][:, None, :], W)
             ok &= np.abs(disc) <= 1e-9 * scale
-    kept = np.zeros((rows, patterns[1].shape[1]), dtype=bool)
+    kept = np.zeros((rows, patterns.shape[1]), dtype=bool)
     for j in range(kept.shape[1]):
         diff = W[:, j, None] - W[:, :j]
         near_kept = (kept[todo, :j] & (np.sqrt(np.vecdot(diff, diff)) <= 1e-9)).any(-1)
         kept[todo, j] = ok[:, j] & ~near_kept
     V = np.zeros((rows, kept.shape[1], d))
     V[todo] = W
-    fail[(fail == 0) & ~kept.any(-1)] = 4
+    fail[(fail == 0) & ~kept.any(-1)] = 5
     if not single:
         return V, kept
     if fail[0]:
-        raise NoSolution(_NO_DIRECTION[fail[0]])
+        error, reason = _NO_DIRECTION[fail[0]]
+        raise error(reason)
     return list(V[0, kept[0]])
 
 
 @functools.cache
-def _patterns(d: int) -> tuple:
-    """Row i of the first array lists the indices other than i; the columns
-    of the second are the 2^(d-1) sign patterns with a leading +1."""
-    rest = np.array([[j for j in range(d) if j != i] for i in range(d)])
-    return rest, np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
+def _patterns(d: int) -> np.ndarray:
+    """The 2^(d-1) sign patterns with a leading +1, as columns."""
+    return np.array([(1.0,) + s for s in itertools.product((1.0, -1.0), repeat=d - 1)]).T
 
 
 def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.ndarray:
@@ -466,7 +464,8 @@ def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.n
 
 
 def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:
-    """Flip v if needed so it points into the ellipsoid at boundary point p."""
+    """Flip v if needed so it points into the ellipsoid at boundary point p;
+    NoSolution if v is tangent to the boundary there."""
     pv = _as_vector(p, fam.d)
     vv = _as_vector(v, fam.d)
     s = chord_quadratic(fam.axes_f, pv, vv)[1]

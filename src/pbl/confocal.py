@@ -361,7 +361,8 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
 
     Either all d solutions are real, or d - 2 are real plus one conjugate
     complex pair.  Real roots closer than ``MULTIPLE_ROOT_TOL * (a_1 + a_d)``
-    are collapsed into a multiple root.
+    are collapsed into a multiple root.  A point so far out that rounding
+    loses a coordinate (``newton_polish``) raises RootIsolationError.
     """
     coeffs, roots, real = _jacobi_rows(fam, _as_vector(x, fam.d)[None])
     roots = roots[0]
@@ -370,7 +371,7 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
         z0, z1 = roots[-2:]
         complex_pair = (0.5 * (z0.real + z1.real), 0.5 * (abs(z0.imag) + abs(z1.imag)))
         roots = roots[:-2]
-    polished = sorted(newton_polish(coeffs[0], z) for z in roots.real.tolist())
+    polished = sorted(newton_polish(coeffs[0], roots.real.tolist()))
     scale = fam.scale
     real_roots: list[float] = []
     i = 0
@@ -388,25 +389,35 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
 def _jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
     """The Jacobi polynomial of each row of the (S, d) points X, its complex
     roots in order of |imag|, and a mask of the rows whose last two roots,
-    the place of a complex pair, are real within 1e-9."""
-    coeffs = _jacobi_polynomials(fam, X)
+    the place of a complex pair, are not off the real axis by more than
+    1e-9.  Coefficients that overflow are not finite and give nan roots,
+    which count as real, so that ``newton_polish`` rejects them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _jacobi_polynomials(fam, X)
     roots = companion_roots(coeffs)
     by_imag = np.abs(roots.imag).argsort(axis=-1, kind="stable")
     roots = roots[np.arange(len(X))[:, None], by_imag]
     tail = roots[:, -2:]
-    real = np.abs(tail.imag) <= 1e-9 * np.maximum(fam.scale, np.abs(tail))
-    return coeffs, roots, real[:, 0] & real[:, 1]
+    off = np.abs(tail.imag) > 1e-9 * np.maximum(fam.scale, np.abs(tail))
+    return coeffs, roots, ~off.any(-1)
 
 
 def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
     """The Jacobi coordinates of each row of the (S, d) points X, ascending,
-    and a mask of the rows where they are real and simple: row by row, bit
-    for bit, the ``real_roots`` of ``jacobi_coordinates`` where its
-    ``is_simple_real`` holds."""
+    and a code per row: 0 where ``jacobi_coordinates`` gives real and simple
+    ones, which the row holds bit for bit; 1 where it finds a complex pair
+    or a multiple root; 2 where it raises RootIsolationError without
+    finding a pair."""
     coeffs, roots, real = _jacobi_rows(fam, X)
-    polished = [[newton_polish(c, z) for z in zs] for c, zs in zip(coeffs, roots.real.tolist())]
-    lam = np.sort(np.reshape(polished, roots.shape), axis=-1)
-    return lam, real & (np.diff(lam, axis=-1) > MULTIPLE_ROOT_TOL * fam.scale).all(-1)
+    lam, code = roots.real.tolist(), np.where(real, 0, 1)
+    for s in np.flatnonzero(real).tolist():
+        try:
+            lam[s] = newton_polish(coeffs[s], lam[s])
+        except RootIsolationError:
+            lam[s], code[s] = [math.nan] * fam.d, 2
+    lam = np.sort(lam, axis=-1)
+    code[(code == 0) & (np.diff(lam, axis=-1) <= MULTIPLE_ROOT_TOL * fam.scale).any(-1)] = 1
+    return lam, code
 
 
 # -------------------------------------------------------------- caustics
@@ -422,10 +433,11 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     reported as math.inf.
 
     The finite caustics are the roots of the tangency polynomial, taken
-    from its companion matrix and each polished by a few Newton steps.
-    For a line that meets the ellipsoid they are all real (a theorem of
-    Dragovic and Radnovic), so a complex root or a wrong root count means
-    the line is too degenerate and raises RootIsolationError.
+    from its companion matrix and polished by a few Newton steps
+    (``newton_polish``).  For a line that meets the ellipsoid they are all
+    real (a theorem of Dragovic and Radnovic), so a complex root, a wrong
+    root count or a root that the polish rejects means the line is too
+    degenerate and raises RootIsolationError.
     """
     x, v = _as_vector(line.base, fam.d), line.direction
     disc, scale = chord_discriminant(fam.axes_f, x, v)
@@ -446,7 +458,7 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
             )
     if len(roots) != len(pc) - 1:
         raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
-    polished = tuple(newton_polish(pc, z) for z in roots.real.tolist())
+    polished = tuple(newton_polish(pc, roots.real.tolist()))
     return CausticSet(polished + ((INF,) if light else ()))
 
 

@@ -32,14 +32,16 @@ from .billiard import (
     _check_tol,
     _closure_errors,
     direction_with_caustics,
+    inward_direction,
     random_boundary_point,
 )
-from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set, chord_quadratic
+from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
 from .errors import (
     CayleyConditionFailed,
     ConstructionFailure,
     DegenerateConfiguration,
     InsufficientOrder,
+    NoSolution,
     NonpositiveConstantTerm,
     NumericalStall,
     OddPeriod,
@@ -305,8 +307,9 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     stack.  Where ``fam.is_zero_caustic`` or ``fam.is_degenerate_parameter``
     holds (also at +-inf and nan) the series does not exist: an array holds
     nan, a scalar raises DegenerateConfiguration.  Light-like closure is
-    ``cayley_condition(fam, (inf,), n)``.
+    ``cayley_condition(fam, (inf,), n)``.  ValueError unless n is an int >= 3.
     """
+    _check_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
     alpha = np.asarray(alpha, dtype=float)
@@ -328,7 +331,8 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
 def lightlike_period(a, b, max_n: int = 128):
     """Smallest even n with arctan sqrt(a/b) = k pi / n, gcd(k, n/2) = 1.
 
-    Returns (n, k) or None when no match exists up to max_n.  The winding
+    Returns (n, k) or None when no match exists up to max_n, an int >= 0
+    (else ValueError).  The winding
     number k also predicts the bounce split between the two positive
     boundary arcs: k hits on one, n/2 - k on the other.
 
@@ -339,6 +343,7 @@ def lightlike_period(a, b, max_n: int = 128):
     that are not finite and positive raise ValueError.
     """
     _check_axes(a, b)
+    _check_count(max_n, "max_n", 0)
     theta = math.atan(math.sqrt(float(a) / float(b)))
     frac = Fraction(theta / math.pi).limit_denominator(max(1, max_n))
     k, n = frac.numerator, frac.denominator
@@ -401,8 +406,10 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
     secant steps from settling on a degenerate value next to the root,
     where the determinant goes to 0 without changing sign.  An exact 0 is a
     root.  A bracket stops when it is narrower than ``BISECT_TOL`` relative
-    to its midpoint, at a nan midpoint, or after 200 steps.
+    to its midpoint, at a nan midpoint, or after 200 steps.  ValueError
+    unless n is an int >= 3.
     """
+    _check_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("this search is specific to the planar case")
     a, b = (float(t) for t in fam.axes)
@@ -595,11 +602,11 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     ConstructionFailure ends a sample after SAMPLE_BUDGET draws.
 
     The samples run in rounds: round r makes draw r of every sample still
-    open, with one stacked ``direction_with_caustics`` call, which admits
-    the caustic set in round 0 only, and then bounces each drawn start
-    with ``_bounce``, the loop of ``trace``.  Each sample takes the first
-    direction of its point, turned inward, so it draws the same starts in
-    the same order as it would alone.
+    open, with one stacked ``direction_with_caustics`` call, and then
+    bounces each drawn start with ``_bounce``, the loop of ``trace``.  Each
+    sample takes the first direction of its point, turned inward by
+    ``inward_direction`` (a tangent one is redrawn), so it draws the same
+    starts in the same order as it would alone.
     """
     _check_count(samples, "samples", 0)
     _check_tol(tol)
@@ -612,22 +619,21 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     # per sample: start point and direction, n-th bounce point and direction
     states = np.empty((4, samples, fam.d))
     todo = np.arange(samples)
-    for r in range(SAMPLE_BUDGET):
+    for _ in range(SAMPLE_BUDGET):
         if not todo.size:
             break
         p = np.array([random_boundary_point(fam, rngs[i]) for i in todo])
-        V, kept = direction_with_caustics(fam, p, params, _admitted=r > 0)
+        V, kept = direction_with_caustics(fam, p, params)
         v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
-        s = chord_quadratic(fam.axes_f, p, v)[1]  # inward_direction, row by row
-        v = np.where((s < 0.0)[:, None], v, -v)
         ends = []
-        for j in np.flatnonzero(kept.any(1) & (s != 0.0)).tolist():
+        for j in np.flatnonzero(kept.any(1)).tolist():
             try:
-                points, directions, _, refl = _bounce(fam, p[j], v[j], n)
-            except NumericalStall:
+                v_in = inward_direction(fam, p[j], v[j])
+                points, directions, _, refl = _bounce(fam, p[j], v_in, n)
+            except (NoSolution, NumericalStall):
                 continue
             if refl == n:
-                states[:, todo[j]] = p[j], v[j], points[-1], directions[-1]
+                states[:, todo[j]] = p[j], v_in, points[-1], directions[-1]
                 ends.append(j)
         todo = np.delete(todo, ends)
     if todo.size:

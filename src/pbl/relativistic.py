@@ -137,6 +137,14 @@ def _check_sheet(sheet: int) -> float:
     return float(sheet)
 
 
+def _check_finite(**scalars) -> None:
+    """ValueError unless every named scalar is finite, the check that
+    ``_as_vector`` makes of a vector."""
+    for name, value in scalars.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def tropic_point(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> np.ndarray:
     """Point of the tropic surface Sigma^(sheet) at parameters (lambda, t).
 
@@ -146,8 +154,11 @@ def tropic_point(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> np.nd
         x = (a - lambda) cos t / sqrt(a + c)
         y = (b - lambda) sin t / sqrt(b + c)
         z = sheet * (c + lambda) * sqrt(cos^2 t/(a+c) + sin^2 t/(b+c))
+
+    lambda and t must be finite (ValueError).
     """
     a, b, c = _abc(fam)
+    _check_finite(lam=lam, t=t)
     s = _check_sheet(sheet)
     w = math.sqrt(math.cos(t) ** 2 / (a + c) + math.sin(t) ** 2 / (b + c))
     return np.array([
@@ -160,9 +171,11 @@ def tropic_point(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> np.nd
 def tropic_partials(fam: ConfocalFamily, lam: float, t: float, sheet: int):
     """First and second analytic partial derivatives of the parametrization.
 
-    Returns (r, r_lam, r_t, r_lamlam, r_lamt, r_tt).
+    Returns (r, r_lam, r_t, r_lamlam, r_lamt, r_tt); lambda and t must be
+    finite (ValueError).
     """
     a, b, c = _abc(fam)
+    _check_finite(lam=lam, t=t)
     s = _check_sheet(sheet)
     ca, cb = math.sqrt(a + c), math.sqrt(b + c)
     ct, st = math.cos(t), math.sin(t)
@@ -199,9 +212,11 @@ def tropic_cone_residual(fam: ConfocalFamily, lam: float, p) -> float:
 def cusp_edge_lambda(fam: ConfocalFamily, t: float) -> float:
     """Parameter lambda(t) of the cusp edges: where the ruling degenerates.
 
-    lambda(t) = (a + b - (a - b) cos 2t) / 2, always within [b, a].
+    lambda(t) = (a + b - (a - b) cos 2t) / 2, always within [b, a]; t must
+    be finite (ValueError).
     """
     a, b, _ = _abc(fam)
+    _check_finite(t=t)
     return 0.5 * (a + b - (a - b) * math.cos(2 * t))
 
 
@@ -213,9 +228,11 @@ def tropic_tangent_norm_sq(fam: ConfocalFamily, lam: float, t: float) -> float:
         2 (a + b + 2c - (a - b) cos 2t)
 
     Nonnegative everywhere; vanishes exactly on the cusp-edge relation,
-    which has solutions in t only for lambda in [b, a].
+    which has solutions in t only for lambda in [b, a].  lambda and t must
+    be finite (ValueError).
     """
     a, b, c = _abc(fam)
+    _check_finite(lam=lam, t=t)
     num = a + b - 2 * lam - (a - b) * math.cos(2 * t)
     den = 2 * (a + b + 2 * c - (a - b) * math.cos(2 * t))
     return num * num / den
@@ -265,9 +282,11 @@ def relativistic_conic_classify(fam: ConfocalFamily, c: MDistance) -> ConicClass
 
     c is a positive real or positive imaginary constant; the conics lie on
     the pencil member with lambda = a - c^2.  ``BoundaryCase`` signals
-    c^2 = a + b, where the host degenerates into the common tangents.
+    c^2 = a + b, where the host degenerates into the common tangents.  A
+    magnitude of c that is not finite raises ValueError.
     """
     a, b = _ab(fam)
+    _check_finite(c=c.magnitude)
     if c.magnitude <= 0:
         raise ValueError("c must be nonzero")
     csq = -c.magnitude ** 2 if c.imaginary else c.magnitude ** 2

@@ -45,6 +45,7 @@ from pbl.errors import (
     NoSolution,
     NumericalStall,
     PointNotOnBoundary,
+    RootIsolationError,
 )
 from pbl.metric import LIGHT_TOL, LineType, Signature, line_type, sq_norm
 
@@ -325,7 +326,7 @@ def _per_segment_caustic_drift(traj) -> float:
         pc = tangency_polynomial(fam, point, v_out)
         if traj.line_type is LineType.LIGHT_LIKE:
             pc = pc[:-1]
-        seg = np.sort([newton_polish(pc, z.real) for z in polyroots(pc)])
+        seg = np.sort(newton_polish(pc, polyroots(pc).real))
         rel = np.abs(seg - alpha) / np.maximum(1.0, np.abs(alpha))
         worst = max(worst, float(np.max(rel, initial=0.0)))
     return worst
@@ -719,6 +720,23 @@ def test_stacked_directions_equal_the_per_point_lists(fam, target):
     assert reasons >= {"x has a complex pair or a multiple Jacobi coordinate",
                        "no real line through x has these caustics"}
     assert any(branches)
+
+
+def test_far_rows_of_a_stack_keep_no_pattern():
+    # rounding loses the Jacobi coordinates of x_1 = 1e16, and 1e160
+    # overflows the polynomial: one such point raises RootIsolationError,
+    # and in a stack its row keeps no pattern while the others keep their bits
+    target = (-2.320953597016259, 2.154286930349592)
+    p = random_boundary_point(FAM3, np.random.default_rng(5))
+    X = np.array([p, [1e16, 1.0, 1.0], [1e160, 1.0, 1.0]])
+    V, kept = direction_with_caustics(FAM3, X, target)
+    one = direction_with_caustics(FAM3, p, target)
+    assert kept[0].sum() == len(one) > 0
+    assert [v.tobytes() for v in V[0, kept[0]]] == [v.tobytes() for v in one]
+    assert not kept[1:].any()
+    for far in X[1:]:
+        with pytest.raises(RootIsolationError, match="rounding"):
+            direction_with_caustics(FAM3, far, target)
 
 
 def test_solve_rows_masks_a_singular_row():

@@ -441,6 +441,24 @@ def test_classify_point_rejects_wrong_length_point(capsys):
     assert out == "" and "3-vector" in err
 
 
+@pytest.mark.parametrize("command", ["classify-point", "decorate"])
+@pytest.mark.parametrize("point", ["1e16,1,1", "1e160,1,1"])
+def test_far_point_is_a_numerical_failure(capsys, command, point):
+    # rounding loses the coordinates at x_1 = 1e16: classify-point printed
+    # [-1e+32, 0.0, 0.0] and decorate a multiple coordinate; at 1e160 the
+    # polynomial overflows
+    code, out, err = run(capsys, command, "--sig", "2,1", "--axes", "5,3,2", "--point", point)
+    assert code == 3
+    assert out == "" and "numerical failure" in err
+
+
+@pytest.mark.parametrize("max_n", ["-1", "-128"])
+def test_lightlike_rejects_a_negative_max_n(capsys, max_n):
+    code, out, err = run(capsys, "lightlike", "--axes", "3,1", "--max-n", max_n)
+    assert code == 2
+    assert out == "" and "max_n" in err
+
+
 @pytest.mark.parametrize("axes", ["nan,1", "inf,1", "1,nan"])
 def test_lightlike_rejects_non_finite_axes(capsys, axes):
     # a nan ratio would print a NaN token, which is not valid JSON

@@ -32,9 +32,15 @@ from pbl.confocal import (
     tangency_polynomial,
     trajectory_type_from_caustics,
 )
-from pbl._poly import linear_product
+from pbl._poly import linear_product, newton_polish
 from pbl.billiard import line_quadric_intersections, random_boundary_point
-from pbl.errors import AmbiguousSign, DegenerateConfiguration, DegenerateParameter, NoIntersection
+from pbl.errors import (
+    AmbiguousSign,
+    DegenerateConfiguration,
+    DegenerateParameter,
+    NoIntersection,
+    RootIsolationError,
+)
 from pbl.metric import LineType, Signature, sq_norm
 
 FAM3 = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
@@ -75,15 +81,15 @@ def _bisect(f, lo: float, hi: float, iters: int = 200) -> float:
 
 
 def _scan_roots(f, windows, samples: int = 4000) -> list:
+    """Each sign change of f between neighbours of ``samples`` evenly spaced
+    points per window, bisected; f takes one point or an array of them, and
+    each window is scanned in one array call."""
     roots = []
     for lo, hi in windows:
         xs = np.linspace(lo, hi, samples)
-        prev = f(xs[0])
-        for i in range(1, samples):
-            cur = f(xs[i])
-            if np.isfinite(prev) and np.isfinite(cur) and prev * cur < 0.0:
-                roots.append(_bisect(f, xs[i - 1], xs[i]))
-            prev = cur
+        vals = f(xs)
+        change = np.isfinite(vals[:-1]) & np.isfinite(vals[1:]) & (vals[:-1] * vals[1:] < 0.0)
+        roots.extend(_bisect(f, a, b) for a, b in zip(xs[:-1][change].tolist(), xs[1:][change].tolist()))
     return sorted(roots)
 
 
@@ -101,9 +107,9 @@ def pencil_roots_oracle(fam: ConfocalFamily, x) -> list:
     """Real pencil parameters through x by direct sign scanning."""
     xv = np.asarray(x, dtype=float)
 
-    def f(lam: float) -> float:
-        den = fam.axes_f - fam.eps * lam
-        return float(np.sum(xv * xv / den) - 1.0)
+    def f(lam):
+        den = fam.axes_f - fam.eps * np.asarray(lam)[..., None]
+        return np.sum(xv * xv / den, axis=-1) - 1.0
 
     return _scan_roots(f, _pole_windows(fam, 40.0 * fam.scale))
 
@@ -113,11 +119,11 @@ def tangency_roots_oracle(fam: ConfocalFamily, x, v) -> list:
     xv = np.asarray(x, dtype=float)
     vv = np.asarray(v, dtype=float)
 
-    def disc(lam: float) -> float:
-        den = fam.axes_f - fam.eps * lam
-        qa = float(np.sum(vv * vv / den))
-        qb = float(np.sum(xv * vv / den))
-        qc = float(np.sum(xv * xv / den) - 1.0)
+    def disc(lam):
+        den = fam.axes_f - fam.eps * np.asarray(lam)[..., None]
+        qa = np.sum(vv * vv / den, axis=-1)
+        qb = np.sum(xv * vv / den, axis=-1)
+        qc = np.sum(xv * xv / den, axis=-1) - 1.0
         return qb * qb - qa * qc
 
     return _scan_roots(disc, _pole_windows(fam, 60.0 * fam.scale))
@@ -241,6 +247,32 @@ def test_jacobi_complex_pair_frozen():
     z = complex(re, im)
     val = sum(c * z**i for i, c in enumerate(pc))
     assert abs(val) <= 1e-7 * max(abs(c) for c in pc)
+
+
+def test_jacobi_rejects_a_point_that_rounding_loses():
+    # at x_1 = 1e15 the coordinates are about -1e30, -2 and 3; at 1e16 the
+    # polish took the two small ones to 0.0, and at 1e160 the polynomial
+    # overflows, which used to raise numpy's LinAlgError
+    gj = jacobi_coordinates(FAM3, [1e15, 1.0, 1.0])
+    assert gj.real_roots == pytest.approx([-1e30, -2.0, 3.0], rel=1e-9)
+    with pytest.raises(RootIsolationError, match="backward error"):
+        jacobi_coordinates(FAM3, [1e16, 1.0, 1.0])
+    with pytest.raises(RootIsolationError, match="not finite"):
+        jacobi_coordinates(FAM3, [1e160, 1.0, 1.0])
+
+
+def test_newton_polish_keeps_only_roots_with_a_small_backward_error():
+    # (lam - 1)(lam - 2)(lam + 3), ascending: each start polishes alone
+    coeffs = [6.0, -7.0, 0.0, 1.0]
+    roots = newton_polish(coeffs, [0.999, 2.001, -3.001])
+    assert roots == pytest.approx([1.0, 2.0, -3.0], abs=1e-12)
+    assert roots == [newton_polish(coeffs, [z])[0] for z in (0.999, 2.001, -3.001)]
+    assert newton_polish(coeffs, []) == []
+    with pytest.raises(RootIsolationError, match="backward error"):
+        newton_polish([1.0, 0.0, 1.0], [0.0])  # lam^2 + 1 has no real root
+    for bad in (math.inf, math.nan):
+        with pytest.raises(RootIsolationError, match="not finite"):
+            newton_polish([1.0, bad, 1.0], [])
 
 
 def test_jacobi_matches_pencil_oracle():

@@ -555,19 +555,6 @@ def _reference_poncelet(fam, params, n, samples, seed, tol=1e-6):
     )
 
 
-def test_poncelet_admits_the_caustic_set_once(monkeypatch):
-    # the set is fixed for the call: the first round admits it, and the
-    # later rounds build their directions without admitting it again
-    admitted, rounds = [], []
-    admit, build = billiard._admissible, periodicity.direction_with_caustics
-    monkeypatch.setattr(billiard, "_admissible", lambda *a: admitted.append(a) or admit(*a))
-    monkeypatch.setattr(periodicity, "direction_with_caustics",
-                        lambda *a, **k: rounds.append(a) or build(*a, **k))
-    rep = poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=20, seed=3)
-    assert rep.closed == 20
-    assert len(admitted) == 1 and len(rounds) > 1
-
-
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_poncelet_matches_full_trace_reference_planar(n):
     roots = find_periodic_caustics_plane(FAM2, n)
@@ -673,8 +660,20 @@ def test_find_periodic_caustics_rejects(fam, n):
     lambda: trace(FAM2, [0.1, 0.2], [1.0, 0.4], 2.5),
     lambda: find_periodic_caustics(FAM3, 6.0),
     lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=True),
-], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "search-n", "bool-samples"])
+    lambda: find_periodic_caustics_plane(FAM2, 4.0),
+    lambda: planar_cayley_det(FAM2, 0.5, 4.0),
+    lambda: lightlike_period(1.0, 3.0, 10.5),
+    lambda: lightlike_period(1.0, 3.0, True),
+    lambda: lightlike_period(1.0, 3.0, -1),
+], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "search-n", "bool-samples",
+        "planar-search-n", "planar-det-n", "lightlike-max-n",
+        "lightlike-bool-max-n", "lightlike-negative-max-n"])
 def test_every_count_must_be_an_int(call):
-    # these raised a numpy or range TypeError
+    # these raised a numpy or range TypeError, or (a bool max_n) answered
     with pytest.raises(ValueError, match="must be an int"):
         call()
+
+
+def test_lightlike_period_with_max_n_0_finds_nothing():
+    assert lightlike_period(1.0, 3.0, 0) is None
+    assert lightlike_period(1.0, 3.0, 6) == (6, 1)

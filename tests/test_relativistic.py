@@ -238,6 +238,27 @@ def test_surface_normal_cusp_guard():
         tropic_surface_normal(FAM3, 4.0, math.pi / 4, 1)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda bad: tropic_point(FAM3, bad, 0.3, 1),
+    lambda bad: tropic_point(FAM3, 1.0, bad, 1),
+    lambda bad: tropic_partials(FAM3, bad, 0.3, -1),
+    lambda bad: tropic_partials(FAM3, 1.0, bad, -1),
+    lambda bad: tropic_surface_normal(FAM3, bad, 0.3, 1),
+    lambda bad: cusp_edge_lambda(FAM3, bad),
+    lambda bad: tropic_tangent_norm_sq(FAM3, bad, 0.3),
+    lambda bad: tropic_tangent_norm_sq(FAM3, 1.0, bad),
+    lambda bad: relativistic_conic_classify(FAM2, MDistance(bad, False)),
+    lambda bad: relativistic_conic_classify(FAM2, MDistance(bad, True)),
+], ids=["point-lam", "point-t", "partials-lam", "partials-t", "normal-lam", "cusp-t",
+        "norm-lam", "norm-t", "conic-real", "conic-imaginary"])
+def test_scalar_inputs_must_be_finite(call, bad):
+    # these returned nan, raised "math domain error", or classified a host
+    # lambda of nan or -inf
+    with pytest.raises(ValueError, match="must be finite"):
+        call(bad)
+
+
 # ----------------------------------------------------------- planar conics
 
 
