@@ -52,8 +52,9 @@ from .metric import (
     Signature,
     _as_rows,
     _as_vector,
+    _exponent,
     _fdot,
-    _light_like,
+    _light_like_rows,
     _reflect,
     line_type,
 )
@@ -130,23 +131,27 @@ class Trajectory:
         return int(self.double.size + np.count_nonzero(self.double))
 
 
-def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
-    """Step from (x, v) until n reflections: the bounce points, directions
-    and double flags of a ``Trajectory``, as lists of floats, and the count
-    reached, n + 1 after a last double bounce.  A step is the chord root,
-    a Newton step back onto Q_0 and the reflection.  Each chord's q0 is
-    the Q_0 residual of the point it leaves.  The start must be inside
-    Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError); a bounce
-    past BOUNDARY_TOL, a chord that misses Q_0 or one shorter than
-    STALL_TOL raises NumericalStall.
+def _bounce(fam: ConfocalFamily, x, v, n: int) -> tuple:
+    """Step from (x, v), sequences of floats, until n reflections: the
+    bounce points and double flags of a ``Trajectory``, as lists, its
+    directions, an array in the scale of v, and the count reached, n + 1
+    after a last double bounce.  The loop steps v scaled by ``_exponent``,
+    so the length of v changes no bit of the points or flags.  A step is
+    the chord root, a Newton step back onto Q_0 and the reflection.  Each
+    chord's q0 is the Q_0 residual of the point it leaves.  The start must
+    be inside Q_0, or on it within BOUNDARY_TOL with q1 < 0 (ValueError); a bounce
+    past BOUNDARY_TOL, a chord that misses Q_0, one shorter than
+    STALL_TOL or a direction past the floats at the scale of v raises
+    NumericalStall.
 
     The one bounce loop, of ``trace`` and of each ``poncelet_verify``
-    sample, on Python floats: about 10 us a bounce for d <= 4.  Its chord
+    sample, on Python floats: about 9 us a bounce for d <= 3.  Its chord
     sums (``chord_quadratic``) and dot products (``_fdot``, in
     ``_reflect``) keep the order of the numpy expressions they stand for,
     ``np.add.reduce`` below 8 terms and ``np.dot``, bit for bit."""
     den, eps = fam.axes_f.tolist(), fam.eps.tolist()
-    x, v = x.tolist(), v.tolist()
+    e = _exponent(v)
+    x, v = [float(c) for c in x], [math.ldexp(c, -e) for c in v]
     points, directions, double, refl = [], [v], [], 0
     short, least = STALL_TOL * math.sqrt(fam.scale), min(den)
     while True:
@@ -159,6 +164,10 @@ def _bounce(fam: ConfocalFamily, x: np.ndarray, v: np.ndarray, n: int) -> tuple:
         elif not points and q1 >= 0.0:
             raise ValueError("start on the boundary needs an inward direction")
         if refl >= n:
+            with np.errstate(over="ignore"):
+                directions = np.ldexp(directions, e)
+            if not np.isfinite(directions).all():
+                raise NumericalStall("a direction overflows at the scale of v")
             return points, directions, double, refl
         disc = q1 * q1 - q2 * q0
         if disc <= 0.0:
@@ -192,13 +201,15 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     drift of segment b is one Newton step from alpha on its tangency
     polynomial p_b, |p_b(alpha) / p_b'(alpha)| / max(1, |alpha|): the
     distance of p_b's root from alpha, to second order in that distance.
+    The length of the direction changes no bit of the points, caustics or
+    drifts (``_exponent``), and the directions keep the caller's scale.
     """
     x = _as_vector(start, fam.d)
     v = _as_vector(direction, fam.d)
     _check_count(n_reflections, "n_reflections", 1)
     ltype = line_type(v, fam.sig)
-    points, directions, double, _ = _bounce(fam, x, v, n_reflections)
-    points, directions, double = np.array(points), np.array(directions), np.array(double)
+    points, directions, double, _ = _bounce(fam, x.tolist(), v.tolist(), n_reflections)
+    points, double = np.array(points), np.array(double)
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
     integrals, drift = _segment_integrals(fam, points, directions)
@@ -227,8 +238,11 @@ def _segment_integrals(fam: ConfocalFamily, points: np.ndarray, directions: np.n
     deviation of F and of <v, v> from their values on the incoming segment
     of the first bounce, relative to the largest of those values.  All
     m + 1 segments go through one stacked ``integrals_F`` and one stacked
-    <v, v>, each row bit for bit its single-vector value.
+    <v, v>, each row bit for bit its single-vector value.  The directions
+    are scaled by the ``_exponent`` of the first one, so neither the drift
+    nor the integrals' ratios depend on the length of the directions.
     """
+    directions = np.ldexp(directions, -_exponent(directions[0].tolist()))
     F = integrals_F(fam, points[np.r_[0, 0 : len(points)]], directions)
     vv = np.vecdot(fam.eps * directions, directions)
     fscale = max(float(np.max(np.abs(F[0]))), abs(float(vv[0])), 1e-300)
@@ -466,12 +480,17 @@ def random_boundary_point(fam: ConfocalFamily, rng: np.random.Generator) -> np.n
 def inward_direction(fam: ConfocalFamily, p, v) -> np.ndarray:
     """Flip v if needed so it points into the ellipsoid at boundary point p;
     NoSolution if v is tangent to the boundary there."""
-    pv = _as_vector(p, fam.d)
-    vv = _as_vector(v, fam.d)
-    s = chord_quadratic(fam.axes_f, pv, vv)[1]
+    pv, vv = _as_vector(p, fam.d).tolist(), _as_vector(v, fam.d).tolist()
+    return np.array(_inward(fam.axes_f.tolist(), pv, vv))
+
+
+def _inward(den, p, v) -> list:
+    """``inward_direction`` unchecked, on lists of floats, with the axes
+    ``den`` of Q_0."""
+    s = chord_quadratic(den, p, v)[1]
     if s == 0.0:
         raise NoSolution("direction is tangent to the boundary")
-    return vv if s < 0 else -vv
+    return v if s < 0 else [-c for c in v]
 
 
 # ----------------------------------------------------------- serialization
@@ -503,7 +522,9 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     ``vout`` other than -``vin``, a ``double`` other than the light-like
     test of the bounce's normal, a ``lineType`` other than the line type of
     the first ``vin``, or caustics with +inf on a line that is not
-    light-like, or without it on one that is."""
+    light-like, or without it on one that is.  The double flags are decided
+    again for all bounces at once by ``_light_like_rows``, which gives
+    each normal the flag of ``_light_like``, the rule of the bounce loop."""
     try:
         sig = Signature(*[int(s) for s in data["signature"]])
         fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
@@ -526,8 +547,7 @@ def trajectory_from_dict(data: dict) -> Trajectory:
         raise ValueError("a bounce's vin differs from the previous bounce's vout")
     if np.any(vout[double] != -vin[double]):
         raise ValueError("a double bounce's vout is not -vin")
-    eps, normals = fam.eps.tolist(), (fam.eps * (points / fam.axes_f)).tolist()
-    if [_light_like(w, eps)[2] for w in normals] != double.tolist():  # the loop's rule
+    if np.any(_light_like_rows(fam.eps * (points / fam.axes_f), fam.eps) != double):
         raise ValueError("a bounce's double flag disagrees with its normal")
     if len(vin) and line_type(vin[0], fam.sig) is not ltype:
         raise ValueError(f"lineType {ltype.value} is not the line type of the first vin")

@@ -32,7 +32,7 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LineType, Signature, line_type, _as_vector, _read_only
+from .metric import LineType, Signature, line_type, _as_vector, _exponent, _read_only
 
 INF = math.inf
 
@@ -437,9 +437,11 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     (``newton_polish``).  For a line that meets the ellipsoid they are all
     real (a theorem of Dragovic and Radnovic), so a complex root, a wrong
     root count or a root that the polish rejects means the line is too
-    degenerate and raises RootIsolationError.
+    degenerate and raises RootIsolationError.  The direction is scaled by
+    ``_exponent`` first, which changes no bit of the roots.
     """
     x, v = _as_vector(line.base, fam.d), line.direction
+    v = np.ldexp(v, -_exponent(v.tolist()))
     disc, scale = chord_discriminant(fam.axes_f, x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")

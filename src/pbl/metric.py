@@ -102,18 +102,20 @@ def _as_rows(x, d: int) -> np.ndarray:
     return v
 
 
-def _fdot(x, y) -> float:
-    """sum_i x_i y_i of two sequences of floats as a chain of fused
-    multiply-adds, acc = fma(x_i, y_i, acc) in index order from acc = +0.0,
-    which is how ``np.dot`` rounds short vectors on the usual BLAS builds.
+def _fdot(x, y, eps=None) -> float:
+    """sum_i eps_i x_i y_i of sequences of floats (eps_i = 1 by default) as
+    a chain of fused multiply-adds, acc = fma(eps_i x_i, y_i, acc) in index
+    order from acc = +0.0, which is how ``np.dot(eps * x, y)`` rounds short
+    vectors on the usual BLAS builds; eps_i x_i is an exact sign flip.
     math.fma needs Python 3.13, so each step is math.fsum of acc and the
     exact product by Dekker's (1971) split with 2^27 + 1.  Exact while every
     |x_i|, |y_i| < 1.3e300 and no product nears the subnormal range: callers
-    scale a vector to a largest entry in [1/2, 1) first."""
-    pairs = zip(x, y)
-    a, b = next(pairs)
-    acc = a * b + 0.0
-    for a, b in pairs:
+    scale a vector to a largest entry in [1/2, 1) first (``_exponent``)."""
+    if eps is None:
+        eps = (1.0,) * len(x)
+    acc = eps[0] * x[0] * y[0] + 0.0
+    for i in range(1, len(x)):
+        a, b = eps[i] * x[i], y[i]
         p = a * b
         c = 134217729.0 * a
         ah = c - (c - a)
@@ -124,16 +126,45 @@ def _fdot(x, y) -> float:
     return acc
 
 
+def _exponent(w) -> int:
+    """The one scaling rule: the e for which 2^-e w, exact, has a largest
+    |entry| in [1/2, 1); 0 for w = 0.  w is a sequence of floats."""
+    return math.frexp(max(map(abs, w)))[1]
+
+
 def _light_like(w, eps) -> tuple:
     """The light-like rule for one vector of floats w, signs eps:
-    (ws, <ws, ws>, light).  ws is w scaled exactly by a power of two to a
-    largest component in [1/2, 1), for ``_fdot``; light holds where
-    |<ws, ws>| <= LIGHT_TOL |ws|^2, w = 0 too.  As 1/4 <= |ws|^2 <= d,
-    |ws|^2 is formed only where |<ws, ws>| <= d LIGHT_TOL."""
-    e = math.frexp(max(map(abs, w)))[1]
-    ws = [math.ldexp(c, -e) for c in w]
-    s = _fdot([a * c for a, c in zip(eps, ws)], ws)
+    (ws, <ws, ws>, light).  ws is w scaled by ``_exponent``, for
+    ``_fdot``; light holds where |<ws, ws>| <= LIGHT_TOL |ws|^2, both
+    ``_fdot`` chains, w = 0 too.  As 1/4 <= |ws|^2 <= d, |ws|^2 is formed
+    only where |<ws, ws>| <= d LIGHT_TOL.  ``_light_like_rows`` gives the
+    same flags to a stack of vectors."""
+    e = -_exponent(w)
+    ws = [math.ldexp(c, e) for c in w]
+    s = _fdot(ws, ws, eps)
     return ws, s, abs(s) <= len(ws) * LIGHT_TOL and abs(s) <= LIGHT_TOL * _fdot(ws, ws)
+
+
+def _light_like_rows(W: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The light flag of ``_light_like`` for each row of the (m, d) float
+    stack W, decided in plain floats where a rounding bound settles it
+    (Shewchuk 1997).  Each row is scaled as there, to ws, and the plain sum
+    s^ = sum_i eps_i ws_i^2 is taken in numpy.  As |ws_i| < 1, s^ and the
+    chain value s of the rule are each within gamma_d d of the exact sum
+    (gamma_d = d u / (1 - d u), u = 2^-53), so |s^ - s| < delta = 3 d^2 u.
+    A row with |s^| - delta > d LIGHT_TOL is not light.  A row with
+    |s^| + delta < LIGHT_TOL (1 - 3 d u) / 4 is light: that bound, rounded
+    as written, is below LIGHT_TOL (1 - gamma_d)(1 - u) / 4, which the
+    rule's rounded LIGHT_TOL |ws|^2 exceeds, as |ws|^2 >= 1/4.  Every
+    other row goes to ``_light_like``, so every flag is the rule's."""
+    d = W.shape[1]
+    WS = np.ldexp(W, -np.frexp(np.max(np.abs(W), axis=1, initial=0.0))[1][:, None])
+    s = np.abs((WS * WS) @ eps)
+    delta = 3.0 * d * d * 2.0**-53
+    light = s + delta < LIGHT_TOL * (1.0 - 3.0 * d * 2.0**-53) / 4.0
+    for i in np.flatnonzero(~light & (s - delta <= d * LIGHT_TOL)).tolist():
+        light[i] = _light_like(W[i].tolist(), eps.tolist())[2]
+    return light
 
 
 def dot(x, y, sig: Signature) -> float:
@@ -190,11 +221,11 @@ def _reflect(v, n, eps) -> tuple:
     nn, n2, light = _light_like(n, eps)
     if light:
         return [-c for c in v], True
-    e = math.frexp(max(map(abs, v)))[1]
+    e = _exponent(v)
     if abs(e) > 400:
         out, _ = _reflect([math.ldexp(c, -e) for c in v], nn, eps)
         return [math.ldexp(c, e) for c in out], False
-    w = 2.0 * _fdot([a * b for a, b in zip(eps, v)], nn) / n2
+    w = 2.0 * _fdot(v, nn, eps) / n2
     return [a - w * b for a, b in zip(v, nn)], False
 
 

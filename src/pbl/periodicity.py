@@ -31,8 +31,8 @@ from .billiard import (
     _check_count,
     _check_tol,
     _closure_errors,
+    _inward,
     direction_with_caustics,
-    inward_direction,
     random_boundary_point,
 )
 from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
@@ -605,8 +605,8 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     open, with one stacked ``direction_with_caustics`` call, and then
     bounces each drawn start with ``_bounce``, the loop of ``trace``.  Each
     sample takes the first direction of its point, turned inward by
-    ``inward_direction`` (a tangent one is redrawn), so it draws the same
-    starts in the same order as it would alone.
+    ``inward_direction``'s unchecked core (a tangent one is redrawn), so
+    it draws the same starts in the same order as it would alone.
     """
     _check_count(samples, "samples", 0)
     _check_tol(tol)
@@ -618,7 +618,7 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
     # per sample: start point and direction, n-th bounce point and direction
     states = np.empty((4, samples, fam.d))
-    todo = np.arange(samples)
+    todo, den = np.arange(samples), fam.axes_f.tolist()
     for _ in range(SAMPLE_BUDGET):
         if not todo.size:
             break
@@ -627,13 +627,14 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
         ends = []
         for j in np.flatnonzero(kept.any(1)).tolist():
+            pj = p[j].tolist()
             try:
-                v_in = inward_direction(fam, p[j], v[j])
-                points, directions, _, refl = _bounce(fam, p[j], v_in, n)
+                v_in = _inward(den, pj, v[j].tolist())
+                points, directions, _, refl = _bounce(fam, pj, v_in, n)
             except (NoSolution, NumericalStall):
                 continue
             if refl == n:
-                states[:, todo[j]] = p[j], v_in, points[-1], directions[-1]
+                states[:, todo[j]] = pj, v_in, points[-1], directions[-1]
                 ends.append(j)
         todo = np.delete(todo, ends)
     if todo.size:

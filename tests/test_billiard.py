@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,34 @@ def test_trace_conserves_integrals_and_caustics():
     assert traj.caustic_drift <= 1e-9
     assert len(traj.points) == 300
     assert traj.line_type is line_type([1.0, 0.4, -0.3], FAM3.sig)
+
+
+def test_trace_does_not_depend_on_the_length_of_the_direction():
+    # 2^k v bounces, and its caustics and drifts are read, as v itself, bit
+    # for bit, with no warning; the directions come back in the caller's scale
+    v = np.array([1.0, 0.4, -0.3])
+    ref = trace(FAM3, [0.1, 0.2, 0.1], v, 120)
+    for k in (-530, -300, 0, 300, 530):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = trace(FAM3, [0.1, 0.2, 0.1], np.ldexp(v, k), 120)
+            recomputed = recompute_drift(traj)
+        assert traj.points.tobytes() == ref.points.tobytes(), k
+        assert traj.directions.tobytes() == np.ldexp(ref.directions, k).tobytes(), k
+        assert traj.double.tolist() == ref.double.tolist()
+        assert traj.caustic_set == ref.caustic_set
+        assert traj.invariant_drift == ref.invariant_drift == recomputed
+        assert traj.caustic_drift == ref.caustic_drift
+    # the directions must fit the floats at the caller's scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalStall, match="overflows"):
+            trace(FAM3, [0.1, 0.2, 0.1], np.ldexp(v, 1020), 120)
+    # other tiny lengths round v differently, but answer
+    for s in (1e-160, 1e-200):
+        traj = trace(FAM3, [0.1, 0.2, 0.1], s * v, 120)
+        assert traj.caustic_set.params == pytest.approx(ref.caustic_set.params, rel=1e-12)
+        assert traj.invariant_drift <= 1e-9 and traj.caustic_drift <= 1e-9
 
 
 @pytest.mark.parametrize(

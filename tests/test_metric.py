@@ -2,6 +2,7 @@
 and the one check of every point and direction that the library takes."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from fma_reference import fma_chain
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pbl import metric
 from pbl.billiard import direction_with_caustics, inward_direction, reflect_at_boundary, trace
 from pbl.confocal import (
     ConfocalFamily,
@@ -32,6 +34,7 @@ from pbl.metric import (
     sq_norm,
     _fdot,
     _light_like,
+    _light_like_rows,
 )
 from pbl.relativistic import (
     decorated_coordinates,
@@ -198,6 +201,63 @@ def test_light_rule_rows_match_the_reference(d):
         assert lights[-5:] == [True, False, True, True, True]
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_light_like_rows_match_the_rule(d):
+    rng = np.random.default_rng(100 + d)
+    for k in range(1, d):
+        eps = Signature(k, d - k).eps
+        rows = _light_rule_rows(rng, k, d - k)
+        want = [_light_like(w, eps.tolist())[2] for w in rows.tolist()]
+        assert _light_like_rows(rows, eps).tolist() == want
+    assert _light_like_rows(np.zeros((0, d)), eps).tolist() == []
+
+
+def _row_at(target: float, d: int, scale: int) -> list:
+    """2^scale times the row (a, 0, ..., 0, b) with a = 3/4 and exact
+    a^2 - b^2 as close to target as the floats b allow."""
+    a = 0.75
+    b = math.sqrt(a * a - target)
+    b = min((math.nextafter(b, -1.0), b, math.nextafter(b, 2.0)),
+            key=lambda c: abs(Fraction(a) ** 2 - Fraction(c) ** 2 - Fraction(target)))
+    assert abs(Fraction(a) ** 2 - Fraction(b) ** 2 - Fraction(target)) < 2.0**-53
+    return [math.ldexp(c, scale) for c in [a] + [0.0] * (d - 2) + [b]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_light_like_rows_send_the_edges_to_the_rule(d, monkeypatch):
+    # the filter decides |s^| > d LIGHT_TOL + delta and
+    # |s^| < LIGHT_TOL (1 - 3 d u) / 4 - delta; rows within delta / 2 of
+    # either edge of the rule, and every row between, go to _light_like
+    delta = 3.0 * d * d * 2.0**-53
+    rng = np.random.default_rng(d)
+    rows, fallback = [], []
+    for edge, offsets in ((d * LIGHT_TOL, (-2.0, -0.5, 0.5, 2.0)),
+                          (LIGHT_TOL / 4.0, (-2.0, -0.5, 0.5, 2.0))):
+        for off in offsets:
+            for sign in (1.0, -1.0):
+                rows.append(_row_at(sign * (edge + off * delta), d, int(rng.integers(-600, 600))))
+                # past the outer edges the filter decides alone
+                fallback.append(not (edge > LIGHT_TOL and off > 1.0 or edge < LIGHT_TOL and off < -1.0))
+    calls = []
+
+    def recorded(w, eps):
+        calls.append(list(w))
+        return _light_like(w, eps)
+
+    rows = np.array(rows)
+    for k in (1, d - 1):
+        eps = Signature(k, d - k).eps
+        monkeypatch.setattr(metric, "_light_like", recorded)
+        calls.clear()
+        light = _light_like_rows(rows, eps).tolist()
+        monkeypatch.undo()
+        assert calls == [w for w, f in zip(rows.tolist(), fallback) if f]
+        assert light == [_light_like(w, eps.tolist())[2] for w in rows.tolist()]
+        # |ws|^2 is about 9/8 on these rows: not light near d LIGHT_TOL,
+        # light near LIGHT_TOL / 4
+        assert light == [False] * 8 + [True] * 8
+
+
 def _vector_pairs(rng, count: int):
     """Seeded pairs of 2- to 8-vectors over +-20 decades, a tenth of the
     entries 0.0 or -0.0."""
@@ -217,6 +277,10 @@ def test_fdot_is_an_exact_fma_chain():
               ([-0.0, -0.0], [1.0, 1.0]), ([0.0, -2.0], [-1.0, 0.0]), ([0.5, 0.25], [-0.5, 1.0])]
     for x, y in cases:
         assert _fdot(x, y).hex() == fma_chain(x, y).hex(), (x, y)
+        # with signs: the chain of eps_i x_i y_i
+        eps = rng.choice([-1.0, 1.0], len(x)).tolist()
+        signed = [e * a for e, a in zip(eps, x)]
+        assert _fdot(x, y, eps).hex() == fma_chain(signed, y).hex(), (x, y, eps)
     # two products that cancel leave the rounding error of the first
     assert _fdot([0.1, 0.1], [0.1, -0.1]) != 0.0 == 0.1 * 0.1 - 0.1 * 0.1
 
