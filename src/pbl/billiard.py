@@ -50,7 +50,9 @@ from .errors import (
 from .metric import (
     LineType,
     Signature,
+    _as_count,
     _as_rows,
+    _as_scalar,
     _as_vector,
     _exponent,
     _fdot,
@@ -206,7 +208,7 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     """
     x = _as_vector(start, fam.d)
     v = _as_vector(direction, fam.d)
-    _check_count(n_reflections, "n_reflections", 1)
+    _as_count(n_reflections, "n_reflections", 1)
     ltype = line_type(v, fam.sig)
     points, directions, double, _ = _bounce(fam, x.tolist(), v.tolist(), n_reflections)
     points, double = np.array(points), np.array(double)
@@ -267,18 +269,6 @@ class ClosureReport:
     bounce_index: int | None
 
 
-def _check_tol(tol: float) -> None:
-    """ValueError unless the closure tolerance is finite and >= 0."""
-    if not 0.0 <= tol < INF:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
-
-
-def _check_count(value, name: str, least: int) -> None:
-    """ValueError unless the count ``value`` is an int (not bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
-
-
 def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     """Detect whether the trajectory revisits its first bounce state.
 
@@ -286,7 +276,7 @@ def closure_test(traj: Trajectory, tol: float = 1e-6) -> ClosureReport:
     bounce 0, each within ``tol`` (finite and >= 0, else ValueError); the
     period is counted in reflections (doubles count twice).
     """
-    _check_tol(tol)
+    _as_scalar(tol, "tolerance", ">= 0")
     if not len(traj.points):
         raise ValueError("trajectory has no bounces")
     P, D = traj.points, traj.directions
@@ -321,18 +311,13 @@ def arc_hit_counts(traj: Trajectory) -> tuple[int, int]:
     return int(np.count_nonzero((qy > qx) & (y > 0))), int(np.count_nonzero((qx > qy) & (x > 0)))
 
 
-def _check_axes(a, b) -> None:
-    """ValueError unless the planar axis parameters a, b are finite and > 0."""
-    if not (0 < a < INF and 0 < b < INF):
-        raise ValueError("axis parameters must be finite and positive")
-
-
 def rectangle_ratio(a: float, b: float) -> float:
     """Side ratio of the rectangle equivalent to the planar light-like flow.
 
         pi / (2 arctan sqrt(a/b)) - 1
     """
-    _check_axes(a, b)
+    _as_scalar(a, "a", "positive")
+    _as_scalar(b, "b", "positive")
     return math.pi / (2.0 * math.atan(math.sqrt(float(a) / float(b)))) - 1.0
 
 
@@ -516,33 +501,44 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     """Rebuild a trajectory (family, arrays, caustics) from its dict form.
 
     Raises ValueError for a missing key, a value of the wrong JSON type (a
-    top level or bounce record that is not an object, say), a vector that is
-    not d finite floats, a drift that is not finite, or what ``trace`` never
-    writes: a ``vin`` other than the previous bounce's ``vout``, a double
-    ``vout`` other than -``vin``, a ``double`` other than the light-like
-    test of the bounce's normal, a ``lineType`` other than the line type of
-    the first ``vin``, or caustics with +inf on a line that is not
-    light-like, or without it on one that is.  The double flags are decided
-    again for all bounces at once by ``_light_like_rows``, which gives
-    each normal the flag of ``_light_like``, the rule of the bounce loop."""
+    top level or bounce record that is not an object, say), a signature,
+    axis or caustic that ``Signature``, ``ConfocalFamily`` or
+    ``_caustic_set`` rejects, a str or bool where a number belongs, a
+    vector that is not d finite numbers, a drift that is not finite and
+    >= 0, or what ``trace`` never writes: a point whose Q_0 residual
+    exceeds BOUNDARY_TOL (the bound of ``_bounce``), a ``vin`` other than
+    the previous bounce's ``vout``, a double ``vout`` other than -``vin``,
+    a ``double`` other than the light-like test of the bounce's normal, a
+    ``lineType`` other than the line type of the first ``vin``, or
+    caustics with +inf on a line that is not light-like, or without it on
+    one that is.  The double flags are decided again for all bounces at
+    once by ``_light_like_rows``, which gives each normal the flag of
+    ``_light_like``, the rule of the bounce loop."""
     try:
-        sig = Signature(*[int(s) for s in data["signature"]])
-        fam = ConfocalFamily(sig, tuple(float(a) for a in data["axes"]))
-        cs = _caustic_set(fam, [INF if c == "inf" else float(c) for c in data["caustics"]])
+        fam = ConfocalFamily(Signature(*data["signature"]), tuple(data["axes"]))
+        # a float, nan and -inf among them, meets the rule of CausticSet
+        cs = _caustic_set(fam, [INF if c == "inf" else c if isinstance(c, float)
+                                else _as_scalar(c, "caustics") for c in data["caustics"]])
         ltype = LineType(data["lineType"])
-        drift = float(data["drift"])
+        drift = _as_scalar(data["drift"], "drift", ">= 0")
         rows = [(raw["p"], raw["vin"], raw["vout"]) for raw in data["bounces"]]
         double = np.array([raw["double"] for raw in data["bounces"]], dtype=bool)
     except KeyError as exc:
         raise ValueError(f"trajectory lacks the key {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed trajectory: {exc}") from None
-    # a ValueError unless every vector has d floats: the row count is fixed,
-    # so vectors of a wrong length cannot be re-rowed
-    vectors = np.array(rows, dtype=float).reshape(len(rows), 3, fam.d)
-    if not (np.isfinite(vectors).all() and math.isfinite(drift)):
-        raise ValueError("a stored vector or the drift is not finite")
+    # a ValueError unless every vector has d numbers: the row count is
+    # fixed, so vectors of a wrong length cannot be re-rowed
+    vectors = np.array(rows)
+    if vectors.dtype.kind not in "iuf":
+        raise ValueError("a stored vector holds an entry that is not a number")
+    vectors = vectors.astype(float, copy=False).reshape(len(rows), 3, fam.d)
+    if not np.isfinite(vectors).all():
+        raise ValueError("a stored vector is not finite")
     points, vin, vout = vectors[:, 0], vectors[:, 1], vectors[:, 2]
+    residual = np.abs(chord_quadratic(fam.axes_f, points, vin)[2])
+    if np.any(residual > BOUNDARY_TOL):
+        raise ValueError(f"a bounce point has a Q_0 residual of {residual.max()!r}")
     if np.any(vin[1:] != vout[:-1]):
         raise ValueError("a bounce's vin differs from the previous bounce's vout")
     if np.any(vout[double] != -vin[double]):

@@ -13,8 +13,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .billiard import (
     closure_test,
     rectangle_ratio,
@@ -57,32 +55,15 @@ def _parse_sig(s: str) -> Signature:
     return Signature(int(parts[0]), int(parts[1]))
 
 
-def _parse_vector(s: str) -> np.ndarray:
-    return np.array([float(tok) for tok in s.split(",")])
-
-
-def _parse_axes(s: str, exact: bool = False) -> tuple:
-    toks = [tok.strip() for tok in s.split(",")]
-    if exact:
-        return tuple(Fraction(tok) for tok in toks)
-    return tuple(float(tok) for tok in toks)
-
-
-def _parse_caustics(s: str, exact: bool = False) -> tuple:
-    out = []
-    for tok in s.split(","):
-        tok = tok.strip()
-        if tok.lower() == "inf":
-            out.append(INF)
-        elif exact:
-            out.append(Fraction(tok))
-        else:
-            out.append(float(tok))
-    return tuple(out)
+def _parse_numbers(s: str, exact: bool = False) -> tuple:
+    """A comma list of numbers: "inf" in any case, else a Fraction with
+    ``exact``, else a float.  The library judges the values."""
+    return tuple(INF if tok.strip().lower() == "inf" else Fraction(tok) if exact else float(tok)
+                 for tok in s.split(","))
 
 
 def _family(args, exact: bool = False) -> ConfocalFamily:
-    return ConfocalFamily(_parse_sig(args.sig), _parse_axes(args.axes, exact))
+    return ConfocalFamily(_parse_sig(args.sig), _parse_numbers(args.axes, exact))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -111,14 +92,14 @@ def _closure_json(rep) -> dict:
 
 def _cmd_trace(args) -> int:
     fam = _family(args)
-    traj = trace(fam, _parse_vector(args.start), _parse_vector(args.dir), args.bounces)
+    traj = trace(fam, _parse_numbers(args.start), _parse_numbers(args.dir), args.bounces)
     _emit_json(trajectory_to_dict(traj), args.out)
     return 0
 
 
 def _cmd_caustics(args) -> int:
     fam = _family(args)
-    rep = interlacing_report(fam, Line(_parse_vector(args.start), _parse_vector(args.dir)))
+    rep = interlacing_report(fam, Line(_parse_numbers(args.start), _parse_numbers(args.dir)))
     payload = {
         "caustics": _caustic_json(rep.caustic_set),
         "lineType": rep.line_type.value,
@@ -130,7 +111,7 @@ def _cmd_caustics(args) -> int:
 
 def _cmd_classify_point(args) -> int:
     fam = _family(args)
-    point = _parse_vector(args.point)
+    point = _parse_numbers(args.point)
     gj = jacobi_coordinates(fam, point)
     payload = {
         "coordinates": [float(r) for r in gj.real_roots],
@@ -144,7 +125,7 @@ def _cmd_classify_point(args) -> int:
 
 def _cmd_decorate(args) -> int:
     fam = _family(args)
-    deco = decorated_coordinates(fam, _parse_vector(args.point))
+    deco = decorated_coordinates(fam, _parse_numbers(args.point))
     payload = {
         "coordinates": [{"lambda": float(lam), "type": str(rt)} for rt, lam in deco]
     }
@@ -154,7 +135,7 @@ def _cmd_decorate(args) -> int:
 
 def _cmd_cayley(args) -> int:
     fam = _family(args, exact=args.exact)
-    params = _parse_caustics(args.caustics, exact=args.exact)
+    params = _parse_numbers(args.caustics, exact=args.exact)
     ok = cayley_condition(fam, params, args.n, exact=args.exact)
     _emit("true\n" if ok else "false\n", args.out)
     return 0
@@ -179,7 +160,7 @@ def _cmd_search_periodic(args) -> int:
 
 
 def _cmd_lightlike(args) -> int:
-    a, b = _parse_axes(args.axes)
+    a, b = _parse_numbers(args.axes)
     res = lightlike_period(a, b, args.max_n)
     payload = {
         "n": res[0] if res else None,
@@ -201,7 +182,7 @@ def _cmd_tropic(args) -> int:
     The worst light-like residual |<n, n>| / |n|^2 of the surface normals
     goes to stderr, so stdout stays CSV.
     """
-    fam = ConfocalFamily(Signature(2, 1), _parse_axes(args.axes))
+    fam = ConfocalFamily(Signature(2, 1), _parse_numbers(args.axes))
     n_lam, n_t = (int(tok) for tok in args.grid.lower().split("x"))
     if n_lam < 1 or n_t < 1:
         raise ValueError("grid must be NxM with positive counts")
@@ -235,7 +216,7 @@ def _cmd_tropic(args) -> int:
 
 def _cmd_poncelet(args) -> int:
     fam = _family(args)
-    params = _parse_caustics(args.caustics)
+    params = _parse_numbers(args.caustics)
     rep = poncelet_verify(fam, params, args.n, samples=args.samples, seed=args.seed,
                           tol=args.tol)
     payload = {

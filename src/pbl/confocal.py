@@ -32,7 +32,7 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LineType, Signature, line_type, _as_vector, _exponent, _read_only
+from .metric import LineType, Signature, line_type, _as_scalar, _as_vector, _exponent, _read_only
 
 INF = math.inf
 
@@ -64,8 +64,8 @@ class ConfocalFamily:
         k, l = self.sig.k, self.sig.l
         if len(self.axes) != k + l:
             raise ValueError(f"expected {k + l} axis values, got {len(self.axes)}")
-        if not all(0 < a < INF for a in self.axes):
-            raise ValueError("axis parameters must be finite and positive")
+        for a in self.axes:
+            _as_scalar(a, "axis parameters", "positive")
         pos = self.axes[:k]
         neg = self.axes[k:]
         if any(pos[i] <= pos[i + 1] for i in range(len(pos) - 1)):
@@ -415,7 +415,7 @@ def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
             lam[s] = newton_polish(coeffs[s], lam[s])
         except RootIsolationError:
             lam[s], code[s] = [math.nan] * fam.d, 2
-    lam = np.sort(lam, axis=-1)
+    lam = np.sort(np.reshape(lam, (len(X), fam.d)), axis=-1)
     code[(code == 0) & (np.diff(lam, axis=-1) <= MULTIPLE_ROOT_TOL * fam.scale).any(-1)] = 1
     return lam, code
 

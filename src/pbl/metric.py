@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -35,14 +36,15 @@ class LineType(Enum):
 
 @dataclass(frozen=True)
 class Signature:
-    """Signature (k, l): k plus signs followed by l minus signs."""
+    """Signature (k, l): k plus signs followed by l minus signs; k and l
+    are ints >= 1 (ValueError)."""
 
     k: int
     l: int
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.l < 1:
-            raise ValueError(f"signature needs k >= 1 and l >= 1, got ({self.k}, {self.l})")
+        _as_count(self.k, "k", 1)
+        _as_count(self.l, "l", 1)
 
     @property
     def d(self) -> int:
@@ -100,6 +102,28 @@ def _as_rows(x, d: int) -> np.ndarray:
         bad = np.flatnonzero(~np.isfinite(v).all(1))[0]
         raise ValueError(f"expected finite {d}-vectors, got row {bad}: {v[bad]}")
     return v
+
+
+def _as_count(value, name: str, least: int):
+    """value, if it is an int or numpy integer, not a bool, >= least: the
+    one check of every count that a public routine takes.  ValueError
+    naming ``name`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
+
+
+def _as_scalar(value, name: str, bound: str | None = None):
+    """value, if it is a finite int, float, numpy real or Fraction, not a
+    bool or a str, within ``bound``: None for any, ">= 0" or "positive".
+    The one check of every scalar that a public routine takes, as
+    ``_as_vector`` is of a vector: ValueError naming ``name`` otherwise."""
+    if (isinstance(value, (int, float, Fraction, np.integer, np.floating))
+            and not isinstance(value, bool) and -math.inf < value < math.inf
+            and (bound is None or value > 0 or (value == 0 and bound == ">= 0"))):
+        return value
+    raise ValueError(f"{name} must be finite{'' if bound is None else ' and ' + bound}, "
+                     f"got {value!r}")
 
 
 def _fdot(x, y, eps=None) -> float:

@@ -27,9 +27,6 @@ import numpy as np
 from .billiard import (
     _admissible,
     _bounce,
-    _check_axes,
-    _check_count,
-    _check_tol,
     _closure_errors,
     _inward,
     direction_with_caustics,
@@ -48,7 +45,7 @@ from .errors import (
     VacuousCondition,
     ValidationError,
 )
-from .metric import _read_only
+from .metric import _as_count, _as_scalar, _read_only
 from ._poly import linear_product, poly_mul
 
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
@@ -94,9 +91,11 @@ def sqrt_series(q, n_terms: int) -> list:
     Fraction and q[0] is a perfect square; otherwise it runs in floats.
     Float coefficients may be arrays of one shape: the recurrence then runs
     on every entry at once, B[k][j] being coefficient k of series j.
+    ValueError unless n_terms is an int >= 1.
     """
     if not q:
         raise ValueError("empty coefficient list")
+    _as_count(n_terms, "n_terms", 1)
     exact_in = all(isinstance(c, (int, Fraction)) for c in q)
     q0 = q[0]
     if exact_in:
@@ -142,9 +141,10 @@ def cayley_matrix(B, d: int, n: int) -> np.ndarray:
     shape (m, m-d+2) with entries B[d+i+j].  Periodicity holds iff the
     columns are dependent, i.e. rank < number of columns.  Array
     coefficients (a batch of float series) give a stack of matrices with
-    the batch axes first.
+    the batch axes first.  ValueError unless d is an int >= 2 and n one >= 3.
     """
-    _check_count(n, "period", 3)
+    _as_count(d, "d", 2)
+    _as_count(n, "period", 3)
     if n % 2 == 0:
         m = n // 2
         rows, cols, base = m - 1, m - d + 1, d + 1
@@ -193,8 +193,11 @@ def numerical_rank(M: np.ndarray, scale: float | None = None) -> int:
     """Rank of M: exact over the rationals, else by SVD thresholding.
 
     Float path counts singular values above RANK_TOL * scale, with scale
-    defaulting to the largest singular value.
+    defaulting to the largest singular value; a given scale must be finite
+    and >= 0 (ValueError).
     """
+    if scale is not None:
+        _as_scalar(scale, "scale", ">= 0")
     if M.size == 0:
         return 0
     if M.dtype == object:
@@ -226,7 +229,7 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
     Fractions (floats convert to their exact binary value) and decides the
     rank without rounding.  ValueError unless n is an int >= 3.
     """
-    _check_count(n, "period", 3)
+    _as_count(n, "period", 3)
     B = normalized_sqrt_series(fam, params, n, exact=exact)
     M = cayley_matrix(B, fam.d, n)
     scale = max(1.0, max(abs(float(b)) for b in B))
@@ -309,7 +312,7 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     nan, a scalar raises DegenerateConfiguration.  Light-like closure is
     ``cayley_condition(fam, (inf,), n)``.  ValueError unless n is an int >= 3.
     """
-    _check_count(n, "period", 3)
+    _as_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
     alpha = np.asarray(alpha, dtype=float)
@@ -342,8 +345,9 @@ def lightlike_period(a, b, max_n: int = 128):
     ANGLE_TOL) only the best approximation of theta/pi can match.  Axes
     that are not finite and positive raise ValueError.
     """
-    _check_axes(a, b)
-    _check_count(max_n, "max_n", 0)
+    _as_scalar(a, "a", "positive")
+    _as_scalar(b, "b", "positive")
+    _as_count(max_n, "max_n", 0)
     theta = math.atan(math.sqrt(float(a) / float(b)))
     frac = Fraction(theta / math.pi).limit_denominator(max(1, max_n))
     k, n = frac.numerator, frac.denominator
@@ -366,7 +370,7 @@ def count_axis_ratios(n: int) -> int:
     """
     if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n % 2:
         raise OddPeriod("light-like trajectories have even period")
-    _check_count(n, "period", 4)
+    _as_count(n, "period", 4)
     half = n // 2
     ks = [k for k in range(1, half) if gcd(k, half) == 1]
     return len({frozenset((k, half - k)) for k in ks})
@@ -409,7 +413,7 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
     to its midpoint, at a nan midpoint, or after 200 steps.  ValueError
     unless n is an int >= 3.
     """
-    _check_count(n, "period", 3)
+    _as_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("this search is specific to the planar case")
     a, b = (float(t) for t in fam.axes)
@@ -495,7 +499,7 @@ def find_periodic_caustics(fam: ConfocalFamily, n: int) -> list:
     those within 1e-9 (a_1 + a_d) of a kept one.
     """
     d, g, span = fam.d, fam.d - 1, fam.scale
-    _check_count(n, "period", 2 * d)
+    _as_count(n, "period", 2 * d)
     if d < 3 or n % 2:
         raise ValueError(f"the spatial search needs d >= 3 and an even period, got {d}, {n}")
     edges = np.concatenate([[-INF], np.sort(np.append(fam.signed_axes, 0.0)), [INF]])
@@ -595,7 +599,8 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     satisfies the analytic period condition.
 
     Raises CayleyConditionFailed if the analytic condition fails,
-    ValueError unless samples is an int >= 0, n one >= 3, tol finite >= 0.
+    ValueError unless samples and seed are ints >= 0, n one >= 3 and tol
+    is finite and >= 0.
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
@@ -608,8 +613,9 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     ``inward_direction``'s unchecked core (a tangent one is redrawn), so
     it draws the same starts in the same order as it would alone.
     """
-    _check_count(samples, "samples", 0)
-    _check_tol(tol)
+    _as_count(samples, "samples", 0)
+    _as_count(seed, "seed", 0)
+    _as_scalar(tol, "tolerance", ">= 0")
     params = tuple(params)
     if not cayley_condition(fam, params, n):
         raise CayleyConditionFailed(

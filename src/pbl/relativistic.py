@@ -30,7 +30,7 @@ from .errors import (
     NotDecoratable,
     PointNotOnConic,
 )
-from .metric import MDistance, _as_vector, mdistance, pseudo_cross
+from .metric import MDistance, _as_scalar, _as_vector, mdistance, pseudo_cross
 
 #: Matching tolerance (relative to a_1 + a_d) when locating a coordinate.
 MATCH_TOL = 1e-7
@@ -131,18 +131,15 @@ def geometric_type_3d(fam: ConfocalFamily, lam: float) -> GeomType3:
 # ---------------------------------------------------------- tropic surface
 
 
-def _check_sheet(sheet: int) -> float:
-    if sheet not in (1, -1):
-        raise ValueError("sheet must be +1 or -1")
-    return float(sheet)
-
-
-def _check_finite(**scalars) -> None:
-    """ValueError unless every named scalar is finite, the check that
-    ``_as_vector`` makes of a vector."""
-    for name, value in scalars.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+def _tropic_args(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> tuple:
+    """(a, b, c, sign of the sheet) of the tropic parametrization:
+    ValueError unless lambda and t are finite and the sheet is +1 or -1."""
+    a, b, c = _abc(fam)
+    _as_scalar(lam, "lam")
+    _as_scalar(t, "t")
+    if isinstance(sheet, bool) or sheet not in (1, -1):
+        raise ValueError(f"sheet must be +1 or -1, got {sheet!r}")
+    return a, b, c, float(sheet)
 
 
 def tropic_point(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> np.ndarray:
@@ -157,9 +154,7 @@ def tropic_point(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> np.nd
 
     lambda and t must be finite (ValueError).
     """
-    a, b, c = _abc(fam)
-    _check_finite(lam=lam, t=t)
-    s = _check_sheet(sheet)
+    a, b, c, s = _tropic_args(fam, lam, t, sheet)
     w = math.sqrt(math.cos(t) ** 2 / (a + c) + math.sin(t) ** 2 / (b + c))
     return np.array([
         (a - lam) * math.cos(t) / math.sqrt(a + c),
@@ -174,9 +169,7 @@ def tropic_partials(fam: ConfocalFamily, lam: float, t: float, sheet: int):
     Returns (r, r_lam, r_t, r_lamlam, r_lamt, r_tt); lambda and t must be
     finite (ValueError).
     """
-    a, b, c = _abc(fam)
-    _check_finite(lam=lam, t=t)
-    s = _check_sheet(sheet)
+    a, b, c, s = _tropic_args(fam, lam, t, sheet)
     ca, cb = math.sqrt(a + c), math.sqrt(b + c)
     ct, st = math.cos(t), math.sin(t)
     w = math.sqrt(ct * ct / (a + c) + st * st / (b + c))
@@ -216,7 +209,7 @@ def cusp_edge_lambda(fam: ConfocalFamily, t: float) -> float:
     be finite (ValueError).
     """
     a, b, _ = _abc(fam)
-    _check_finite(t=t)
+    _as_scalar(t, "t")
     return 0.5 * (a + b - (a - b) * math.cos(2 * t))
 
 
@@ -232,7 +225,8 @@ def tropic_tangent_norm_sq(fam: ConfocalFamily, lam: float, t: float) -> float:
     be finite (ValueError).
     """
     a, b, c = _abc(fam)
-    _check_finite(lam=lam, t=t)
+    _as_scalar(lam, "lam")
+    _as_scalar(t, "t")
     num = a + b - 2 * lam - (a - b) * math.cos(2 * t)
     den = 2 * (a + b + 2 * c - (a - b) * math.cos(2 * t))
     return num * num / den
@@ -283,12 +277,10 @@ def relativistic_conic_classify(fam: ConfocalFamily, c: MDistance) -> ConicClass
     c is a positive real or positive imaginary constant; the conics lie on
     the pencil member with lambda = a - c^2.  ``BoundaryCase`` signals
     c^2 = a + b, where the host degenerates into the common tangents.  A
-    magnitude of c that is not finite raises ValueError.
+    magnitude of c that is not finite and positive raises ValueError.
     """
     a, b = _ab(fam)
-    _check_finite(c=c.magnitude)
-    if c.magnitude <= 0:
-        raise ValueError("c must be nonzero")
+    _as_scalar(c.magnitude, "c", "positive")
     csq = -c.magnitude ** 2 if c.imaginary else c.magnitude ** 2
     host = a - csq
     if not c.imaginary and abs(csq - (a + b)) <= 1e-12 * (a + b):

@@ -768,6 +768,16 @@ def test_far_rows_of_a_stack_keep_no_pattern():
             direction_with_caustics(FAM3, far, target)
 
 
+def test_an_empty_stack_keeps_no_pattern():
+    # the stacked Jacobi coordinates of no point had shape (0,), not (0, d),
+    # and np.broadcast_to failed on them
+    for fam, target in ((FAM2, (2.0 / 3.0,)), (FAM3, (-2.320953597016259, 2.154286930349592))):
+        V, kept = direction_with_caustics(fam, np.zeros((0, fam.d)), target)
+        patterns = 2 ** (fam.d - 1)
+        assert V.shape == (0, patterns, fam.d) and kept.shape == (0, patterns)
+        assert kept.dtype == bool
+
+
 def test_solve_rows_masks_a_singular_row():
     # one singular matrix fails the whole stacked solve; the rows are then
     # solved one by one, and only the singular one is masked
@@ -803,6 +813,36 @@ def test_trajectory_round_trip_keeps_line_type_and_caustics(fam, start, directio
     assert back.line_type is traj.line_type is line_type(direction, fam.sig)
     assert back.caustic_set == traj.caustic_set
     assert back.caustic_set.has_infinite == (traj.line_type is LineType.LIGHT_LIKE)
+
+
+def _number_to_str(data, *path):
+    """Replace the number at ``data[path[0]][path[1]]...`` by its repr."""
+    for key in path[:-1]:
+        data = data[key]
+    data[path[-1]] = repr(data[path[-1]])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: data.update(signature=[2.7, 1]), "k must be an int"),
+    (lambda data: _number_to_str(data, "axes", 0), "axis parameters must be finite"),
+    (lambda data: _number_to_str(data, "caustics", 1), "caustics must be finite"),
+    (lambda data: _number_to_str(data, "bounces", 2, "p", 0), "not a number"),
+    (lambda data: _number_to_str(data, "bounces", 3, "vin", 1), "not a number"),
+    (lambda data: _number_to_str(data, "bounces", 2, "vout", 2), "not a number"),
+    (lambda data: data.update(drift=True), "drift must be finite"),
+    (lambda data: data.update(drift=-data["drift"]), "drift must be finite and >= 0"),
+    (lambda data: data["bounces"][2].update(p=[0.5, 0.5, 0.5]), "Q_0 residual"),
+], ids=["float-signature", "str-axis", "str-caustic", "str-p", "str-vin", "str-vout",
+        "bool-drift", "negative-drift", "point-off-the-table"])
+def test_trajectory_from_dict_reads_every_field_strictly(edit, message):
+    # each of these was read: int(2.7) = 2, float() of a str, True as 1.0,
+    # a negative drift, and a point off Q_0 that only the drift betrayed
+    data = json.loads(json.dumps(trajectory_to_dict(
+        trace(FAM3, [0.1, 0.2, 0.1], [1.0, 0.4, -0.3], 8))))
+    assert data["drift"] > 0.0
+    edit(data)
+    with pytest.raises(ValueError, match=message):
+        trajectory_from_dict(data)
 
 
 def test_trajectory_dict_schema():

@@ -319,6 +319,14 @@ def test_verify_rejects_wrong_json_type(tmp_path, capsys, key, value):
     assert "malformed trajectory" in err
 
 
+def test_verify_rejects_string_axes(tmp_path, capsys):
+    # float() read them, and verify exited 0
+    code, out, err = _verify_edited(
+        tmp_path, capsys, lambda data: data.update(axes=[str(a) for a in data["axes"]]))
+    assert code == 2
+    assert out == "" and "axis parameters must be finite and positive" in err
+
+
 def test_verify_missing_file(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.json"))
     assert code == 2

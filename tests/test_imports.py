@@ -1,5 +1,6 @@
 """No module of src/pbl or tests/ imports a name it never uses,
-and no function or class of src/pbl is left without a reader.
+no function or class of src/pbl is left without a reader, and no module
+of src/pbl defines a ``_check_*`` function.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -58,3 +59,14 @@ def test_no_orphaned_definitions():
             used |= _names_used(path)
     orphans = [f"{where} {name}" for name, where in sorted(defs.items()) if name not in used]
     assert not orphans, "defined but never used:\n" + "\n".join(orphans)
+
+
+def test_no_check_helpers():
+    # counts and scalars are checked by the doors of metric, _as_count and
+    # _as_scalar, as points and directions by _as_vector and _as_rows
+    found = []
+    for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
+    assert not found, "check helpers outside the doors of metric:\n" + "\n".join(found)

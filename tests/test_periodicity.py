@@ -665,11 +665,21 @@ def test_find_periodic_caustics_rejects(fam, n):
     lambda: lightlike_period(1.0, 3.0, 10.5),
     lambda: lightlike_period(1.0, 3.0, True),
     lambda: lightlike_period(1.0, 3.0, -1),
+    lambda: Signature(2.0, 1),
+    lambda: Signature(1, True),
+    lambda: sqrt_series([1.0, 2.0], 2.5),
+    lambda: sqrt_series([1.0, 2.0], 0),
+    lambda: cayley_matrix([1.0] * 12, 1, 6),
+    lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=2, seed=1.5),
+    lambda: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=2, seed=True),
 ], ids=["poncelet-samples", "poncelet-n", "cayley-n", "trace-n", "search-n", "bool-samples",
         "planar-search-n", "planar-det-n", "lightlike-max-n",
-        "lightlike-bool-max-n", "lightlike-negative-max-n"])
+        "lightlike-bool-max-n", "lightlike-negative-max-n", "signature-k", "bool-signature-l",
+        "series-terms", "no-series-terms", "matrix-d", "poncelet-seed", "bool-seed"])
 def test_every_count_must_be_an_int(call):
-    # these raised a numpy or range TypeError, or (a bool max_n) answered
+    # these raised a numpy or range TypeError, answered (a bool max_n or
+    # seed, no series terms, d = 1), or built a signature that
+    # ConfocalFamily failed on with a TypeError
     with pytest.raises(ValueError, match="must be an int"):
         call()
 

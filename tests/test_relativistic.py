@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from pbl.billiard import closure_test, rectangle_ratio, trace
 from pbl.confocal import ConfocalFamily, jacobi_coordinates
 from pbl.errors import (
     BoundaryCase,
@@ -19,6 +20,7 @@ from pbl.errors import (
     PointNotOnConic,
 )
 from pbl.metric import LineType, MDistance, Signature, line_type, sq_norm
+from pbl.periodicity import lightlike_period, numerical_rank, poncelet_verify
 from pbl.relativistic import (
     GeomType3,
     RelType,
@@ -238,7 +240,7 @@ def test_surface_normal_cusp_guard():
         tropic_surface_normal(FAM3, 4.0, math.pi / 4, 1)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.0"])
 @pytest.mark.parametrize("call", [
     lambda bad: tropic_point(FAM3, bad, 0.3, 1),
     lambda bad: tropic_point(FAM3, 1.0, bad, 1),
@@ -250,11 +252,20 @@ def test_surface_normal_cusp_guard():
     lambda bad: tropic_tangent_norm_sq(FAM3, 1.0, bad),
     lambda bad: relativistic_conic_classify(FAM2, MDistance(bad, False)),
     lambda bad: relativistic_conic_classify(FAM2, MDistance(bad, True)),
+    lambda bad: closure_test(trace(FAM2, [0.1, 0.2], [1.0, 0.3], 4), bad),
+    lambda bad: poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=1, tol=bad),
+    lambda bad: ConfocalFamily(Signature(1, 1), (bad, 1.0)),
+    lambda bad: rectangle_ratio(1.0, bad),
+    lambda bad: lightlike_period(bad, 1.0),
+    lambda bad: numerical_rank(np.eye(2), scale=bad),
 ], ids=["point-lam", "point-t", "partials-lam", "partials-t", "normal-lam", "cusp-t",
-        "norm-lam", "norm-t", "conic-real", "conic-imaginary"])
+        "norm-lam", "norm-t", "conic-real", "conic-imaginary", "closure-tol", "poncelet-tol",
+        "family-axis", "rectangle-axis", "lightlike-axis", "rank-scale"])
 def test_scalar_inputs_must_be_finite(call, bad):
-    # these returned nan, raised "math domain error", or classified a host
-    # lambda of nan or -inf
+    # these returned nan, raised "math domain error" or a TypeError,
+    # classified a host lambda of nan or -inf, read True as 1, or (a nan
+    # rank scale) answered 0; the tolerance and axis doors said "finite"
+    # of nan and inf already
     with pytest.raises(ValueError, match="must be finite"):
         call(bad)
 
