@@ -504,25 +504,27 @@ def trajectory_from_dict(data: dict) -> Trajectory:
     top level or bounce record that is not an object, say), a signature,
     axis or caustic that ``Signature``, ``ConfocalFamily`` or
     ``_caustic_set`` rejects, a str or bool where a number belongs, a
-    vector that is not d finite numbers, a drift that is not finite and
-    >= 0, or what ``trace`` never writes: a point whose Q_0 residual
-    exceeds BOUNDARY_TOL (the bound of ``_bounce``), a ``vin`` other than
-    the previous bounce's ``vout``, a double ``vout`` other than -``vin``,
-    a ``double`` other than the light-like test of the bounce's normal, a
-    ``lineType`` other than the line type of the first ``vin``, or
-    caustics with +inf on a line that is not light-like, or without it on
-    one that is.  The double flags are decided again for all bounces at
-    once by ``_light_like_rows``, which gives each normal the flag of
-    ``_light_like``, the rule of the bounce loop."""
+    ``double`` that is not a bool, a vector that is not d finite numbers,
+    a drift that is not finite and >= 0, or what ``trace`` never writes: a
+    point whose Q_0 residual exceeds BOUNDARY_TOL (the bound of
+    ``_bounce``), a ``vin`` other than the previous bounce's ``vout``, a
+    double ``vout`` other than -``vin``, a ``double`` other than the
+    light-like test of the bounce's normal, a ``lineType`` other than the
+    line type of the first ``vin``, or caustics with +inf on a line that is
+    not light-like, or without it on one that is.  The double flags are
+    decided again for all bounces at once by ``_light_like_rows``, which
+    gives each normal the flag of ``_light_like``, the rule of the bounce
+    loop."""
     try:
         fam = ConfocalFamily(Signature(*data["signature"]), tuple(data["axes"]))
-        # a float, nan and -inf among them, meets the rule of CausticSet
-        cs = _caustic_set(fam, [INF if c == "inf" else c if isinstance(c, float)
-                                else _as_scalar(c, "caustics") for c in data["caustics"]])
+        cs = _caustic_set(fam, [INF if c == "inf" else c for c in data["caustics"]])
         ltype = LineType(data["lineType"])
         drift = _as_scalar(data["drift"], "drift", ">= 0")
         rows = [(raw["p"], raw["vin"], raw["vout"]) for raw in data["bounces"]]
-        double = np.array([raw["double"] for raw in data["bounces"]], dtype=bool)
+        double = [raw["double"] for raw in data["bounces"]]
+        if not all(isinstance(flag, bool) for flag in double):
+            raise ValueError("a bounce's double flag is not a JSON boolean")
+        double = np.array(double, dtype=bool)
     except KeyError as exc:
         raise ValueError(f"trajectory lacks the key {exc}") from None
     except (TypeError, ValueError) as exc:

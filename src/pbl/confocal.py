@@ -32,7 +32,9 @@ from .errors import (
     NoIntersection,
     RootIsolationError,
 )
-from .metric import LineType, Signature, line_type, _as_scalar, _as_vector, _exponent, _read_only
+from .metric import (
+    LineType, Signature, line_type, _as_scalar, _as_vector, _exponent, _is_real, _read_only,
+)
 
 INF = math.inf
 
@@ -174,13 +176,16 @@ class Line:
 class CausticSet:
     """Tangency parameters of a line, sorted ascending, math.inf last (once).
 
-    Multiplicities are encoded by repetition; nan and -inf raise DegenerateConfiguration.
+    Multiplicities are encoded by repetition; nan and -inf raise
+    DegenerateConfiguration, a type that ``_is_real`` refuses ValueError.
     """
 
     params: tuple
 
     def __post_init__(self) -> None:
         params = tuple(self.params)
+        if not all(map(_is_real, params)):
+            raise ValueError(f"caustics must be finite numbers or +inf, got {params!r}")
         finite = sorted(p for p in params if -INF < p < INF)
         if len(finite) + (INF in params) != len(params):
             raise DegenerateConfiguration(f"caustics {params} hold nan, -inf or a second +inf")

@@ -113,13 +113,19 @@ def _as_count(value, name: str, least: int):
     return value
 
 
+def _is_real(value) -> bool:
+    """The type rule of every scalar argument, which a nan or +-inf meets:
+    an int, float, numpy real or Fraction, and not a bool."""
+    return (isinstance(value, (int, float, Fraction, np.integer, np.floating))
+            and not isinstance(value, bool))
+
+
 def _as_scalar(value, name: str, bound: str | None = None):
     """value, if it is a finite int, float, numpy real or Fraction, not a
     bool or a str, within ``bound``: None for any, ">= 0" or "positive".
     The one check of every scalar that a public routine takes, as
     ``_as_vector`` is of a vector: ValueError naming ``name`` otherwise."""
-    if (isinstance(value, (int, float, Fraction, np.integer, np.floating))
-            and not isinstance(value, bool) and -math.inf < value < math.inf
+    if (_is_real(value) and -math.inf < value < math.inf
             and (bound is None or value > 0 or (value == 0 and bound == ">= 0"))):
         return value
     raise ValueError(f"{name} must be finite{'' if bound is None else ' and ' + bound}, "

@@ -302,14 +302,45 @@ def rotation_vector(fam: ConfocalFamily, params) -> np.ndarray:
     return rho[0]
 
 
+def _hankel_det(h, k: int):
+    """det[h_{i+j}]_{i, j < k}, k <= 3, of floats or float arrays h in closed
+    form, read as 0 below its rounding bound (Higham 2002, ch. 3: u = 2^-53,
+    gamma_j = j u / (1 - j u)).  k = 1 is h_0, exact.  k = 2 is fl(h0 h2) -
+    fl(h1 h1), within gamma_2 T, T = |h0 h2| + h1^2.  k = 3 expands by the
+    first row: minor m_i = p_i - q_i, of two rounded products, is within
+    gamma_2 M_i, M_i = |p_i| + |q_i| exactly, and the signed dot product of
+    the h_i and m_i adds gamma_3 (1 + gamma_2) P, P = sum_i |h_i| M_i: within
+    gamma_5 P (Lemma 3.3).  The bounds 3u T and 6u P, formed as written from
+    the rounded products, are 3 and 6 roundings deep, each at most a factor
+    1 - u down, and 3 (1 - u)^3 > 2 / (1 - 2u), 6 (1 - u)^6 > 5 / (1 - 5u).
+    So a value not read as 0 has the exact sign, and one read as 0 is within
+    twice its bound of it, while no product or sum overflows or underflows."""
+    if k == 1:
+        return h[0]
+    if k == 2:
+        p, q = h[0] * h[2], h[1] * h[1]
+        value, bound = p - q, 3 * 2.0**-53 * (abs(p) + q)
+    else:
+        p0, q0 = h[2] * h[4], h[3] * h[3]
+        p1, q1 = h[1] * h[4], h[2] * h[3]
+        p2, q2 = h[1] * h[3], h[2] * h[2]
+        value = h[0] * (p0 - q0) - h[1] * (p1 - q1) + h[2] * (p2 - q2)
+        bound = 6 * 2.0**-53 * (abs(h[0]) * (abs(p0) + q0) + abs(h[1]) * (abs(p1) + abs(q1))
+                                + abs(h[2]) * (abs(p2) + q2))
+    return np.where(abs(value) < bound, 0.0, value)
+
+
 def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     """Determinant of the (square, planar) closure matrix at caustic alpha.
 
-    ``alpha`` is a scalar or an array; P1, the series and the matrices are
-    built for every entry at once, and one determinant call runs on the
-    stack.  Where ``fam.is_zero_caustic`` or ``fam.is_degenerate_parameter``
-    holds (also at +-inf and nan) the series does not exist: an array holds
-    nan, a scalar raises DegenerateConfiguration.  Light-like closure is
+    ``alpha`` is a scalar or an array; P1 and the series are built for every
+    entry at once.  For n <= 8 the determinant is a closed form, read as 0
+    within its rounding bound, so one that is not 0 has the exact sign for
+    the float series (``_hankel_det``); for n >= 9 one ``np.linalg.det``
+    call runs on the stack.  Where ``fam.is_zero_caustic`` or
+    ``fam.is_degenerate_parameter`` holds (also at +-inf and nan) the
+    series does not exist: an array holds nan, a scalar raises
+    DegenerateConfiguration.  Light-like closure is
     ``cayley_condition(fam, (inf,), n)``.  ValueError unless n is an int >= 3.
     """
     _as_count(n, "period", 3)
@@ -318,9 +349,12 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     alpha = np.asarray(alpha, dtype=float)
     good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
     p1 = poly_mul([np.where(good, alpha, math.nan), -1.0], [float(c) for c in fam.pencil_product])
-    M = cayley_matrix(sqrt_series([c / p1[0] for c in p1], n), 2, n)
-    det = np.full(alpha.shape, math.nan)
-    det[good] = np.linalg.det(M[good])
+    B = sqrt_series([c / p1[0] for c in p1], n)
+    if n <= 8:  # the series is nan where not good
+        det = _hankel_det(B[3 - n % 2:], (n - 1) // 2)
+    else:
+        det = np.full(alpha.shape, math.nan)
+        det[good] = np.linalg.det(cayley_matrix(B, 2, n)[good])
     if alpha.ndim:
         return det
     if not good:
@@ -398,7 +432,8 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
 
     Each side of 0 is sampled in one array call of ``planar_cayley_det``
     (nan at degenerate samples, which bound no sign change).  A sample
-    where the determinant is exactly 0 is a root.  Every sign change is
+    where the determinant is 0 (for n <= 8, within its rounding bound of 0)
+    is a root.  Every sign change is
     then refined by safeguarded Illinois steps (Dowell and Jarratt, 1971),
     all at once, with one array call per step on the brackets still open.
     A step takes the secant point of the bracket, and a secant step halves
@@ -408,7 +443,7 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
     previous secant point gave nan, or when the bracket has not halved over
     the last two steps.  So the first step is a midpoint, which keeps
     secant steps from settling on a degenerate value next to the root,
-    where the determinant goes to 0 without changing sign.  An exact 0 is a
+    where the determinant goes to 0 without changing sign.  A 0 is a
     root.  A bracket stops when it is narrower than ``BISECT_TOL`` relative
     to its midpoint, at a nan midpoint, or after 200 steps.  ValueError
     unless n is an int >= 3.

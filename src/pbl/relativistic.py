@@ -30,7 +30,7 @@ from .errors import (
     NotDecoratable,
     PointNotOnConic,
 )
-from .metric import MDistance, _as_scalar, _as_vector, mdistance, pseudo_cross
+from .metric import MDistance, _as_scalar, _as_vector, _is_real, mdistance, pseudo_cross
 
 #: Matching tolerance (relative to a_1 + a_d) when locating a coordinate.
 MATCH_TOL = 1e-7
@@ -59,6 +59,13 @@ def _type_from_counts(below: int, has_pair: bool) -> RelType:
     return RelType("H", below)
 
 
+def _as_lambda(lam):
+    """lam if ``_is_real``, else ValueError; nan and +-inf meet each caller's rule."""
+    if _is_real(lam):
+        return lam
+    raise ValueError(f"lambda must be a real number, got {lam!r}")
+
+
 def relativistic_type(fam: ConfocalFamily, x, lam0: float) -> RelType:
     """Relativistic type of the pencil member Q_{lam0} at the point x.
 
@@ -66,6 +73,7 @@ def relativistic_type(fam: ConfocalFamily, x, lam0: float) -> RelType:
     multiple coordinate has no well-defined type and raises
     ``MultipleRoot``.
     """
+    _as_lambda(lam0)
     gj = jacobi_coordinates(fam, x)
     matches = [r for r in gj.real_roots if abs(r - lam0) <= MATCH_TOL * fam.scale]
     if not matches:
@@ -115,7 +123,7 @@ def _abc(fam: ConfocalFamily) -> tuple[float, float, float]:
 def geometric_type_3d(fam: ConfocalFamily, lam: float) -> GeomType3:
     """Geometric type of Q_lambda in a (2, 1) family in dimension 3."""
     a, b, c = _abc(fam)
-    if not math.isfinite(lam):
+    if not math.isfinite(_as_lambda(lam)):
         raise DegenerateParameter("lambda must be finite")
     if fam.is_degenerate_parameter(lam):
         return GeomType3.DEGENERATE_PLANE
@@ -192,7 +200,7 @@ def tropic_cone_residual(fam: ConfocalFamily, lam: float, p) -> float:
     Zero exactly on the light-like-normal curve of Q_lambda.
     """
     a, b, c = _abc(fam)
-    if fam.is_degenerate_parameter(lam):
+    if fam.is_degenerate_parameter(_as_lambda(lam)):
         raise DegenerateParameter(f"lambda = {lam} is degenerate for the cone")
     pv = _as_vector(p, 3)
     return float(
@@ -329,7 +337,7 @@ def focal_residual(fam: ConfocalFamily, lam: float, x) -> FocalResidual:
     """
     a, b = _ab(fam)
     xv = _as_vector(x, 2)
-    if fam.is_degenerate_parameter(lam):
+    if fam.is_degenerate_parameter(_as_lambda(lam)):
         raise DegenerateParameter(f"lambda = {lam} is degenerate")
     val = xv[0] ** 2 / (a - lam) + xv[1] ** 2 / (b + lam) - 1.0
     if abs(val) > 1e-9 * max(1.0, abs(xv[0]) + abs(xv[1])):

@@ -845,6 +845,18 @@ def test_trajectory_from_dict_reads_every_field_strictly(edit, message):
         trajectory_from_dict(data)
 
 
+@pytest.mark.parametrize("flag", [0, 1, "false", "true", None, 0.0])
+@pytest.mark.parametrize("bounce", [0, 2])
+def test_trajectory_from_dict_reads_double_flags_as_booleans(bounce, flag):
+    # "double": 0 on a single bounce was read as False, and "false" as
+    # True, which only the double-vout rule caught
+    data = json.loads(json.dumps(trajectory_to_dict(trace(FAM2, [0.1, 0.2], [1.0, 0.3], 4))))
+    assert data["bounces"][bounce]["double"] is False
+    data["bounces"][bounce]["double"] = flag
+    with pytest.raises(ValueError, match="malformed trajectory: .*double flag"):
+        trajectory_from_dict(data)
+
+
 def test_trajectory_dict_schema():
     traj = trace(FAM2, [0.1, 0.2], [1.0, 1.0], 3)
     data = trajectory_to_dict(traj)

@@ -2,8 +2,9 @@
 ``confocal._caustic_set``: a malformed set raises one class everywhere.
 
 nan, -inf and a second +inf are values no caustic set holds
-(DegenerateConfiguration, from ``CausticSet``); a set of the wrong length
-for the family raises ValueError.
+(DegenerateConfiguration, from ``CausticSet``); a caustic that is not a
+number by the type rule of the scalar door (a str, None, a bool) and a set
+of the wrong length for the family raise ValueError.
 """
 
 import math
@@ -54,12 +55,19 @@ READERS = {
     "trajectory_from_dict": lambda fam, cs: trajectory_from_dict(_stored(fam, cs)),
 }
 
+NOT_A_NUMBER = r"caustics must be finite numbers or \+inf"
+
 CASES = {
     "nan": (FAM2, (math.nan,), DegenerateConfiguration, "nan, -inf or a second"),
     "minus-inf": (FAM2, (-INF,), DegenerateConfiguration, "nan, -inf or a second"),
     "inf-inf": (FAM3, (INF, INF), DegenerateConfiguration, "nan, -inf or a second"),
     "nan-among-finite": (FAM3, (1.0, math.nan), DegenerateConfiguration, "nan, -inf or a second"),
     "wrong-count": (FAM3, (1.0,), ValueError, "expected 2 caustic parameters, got 1"),
+    # these raised TypeError ("'<' not supported ...") or, True, read as 1.0
+    "str": (FAM2, ("0.5",), ValueError, NOT_A_NUMBER),
+    "none": (FAM2, (None,), ValueError, NOT_A_NUMBER),
+    "bool": (FAM2, (True,), ValueError, NOT_A_NUMBER),
+    "str-among-finite": (FAM3, (1.0, "2.0"), ValueError, NOT_A_NUMBER),
 }
 
 

@@ -259,6 +259,96 @@ def test_planar_det_fraction_axes_match_float_twin():
             assert planar_cayley_det(exact, float(alpha), n) == det
 
 
+def _exact_det(M):
+    """Determinant of a square list of Fractions, by the first row."""
+    if len(M) == 1:
+        return M[0][0]
+    return sum((-1) ** j * M[0][j] * _exact_det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)))
+
+
+U = Fraction(1, 2**53)
+# k: (the proven rounding bound's gamma_j, the band's constant c, its roundings)
+BAND = {2: (2 * U / (1 - 2 * U), 3 * U, 3), 3: (5 * U / (1 - 5 * U), 6 * U, 6)}
+
+
+def _abs_terms(h, k):
+    """T (k = 2) or P (k = 3) of ``_hankel_det``, exactly: the sum of
+    |h_i| (|p_i| + |q_i|) over the first-row minors p_i - q_i for k = 3."""
+    if k == 2:
+        return abs(h[0] * h[2]) + h[1] * h[1]
+    minors = ((h[2] * h[4], h[3] * h[3]), (h[1] * h[4], h[2] * h[3]), (h[1] * h[3], h[2] * h[2]))
+    return sum(abs(h[i]) * (abs(p) + abs(q)) for i, (p, q) in enumerate(minors))
+
+
+def _hankel_rows(rng, k, count=150):
+    """Float Hankel series h_0 .. h_{2k-2}, one per column: random ones,
+    ones with every entry or every row scaled by 2^+-300, near-singular
+    ones (the last entry solved for an exact determinant of 0), and ones
+    placed within a few ulps of where the exact determinant is +-c and
+    +-3c times the absolute-term sum: the band's edge, and outside it."""
+    size = 2 * k - 1
+
+    def draw(shape):
+        scale = 2.0 ** rng.choice([-300, 0, 300], size=shape)
+        return rng.uniform(0.5, 2.0, shape) * rng.choice([-1.0, 1.0], shape) * scale
+
+    cols = [rng.standard_normal((size, count)), draw((size, count)),
+            rng.standard_normal((size, count)) * 2.0 ** rng.choice([-300, 300], count)]
+    if k == 1:
+        cols.append(np.array([[0.0, -0.0, 5e-324, -5e-324, 2.0**-1022]]))
+        return np.concatenate(cols, axis=1)
+    base = np.concatenate([rng.standard_normal((size, count)), draw((size, count))], axis=1)
+    for h in base.T:
+        f = [Fraction(x) for x in h[:-1]] + [Fraction(0)]
+        rest = _exact_det([[f[i + j] for j in range(k)] for i in range(k)])
+        lead = _exact_det([[f[i + j] for j in range(k - 1)] for i in range(k - 1)])
+        if lead == 0 or not 2.0**-310 < abs(rest / lead) < 2.0**310:
+            continue  # keep every product in the normal range
+        h[-1] = float(-rest / lead)  # near-singular
+        cols.append(h.copy()[:, None])
+        c = BAND[k][1]
+        for times in (-3, -1, 1, 3):
+            target = times * c * _abs_terms([Fraction(x) for x in h], k)
+            edge = float((target - rest) / lead)
+            for ulps in range(-3, 4):
+                row = h.copy()
+                row[-1] = edge
+                for _ in range(abs(ulps)):
+                    row[-1] = np.nextafter(row[-1], math.copysign(math.inf, ulps))
+                cols.append(row[:, None])
+    return np.concatenate(cols, axis=1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_closed_form_determinant_zero_band(k):
+    # the closed form of the planar determinant for n <= 8 against the
+    # exact determinant of the same float series: a value that is not 0 is
+    # within the proven rounding bound and has the exact sign, and a value
+    # read as 0 (inside the band) is within twice the computed band
+    H = _hankel_rows(np.random.default_rng(23 + k), k)
+    values = periodicity._hankel_det(list(H), k)
+    assert values.shape == H.shape[1:]
+    zeros = 0
+    for h, value in zip(H.T, values):
+        f = [Fraction(x) for x in h]
+        exact = _exact_det([[f[i + j] for j in range(k)] for i in range(k)])
+        assert periodicity._hankel_det(h.tolist(), k) == value  # a scalar series, the same bits
+        if k == 1:
+            assert value == exact
+            continue
+        gamma, c, roundings = BAND[k]
+        terms = _abs_terms(f, k)
+        if value:
+            assert abs(Fraction(float(value)) - exact) <= gamma * terms
+            assert (value > 0) == (exact > 0) and exact != 0
+        else:
+            zeros += 1
+            assert abs(exact) <= 2 * c * terms * (1 + U) ** roundings
+    if k > 1:
+        assert 0 < zeros < len(values)  # the rows on the band edge fall on both sides of it
+
+
 def test_scaling_covariance():
     # scaling all axes by s scales periodic caustics by s
     s = 2.7

@@ -270,6 +270,32 @@ def test_scalar_inputs_must_be_finite(call, bad):
         call(bad)
 
 
+LAMBDA_CALLS = {
+    "type": lambda lam: relativistic_type(FAM3, [1.0, 1.0, 0.5], lam),
+    "geometric": lambda lam: geometric_type_3d(FAM3, lam),
+    "cone": lambda lam: tropic_cone_residual(FAM3, lam, [0.1, 0.2, 0.3]),
+    "focal": lambda lam: focal_residual(FAM2, lam, [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, "x", "1.0", None])
+@pytest.mark.parametrize("call", LAMBDA_CALLS)
+def test_lambda_must_be_a_number(call, bad):
+    # these raised TypeError, "could not convert string to float", or read
+    # True as 1 ("ellipsoid", a cone residual of 0.2014)
+    with pytest.raises(ValueError, match="lambda must be a real number"):
+        LAMBDA_CALLS[call](bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call, error", [
+    ("type", ValueError), ("geometric", DegenerateParameter), ("cone", DegenerateParameter),
+    ("focal", DegenerateParameter)])
+def test_nonfinite_lambda_keeps_its_rule(call, error, bad):
+    with pytest.raises(error, match="Jacobi coordinate|lambda must be finite|degenerate"):
+        LAMBDA_CALLS[call](bad)
+
+
 # ----------------------------------------------------------- planar conics
 
 
