@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._poly import companion_roots, linear_product, newton_polish
+from ._poly import linear_product, newton_polish, polynomial_roots
 from .errors import (
     AmbiguousSign,
     DegenerateConfiguration,
@@ -369,14 +369,8 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     are collapsed into a multiple root.  A point so far out that rounding
     loses a coordinate (``newton_polish``) raises RootIsolationError.
     """
-    coeffs, roots, real = _jacobi_rows(fam, _as_vector(x, fam.d)[None])
-    roots = roots[0]
-    complex_pair = None
-    if not real[0]:
-        z0, z1 = roots[-2:]
-        complex_pair = (0.5 * (z0.real + z1.real), 0.5 * (abs(z0.imag) + abs(z1.imag)))
-        roots = roots[:-2]
-    polished = sorted(newton_polish(coeffs[0], roots.real.tolist()))
+    coeffs, [(roots, complex_pair)] = _jacobi_rows(fam, _as_vector(x, fam.d)[None])
+    polished = sorted(newton_polish(coeffs[0], roots))
     scale = fam.scale
     real_roots: list[float] = []
     i = 0
@@ -392,19 +386,18 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
 
 
 def _jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
-    """The Jacobi polynomial of each row of the (S, d) points X, its complex
-    roots in order of |imag|, and a mask of the rows whose last two roots,
-    the place of a complex pair, are not off the real axis by more than
-    1e-9.  Coefficients that overflow are not finite and give nan roots,
-    which count as real, so that ``newton_polish`` rejects them."""
+    """The Jacobi polynomial of each row of the (S, d) points X, and the
+    row's ``polynomial_roots``, where a pair off the real axis by no more
+    than 1e-9 max(scale, |z|) counts as two real roots.  Coefficients that
+    overflow give nan roots, which count as real, so that
+    ``newton_polish`` rejects them."""
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = _jacobi_polynomials(fam, X)
-    roots = companion_roots(coeffs)
-    by_imag = np.abs(roots.imag).argsort(axis=-1, kind="stable")
-    roots = roots[np.arange(len(X))[:, None], by_imag]
-    tail = roots[:, -2:]
-    off = np.abs(tail.imag) > 1e-9 * np.maximum(fam.scale, np.abs(tail))
-    return coeffs, roots, ~off.any(-1)
+    rows = polynomial_roots(coeffs)
+    for s, (roots, pair) in enumerate(rows):
+        if pair is not None and not pair[1] > 1e-9 * max(fam.scale, math.hypot(*pair)):
+            rows[s] = (roots + [pair[0]] * 2, None)
+    return coeffs, rows
 
 
 def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
@@ -413,13 +406,14 @@ def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
     ones, which the row holds bit for bit; 1 where it finds a complex pair
     or a multiple root; 2 where it raises RootIsolationError without
     finding a pair."""
-    coeffs, roots, real = _jacobi_rows(fam, X)
-    lam, code = roots.real.tolist(), np.where(real, 0, 1)
-    for s in np.flatnonzero(real).tolist():
-        try:
-            lam[s] = newton_polish(coeffs[s], lam[s])
-        except RootIsolationError:
-            lam[s], code[s] = [math.nan] * fam.d, 2
+    coeffs, rows = _jacobi_rows(fam, X)
+    lam, code = [[math.nan] * fam.d] * len(X), np.ones(len(X), dtype=int)
+    for s, (roots, pair) in enumerate(rows):
+        if pair is None:
+            try:
+                lam[s], code[s] = newton_polish(coeffs[s], roots), 0
+            except RootIsolationError:
+                code[s] = 2
     lam = np.sort(np.reshape(lam, (len(X), fam.d)), axis=-1)
     code[(code == 0) & (np.diff(lam, axis=-1) <= MULTIPLE_ROOT_TOL * fam.scale).any(-1)] = 1
     return lam, code
@@ -437,11 +431,12 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     light-like line has d - 2 finite ones plus the hyperplane at infinity,
     reported as math.inf.
 
-    The finite caustics are the roots of the tangency polynomial, taken
-    from its companion matrix and polished by a few Newton steps
-    (``newton_polish``).  For a line that meets the ellipsoid they are all
-    real (a theorem of Dragovic and Radnovic), so a complex root, a wrong
-    root count or a root that the polish rejects means the line is too
+    The finite caustics are the roots of the tangency polynomial
+    (``polynomial_roots``, in closed form up to degree 3) polished by a few
+    Newton steps (``newton_polish``).  For a line that meets the ellipsoid
+    they are all real (a theorem of Dragovic and Radnovic), so a complex
+    pair off the real axis by more than 1e-6 max(scale, |z|), a wrong root
+    count or a root that the polish rejects means the line is too
     degenerate and raises RootIsolationError.  The direction is scaled by
     ``_exponent`` first, which changes no bit of the roots.
     """
@@ -457,15 +452,15 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     c = pc
     while len(c) > 1 and c[-1] == 0.0:  # a zero leading coefficient lowers the degree
         c = c[:-1]
-    roots = companion_roots(c[None])[0]
-    for z in roots:
-        if abs(z.imag) > 1e-6 * max(fam.scale, abs(z)):
-            raise RootIsolationError(
-                f"complex tangency root {z}; the line is too degenerate to isolate caustics"
-            )
+    [(roots, pair)] = polynomial_roots(c[None])
+    if pair is not None:
+        if pair[1] > 1e-6 * max(fam.scale, math.hypot(*pair)):
+            raise RootIsolationError(f"complex tangency root {complex(*pair)}; the line "
+                                     "is too degenerate to isolate caustics")
+        roots += [pair[0]] * 2
     if len(roots) != len(pc) - 1:
         raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
-    polished = tuple(newton_polish(pc, roots.real.tolist()))
+    polished = tuple(newton_polish(pc, roots))
     return CausticSet(polished + ((INF,) if light else ()))
 
 

@@ -752,9 +752,11 @@ def test_stacked_directions_equal_the_per_point_lists(fam, target):
 
 
 def test_far_rows_of_a_stack_keep_no_pattern():
-    # rounding loses the Jacobi coordinates of x_1 = 1e16, and 1e160
-    # overflows the polynomial: one such point raises RootIsolationError,
-    # and in a stack its row keeps no pattern while the others keep their bits
+    # x_1 = 1e16 has its Jacobi coordinates (-1e32, -2, 3; an eigenvalue
+    # solve lost the small ones), but no real line through it has these
+    # caustics; 1e160 overflows the polynomial and raises
+    # RootIsolationError.  In a stack their rows keep no pattern while the
+    # others keep their bits
     target = (-2.320953597016259, 2.154286930349592)
     p = random_boundary_point(FAM3, np.random.default_rng(5))
     X = np.array([p, [1e16, 1.0, 1.0], [1e160, 1.0, 1.0]])
@@ -763,9 +765,10 @@ def test_far_rows_of_a_stack_keep_no_pattern():
     assert kept[0].sum() == len(one) > 0
     assert [v.tobytes() for v in V[0, kept[0]]] == [v.tobytes() for v in one]
     assert not kept[1:].any()
-    for far in X[1:]:
-        with pytest.raises(RootIsolationError, match="rounding"):
-            direction_with_caustics(FAM3, far, target)
+    with pytest.raises(NoSolution, match="no real line"):
+        direction_with_caustics(FAM3, X[1], target)
+    with pytest.raises(RootIsolationError, match="rounding"):
+        direction_with_caustics(FAM3, X[2], target)
 
 
 def test_an_empty_stack_keeps_no_pattern():

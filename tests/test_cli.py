@@ -450,14 +450,25 @@ def test_classify_point_rejects_wrong_length_point(capsys):
 
 
 @pytest.mark.parametrize("command", ["classify-point", "decorate"])
-@pytest.mark.parametrize("point", ["1e16,1,1", "1e160,1,1"])
-def test_far_point_is_a_numerical_failure(capsys, command, point):
-    # rounding loses the coordinates at x_1 = 1e16: classify-point printed
-    # [-1e+32, 0.0, 0.0] and decorate a multiple coordinate; at 1e160 the
-    # polynomial overflows
+@pytest.mark.parametrize("point, answered", [("1e16,1,1", True), ("1e160,1,1", False)],
+                         ids=["1e16,1,1", "1e160,1,1"])
+def test_far_point_is_a_numerical_failure(capsys, command, point, answered):
+    # at x_1 = 1e16 the coordinates are -1e32, -2 and 3, the float
+    # polynomial's roots rounded (an eigenvalue solve lost the two small
+    # ones, and this was a numerical failure); at 1e160 the polynomial
+    # overflows
     code, out, err = run(capsys, command, "--sig", "2,1", "--axes", "5,3,2", "--point", point)
-    assert code == 3
-    assert out == "" and "numerical failure" in err
+    if not answered:
+        assert code == 3
+        assert out == "" and "numerical failure" in err
+        return
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    if command == "classify-point":
+        assert doc == {"complexPair": None, "coordinates": [-1e32, -2.0, 3.0]}
+    else:
+        assert [(c["type"], c["lambda"]) for c in doc["coordinates"]] == [
+            ("E", -1e32), ("H^1", -2.0), ("H^2", 3.0)]
 
 
 @pytest.mark.parametrize("max_n", ["-1", "-128"])

@@ -250,15 +250,24 @@ def test_jacobi_complex_pair_frozen():
 
 
 def test_jacobi_rejects_a_point_that_rounding_loses():
-    # at x_1 = 1e15 the coordinates are about -1e30, -2 and 3; at 1e16 the
-    # polish took the two small ones to 0.0, and at 1e160 the polynomial
-    # overflows, which used to raise numpy's LinAlgError
+    # at x_1 = 1e15 the coordinates are about -1e30, -2 and 3.  At 1e16 an
+    # eigenvalue solve lost the two small ones (the polish took them to 0.0
+    # and raised); the closed form divides the largest root out from the
+    # constant end and keeps them.  The float polynomial's roots, to 60
+    # digits: -100000000000000005366162204393473, -1.99999999999999992794
+    # and 2.99999999999999992794, which round to the constants below.  Up
+    # to x_1 = 1e153 the coordinates stay within 5e-16 of them; at 1e154 and
+    # 1e160 the polynomial overflows, which used to raise numpy's LinAlgError
     gj = jacobi_coordinates(FAM3, [1e15, 1.0, 1.0])
     assert gj.real_roots == pytest.approx([-1e30, -2.0, 3.0], rel=1e-9)
-    with pytest.raises(RootIsolationError, match="backward error"):
-        jacobi_coordinates(FAM3, [1e16, 1.0, 1.0])
-    with pytest.raises(RootIsolationError, match="not finite"):
-        jacobi_coordinates(FAM3, [1e160, 1.0, 1.0])
+    gj = jacobi_coordinates(FAM3, [1e16, 1.0, 1.0])
+    assert gj.real_roots == pytest.approx([-1e32, -2.0, 3.0], rel=1e-15)
+    assert gj.complex_pair is None and gj.is_simple_real()
+    gj = jacobi_coordinates(FAM3, [1e153, 1.0, 1.0])
+    assert gj.real_roots == pytest.approx([-1e306, -2.0, 3.0], rel=1e-15)
+    for far in (1e154, 1e160):
+        with pytest.raises(RootIsolationError, match="not finite"):
+            jacobi_coordinates(FAM3, [far, 1.0, 1.0])
 
 
 def test_newton_polish_keeps_only_roots_with_a_small_backward_error():

@@ -1,6 +1,7 @@
 """No module of src/pbl or tests/ imports a name it never uses,
-no function or class of src/pbl is left without a reader, and no module
-of src/pbl defines a ``_check_*`` function.
+no function or class of src/pbl is left without a reader, no module
+of src/pbl defines a ``_check_*`` function, and only ``_poly`` calls
+``np.linalg.eigvals``.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -70,3 +71,14 @@ def test_no_check_helpers():
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_check_"):
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno} {node.name}")
     assert not found, "check helpers outside the doors of metric:\n" + "\n".join(found)
+
+
+def test_eigenvalues_only_in_poly():
+    # roots of degree <= 3 come in closed form; the one eigenvalue solve,
+    # for higher degrees, is companion_roots in _poly
+    found = []
+    for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "eigvals":
+                found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert found and all(f.startswith("src/pbl/_poly.py:") for f in found), found
