@@ -128,21 +128,32 @@ class ConfocalFamily:
     def denominators(self, lam: float) -> np.ndarray:
         return self.axes_f - self.eps * lam
 
+    @cached_property
+    def _scalar_rule(self) -> tuple:
+        """DEGENERATE_TOL * (a_1 + a_d) and ``signed_axes`` as Python floats."""
+        return DEGENERATE_TOL * self.scale, tuple(self.signed_axes.tolist())
+
     def is_degenerate_parameter(self, lam):
         """lam within DEGENERATE_TOL * (a_1 + a_d) of some eps_i a_i, or not
         finite.  DEGENERATE_TOL is the one tolerance of this rule.
 
-        Elementwise: a scalar gives a numpy bool, an array a bool array.
+        Elementwise: a float gives a bool, on Python floats when it is one;
+        another scalar gives a numpy bool, an array a bool array.
         """
+        tol, signed_axes = self._scalar_rule
+        if isinstance(lam, float):
+            return not -INF < lam < INF or any(abs(lam - e) <= tol for e in signed_axes)
         lam = np.asarray(lam, dtype=float)
-        near = np.abs(lam[..., None] - self.signed_axes) <= DEGENERATE_TOL * self.scale
+        near = np.abs(lam[..., None] - self.signed_axes) <= tol
         return near.any(axis=-1) | ~np.isfinite(lam)
 
     def is_zero_caustic(self, alpha):
         """|alpha| <= DEGENERATE_TOL * (a_1 + a_d): the line touches Q_0, the
         line-type sign rule is undecided and P1(0) of the Cayley condition
         vanishes.  Elementwise, like ``is_degenerate_parameter``."""
-        return np.abs(np.asarray(alpha, dtype=float)) <= DEGENERATE_TOL * self.scale
+        if isinstance(alpha, float):
+            return abs(alpha) <= self._scalar_rule[0]
+        return np.abs(np.asarray(alpha, dtype=float)) <= self._scalar_rule[0]
 
     def check_caustic_values(self, finite) -> None:
         """The caustic-value rule of the Cayley condition and of direction
@@ -150,11 +161,11 @@ class ConfocalFamily:
         ``finite`` is zero (``is_zero_caustic``), degenerate
         (``is_degenerate_parameter``) or collides with the next one (within
         DEGENERATE_TOL * (a_1 + a_d): an even factor under the square root
-        of P1, and a line that no direction constructs)."""
-        vals = np.array(finite, dtype=float)
-        if ((self.is_zero_caustic(vals) | self.is_degenerate_parameter(vals)).any()
-                or (np.diff(vals) <= DEGENERATE_TOL * self.scale).any()):
-            raise DegenerateConfiguration(f"caustic parameters {vals.tolist()} are zero, "
+        of P1, and a line that no direction constructs).  On Python floats."""
+        vals = [float(v) for v in finite]
+        if (any(self.is_zero_caustic(v) or self.is_degenerate_parameter(v) for v in vals)
+                or any(hi - lo <= self._scalar_rule[0] for lo, hi in zip(vals, vals[1:]))):
+            raise DegenerateConfiguration(f"caustic parameters {vals} are zero, "
                                           "degenerate or collide with each other")
 
 

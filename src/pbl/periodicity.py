@@ -45,7 +45,7 @@ from .errors import (
     VacuousCondition,
     ValidationError,
 )
-from .metric import _as_count, _as_scalar, _read_only
+from .metric import _as_count, _as_scalar, _is_real, _read_only
 from ._poly import linear_product, poly_mul
 
 #: Absolute tolerance when matching arctan sqrt(a/b) against pi-rational angles.
@@ -88,10 +88,10 @@ def sqrt_series(q, n_terms: int) -> list:
     ``q`` is an ascending coefficient list with q[0] > 0.  The recurrence
         B_n = (q_n - sum_{i=1}^{n-1} B_i B_{n-i}) / (2 B_0)
     stays in exact rational arithmetic when every coefficient is an int or
-    Fraction and q[0] is a perfect square; otherwise it runs in floats.
-    Float coefficients may be arrays of one shape: the recurrence then runs
-    on every entry at once, B[k][j] being coefficient k of series j.
-    ValueError unless n_terms is an int >= 1.
+    Fraction and q[0] is a perfect square; otherwise it runs on Python
+    floats, with no numpy call, unless a coefficient is an array: arrays of
+    one shape run every entry at once, B[k][j] being coefficient k of
+    series j.  ValueError unless n_terms is an int >= 1.
     """
     if not q:
         raise ValueError("empty coefficient list")
@@ -105,11 +105,12 @@ def sqrt_series(q, n_terms: int) -> list:
         if b0 is None:
             exact_in = False
     if not exact_in:
-        q = [np.asarray(c, dtype=float) if np.ndim(c) else float(c) for c in q]
+        scalar = all(isinstance(c, (int, float, Fraction)) for c in q)
+        q = [float(c) if scalar or not np.ndim(c) else np.asarray(c, dtype=float) for c in q]
         q0 = q[0]
-        if np.any(q0 <= 0.0):
+        if (q0 <= 0.0) if scalar else np.any(q0 <= 0.0):
             raise NonpositiveConstantTerm(f"constant term {q0} is not positive")
-        b0 = np.sqrt(q0) if np.ndim(q0) else math.sqrt(q0)
+        b0 = math.sqrt(q0) if scalar else np.sqrt(q0)
     coeffs = list(q) + [0 * q0] * max(0, n_terms - len(q))
     B = [b0]
     for n in range(1, n_terms):
@@ -158,10 +159,11 @@ def cayley_matrix(B, d: int, n: int) -> np.ndarray:
     need = base + rows - 1 + cols - 1
     if len(B) <= need:
         raise InsufficientOrder(f"need series terms up to index {need}, got {len(B) - 1}")
-    index = base + np.add.outer(np.arange(rows), np.arange(cols))
+    hankel = [B[base + i:base + i + cols] for i in range(rows)]
     if all(isinstance(b, (int, Fraction)) for b in B):
-        return np.array(B, dtype=object)[index]
-    return np.moveaxis(np.asarray(B, dtype=float), 0, -1)[..., index]
+        return np.array(hankel, dtype=object)
+    M = np.asarray(hankel, dtype=float)
+    return M if M.ndim == 2 else np.moveaxis(M, (0, 1), (-2, -1))
 
 
 def _exact_rank(M: np.ndarray) -> int:
@@ -314,7 +316,8 @@ def _hankel_det(h, k: int):
     the rounded products, are 3 and 6 roundings deep, each at most a factor
     1 - u down, and 3 (1 - u)^3 > 2 / (1 - 2u), 6 (1 - u)^6 > 5 / (1 - 5u).
     So a value not read as 0 has the exact sign, and one read as 0 is within
-    twice its bound of it, while no product or sum overflows or underflows."""
+    twice its bound of it, while no product or sum overflows or underflows.
+    Float h gives a float, float arrays an array."""
     if k == 1:
         return h[0]
     if k == 2:
@@ -327,17 +330,20 @@ def _hankel_det(h, k: int):
         value = h[0] * (p0 - q0) - h[1] * (p1 - q1) + h[2] * (p2 - q2)
         bound = 6 * 2.0**-53 * (abs(h[0]) * (abs(p0) + q0) + abs(h[1]) * (abs(p1) + abs(q1))
                                 + abs(h[2]) * (abs(p2) + q2))
+    if isinstance(value, float):
+        return 0.0 if abs(value) < bound else value
     return np.where(abs(value) < bound, 0.0, value)
 
 
 def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     """Determinant of the (square, planar) closure matrix at caustic alpha.
 
-    ``alpha`` is a scalar or an array; P1 and the series are built for every
-    entry at once.  For n <= 8 the determinant is a closed form, read as 0
-    within its rounding bound, so one that is not 0 has the exact sign for
-    the float series (``_hankel_det``); for n >= 9 one ``np.linalg.det``
-    call runs on the stack.  Where ``fam.is_zero_caustic`` or
+    ``alpha`` is a scalar (``_is_real``), run on Python floats, or an array
+    of ints or floats, run entry by entry at once; else ValueError.  For
+    n <= 8 the determinant is a closed form, read as 0 within its rounding
+    bound, so one that is not 0 has the exact sign for the float series
+    (``_hankel_det``); for n >= 9 one ``np.linalg.det`` call runs on the
+    matrix or the stack.  Where ``fam.is_zero_caustic`` or
     ``fam.is_degenerate_parameter`` holds (also at +-inf and nan) the
     series does not exist: an array holds nan, a scalar raises
     DegenerateConfiguration.  Light-like closure is
@@ -346,20 +352,26 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     _as_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
-    alpha = np.asarray(alpha, dtype=float)
-    good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
-    p1 = poly_mul([np.where(good, alpha, math.nan), -1.0], [float(c) for c in fam.pencil_product])
+    scalar = _is_real(alpha)
+    if scalar:
+        alpha = float(alpha)
+        if fam.is_degenerate_parameter(alpha) or fam.is_zero_caustic(alpha):
+            raise DegenerateConfiguration(f"no closure series at caustic {alpha}")
+    else:
+        if np.asarray(alpha).dtype.kind not in "iuf":
+            raise ValueError(f"alpha must be real numbers, got {alpha!r}")
+        alpha = np.asarray(alpha, dtype=float)
+        good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
+        alpha = np.where(good, alpha, math.nan)
+    p1 = poly_mul([alpha, -1.0], [float(c) for c in fam.pencil_product])
     B = sqrt_series([c / p1[0] for c in p1], n)
     if n <= 8:  # the series is nan where not good
-        det = _hankel_det(B[3 - n % 2:], (n - 1) // 2)
-    else:
-        det = np.full(alpha.shape, math.nan)
-        det[good] = np.linalg.det(cayley_matrix(B, 2, n)[good])
-    if alpha.ndim:
-        return det
-    if not good:
-        raise DegenerateConfiguration(f"no closure series at caustic {float(alpha)}")
-    return float(det)
+        return _hankel_det(B[3 - n % 2:], (n - 1) // 2)
+    if scalar:
+        return float(np.linalg.det(cayley_matrix(B, 2, n)))
+    det = np.full(alpha.shape, math.nan)
+    det[good] = np.linalg.det(cayley_matrix(B, 2, n)[good])
+    return det
 
 
 # ------------------------------------------------------ light-like closure
@@ -433,9 +445,9 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
     Each side of 0 is sampled in one array call of ``planar_cayley_det``
     (nan at degenerate samples, which bound no sign change).  A sample
     where the determinant is 0 (for n <= 8, within its rounding bound of 0)
-    is a root.  Every sign change is
-    then refined by safeguarded Illinois steps (Dowell and Jarratt, 1971),
-    all at once, with one array call per step on the brackets still open.
+    is a root.  Every sign change is then refined on its own by safeguarded
+    Illinois steps (Dowell and Jarratt, 1971), each one scalar call of
+    ``planar_cayley_det`` on Python floats (``_refine_sign_change``).
     A step takes the secant point of the bracket, and a secant step halves
     the value held at the end it keeps unless the step before set that end
     by a secant point.  A step takes the midpoint instead when the secant
@@ -461,15 +473,15 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
                         _interval_grid(hi, INF, span, 64)]),
     )
     roots: list[float] = []
-    brackets = []
     for xs in sides:
         vals = planar_cayley_det(fam, xs, n)
         zero = vals == 0.0
         zero[:-1] &= ~np.isnan(vals[1:])
         roots.extend(xs[zero].tolist())
         change = np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0
-        brackets.append((xs[:-1][change], xs[1:][change], vals[:-1][change], vals[1:][change]))
-    roots.extend(_refine_sign_changes(fam, n, *map(np.concatenate, zip(*brackets))))
+        ends = (xs[:-1][change], xs[1:][change], vals[:-1][change], vals[1:][change])
+        roots.extend(_refine_sign_change(fam, n, *bracket)
+                     for bracket in zip(*(end.tolist() for end in ends)))
 
     keep: list[float] = []
     for r in sorted(roots):
@@ -481,42 +493,39 @@ def find_periodic_caustics_plane(fam: ConfocalFamily, n: int) -> list:
     return keep
 
 
-def _refine_sign_changes(fam: ConfocalFamily, n: int, lo: np.ndarray, hi: np.ndarray,
-                         f_lo: np.ndarray, f_hi: np.ndarray) -> list:
-    """Midpoints of the brackets [lo, hi] of determinant sign changes
-    (f_lo at lo, f_hi at hi), each refined as ``find_periodic_caustics_plane``
-    says.  The four arrays are updated in place."""
-    active = np.ones(lo.shape, dtype=bool)
+def _refine_sign_change(fam: ConfocalFamily, n: int, lo: float, hi: float,
+                        f_lo: float, f_hi: float) -> float:
+    """Midpoint of the bracket [lo, hi] of a determinant sign change (f_lo
+    at lo, f_hi at hi), refined as ``find_periodic_caustics_plane`` says;
+    a DegenerateConfiguration of a step reads as nan."""
     w1 = w2 = hi - lo  # bracket widths one and two steps back
-    fresh = np.zeros(lo.shape)  # +1 (-1) where the last step's secant point set lo (hi)
-    nan_secant = np.zeros(lo.shape, dtype=bool)
+    fresh = 0  # +1 (-1) when the last step's secant point set lo (hi)
+    nan_secant = False
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        width = hi - lo
-        active &= width > BISECT_TOL * np.maximum(1.0, np.abs(mid))
-        idx = np.flatnonzero(active)
-        if idx.size == 0:
+        mid, width = 0.5 * (lo + hi), hi - lo
+        if not width > BISECT_TOL * max(1.0, abs(mid)):
             break
-        l, h, fl, fh = lo[idx], hi[idx], f_lo[idx], f_hi[idx]
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            x = l + (h - l) * (fl / (fl - fh))
-        bisect = ~((l < x) & (x < h)) | nan_secant[idx] | (width[idx] > 0.5 * w2[idx])
-        x[bisect] = mid[idx[bisect]]
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if f_lo != f_hi else math.nan
+        bisect = not lo < x < hi or nan_secant or width > 0.5 * w2
+        x = mid if bisect else x
         w1, w2 = width, w1
-        f = planar_cayley_det(fam, x, n)
-        active[idx[np.isnan(f) & bisect]] = False
-        nan_secant[idx] = np.isnan(f) & ~bisect
-        left = np.sign(fl) * np.sign(f) < 0.0  # the root is in [l, x]
-        right = np.sign(fh) * np.sign(f) < 0.0  # the root is in [x, h]
-        f_hi[idx[right & ~bisect & (fresh[idx] >= 0)]] *= 0.5  # Illinois: a stale kept end
-        f_lo[idx[left & ~bisect & (fresh[idx] <= 0)]] *= 0.5
-        fresh[idx] = np.where(bisect, 0.0, right.astype(float) - left)
-        zero = f == 0.0
-        lo[idx[right | zero]] = x[right | zero]
-        hi[idx[left | zero]] = x[left | zero]
-        f_lo[idx[right]] = f[right]
-        f_hi[idx[left]] = f[left]
-    return (0.5 * (lo + hi)).tolist()
+        try:
+            f = planar_cayley_det(fam, x, n)
+        except DegenerateConfiguration:
+            f = math.nan
+        nan_secant = f != f
+        if nan_secant and bisect:
+            break
+        left = f_lo < 0.0 < f or f < 0.0 < f_lo  # the root is in [lo, x]
+        right = f_hi < 0.0 < f or f < 0.0 < f_hi  # the root is in [x, hi]
+        if f == 0.0:
+            lo = hi = x
+        elif right:  # Illinois: a secant step halves a stale kept end
+            lo, f_lo, f_hi = x, f, f_hi * (1.0 if bisect or fresh < 0 else 0.5)
+        elif left:
+            hi, f_hi, f_lo = x, f, f_lo * (1.0 if bisect or fresh > 0 else 0.5)
+        fresh = 0 if bisect else right - left
+    return 0.5 * (lo + hi)
 
 
 def find_periodic_caustics(fam: ConfocalFamily, n: int) -> list:

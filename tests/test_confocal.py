@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from pbl.confocal import (
+    DEGENERATE_TOL,
     INF,
     CausticSet,
     ConfocalFamily,
@@ -202,6 +203,67 @@ def test_degenerate_parameters():
     for lam, deg, z in zip(lams.ravel(), degenerate.ravel(), zero.ravel()):
         assert FAM3.is_degenerate_parameter(lam) == deg
         assert FAM3.is_zero_caustic(lam) == z
+
+    # a Python float is answered with a Python bool, the same as its array entry
+    assert FAM3.is_degenerate_parameter(3.0) is True and FAM3.is_zero_caustic(1.0) is False
+
+
+def _edge_values(fam):
+    """One ulp inside and outside, and on, each DEGENERATE_TOL (a_1 + a_d)
+    edge of 0 and of every signed axis."""
+    tol = DEGENERATE_TOL * fam.scale
+    out = []
+    for c in (0.0, *fam.signed_axes.tolist()):
+        for s in (-1.0, 1.0):
+            e = c + s * tol
+            out += [float(np.nextafter(e, c)), e, float(np.nextafter(e, s * INF))]
+    return out
+
+
+def _array_rule(fam, finite) -> bool:
+    """The caustic-value rule on numpy arrays: the elementwise rules and np.diff."""
+    vals = np.array(finite, dtype=float)
+    return bool((fam.is_zero_caustic(vals) | fam.is_degenerate_parameter(vals)).any()
+                or (np.diff(vals) <= DEGENERATE_TOL * fam.scale).any())
+
+
+def test_scalar_rules_match_the_array_rules_at_the_edges():
+    for fam in (FAM3, FAM2):
+        lams = np.array(_edge_values(fam) + [INF, -INF, math.nan, 1.5])
+        degenerate = fam.is_degenerate_parameter(lams)
+        zero = fam.is_zero_caustic(lams)
+        assert degenerate.any() and not degenerate.all() and zero.any() and not zero.all()
+        for lam, deg, z in zip(lams.tolist(), degenerate, zero):
+            assert fam.is_degenerate_parameter(lam) is bool(deg)
+            assert fam.is_zero_caustic(lam) is bool(z)
+
+
+def test_check_caustic_values_raises_on_the_same_sets():
+    # each caustic at the edges of the rules, and pairs whose gap lies a few
+    # ulps on either side of the collision tolerance
+    tol = DEGENERATE_TOL * FAM3.scale
+    sets = [(v,) for v in _edge_values(FAM3)]
+    sets += [(v, 1.0) if v < 1.0 else (1.0, v) for v in _edge_values(FAM3)]
+    # just past the zero band, where an ulp of x is one of tol, one gap is tol exactly
+    small = float(np.nextafter(tol, INF))
+    for x in (1.0, -1.0, 4.0, small, float(np.nextafter(small, INF))):
+        y = x + tol
+        for ulps in range(-3, 4):
+            z = y
+            for _ in range(abs(ulps)):
+                z = float(np.nextafter(z, math.copysign(INF, ulps)))
+            sets.append((x, z))
+    sets += [(), (1.0, 1.0), (-2.5, 2.5), (1.0, math.nan)]
+    assert any(len(pair) == 2 and pair[1] - pair[0] == tol for pair in sets)
+    raised = 0
+    for finite in sets:
+        if _array_rule(FAM3, finite):
+            raised += 1
+            with pytest.raises(DegenerateConfiguration):
+                FAM3.check_caustic_values(finite)
+        else:
+            FAM3.check_caustic_values(finite)
+    assert 0 < raised < len(sets)
 
 
 def test_evaluate_quadric_examples():

@@ -5,6 +5,7 @@ of x^2/a + y^2/b = 1 are ab/(b-a) and +-ab/(a+b)); those exact values and
 direct dynamical simulation serve as the oracles for the algebraic route.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from pbl.billiard import (
     rectangle_ratio,
     trace,
 )
-from pbl.confocal import INF, ConfocalFamily
+from pbl.confocal import DEGENERATE_TOL, INF, ConfocalFamily
 from pbl.errors import (
     CayleyConditionFailed,
     ConstructionFailure,
@@ -229,24 +230,53 @@ def test_planar_determinant_tracks_condition():
 
 def test_planar_det_array_matches_scalar():
     # one array call gives the scalar determinants bit for bit, and nan
-    # where a scalar call raises: at (or within 1e-12 (a + b) of) 0, at
-    # the degenerate values a, -b, and where alpha is not finite
+    # exactly where a scalar call raises: at (or within DEGENERATE_TOL (a + b)
+    # of) 0 and the degenerate values a, -b, checked one ulp inside and
+    # outside each edge, and where alpha is not finite
     rng = np.random.default_rng(11)
     for _ in range(4):
         b = rng.uniform(0.5, 2.0)
         a = b * rng.uniform(1.1, 3.0)
         fam = ConfocalFamily(Signature(1, 1), (a, b))
-        tail = [0.0, a, -b, 1e-13 * (a + b), -1e-13 * (a + b), math.inf, -math.inf, math.nan]
-        alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40), tail])
-        for n in range(3, 10):
-            dets = planar_cayley_det(fam, alphas, n)
-            assert dets.shape == alphas.shape
-            for alpha, det in zip(alphas[:-len(tail)], dets[:-len(tail)]):
-                assert det == planar_cayley_det(fam, float(alpha), n)
+        tol = DEGENERATE_TOL * (a + b)
+        edges = [(c, c + s * tol, s) for c in (0.0, a, -b) for s in (-1.0, 1.0)]
+        inside = [float(np.nextafter(e, c)) for c, e, _ in edges]
+        outside = [float(np.nextafter(e, s * math.inf)) for _, e, s in edges]
+        tail = inside + [0.0, a, -b, 1e-13 * (a + b), -1e-13 * (a + b), math.inf, -math.inf,
+                         math.nan]
+        alphas = np.concatenate([rng.uniform(-4.0 * (a + b), 4.0 * (a + b), 40), outside, tail])
+        for n in range(3, 15):
+            with np.errstate(over="ignore"):  # the series overflows next to the zero band
+                dets = planar_cayley_det(fam, alphas, n)
+                assert dets.shape == alphas.shape
+                for alpha, det in zip(alphas[:-len(tail)], dets[:-len(tail)]):
+                    assert float(det).hex() == planar_cayley_det(fam, float(alpha), n).hex()
             assert np.isnan(dets[-len(tail):]).all()
             for alpha in tail:
                 with pytest.raises(DegenerateConfiguration):
-                    planar_cayley_det(fam, float(alpha), n)
+                    planar_cayley_det(fam, alpha, n)
+
+
+def test_planar_det_takes_real_caustics_only():
+    # the type rule of every caustic: a bool, a str or an array of either is
+    # refused, as cayley_condition refuses them; nan and +-inf stay
+    # degenerate, and ints, numpy reals and Fractions are read as floats
+    for alpha in (True, "0.5", np.array(["0.5", "1.0"]), np.array([True, False]),
+                  np.array([0.5 + 1j]), None, [0.5, "1.0"]):
+        with pytest.raises(ValueError):
+            planar_cayley_det(FAM2, alpha, 4)
+    for alpha in (True, "0.5"):
+        with pytest.raises(ValueError):
+            cayley_condition(FAM2, (alpha,), 4)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DegenerateConfiguration):
+            planar_cayley_det(FAM2, alpha, 4)
+    assert np.isnan(planar_cayley_det(FAM2, np.array([math.nan, math.inf, -math.inf]), 4)).all()
+    want = planar_cayley_det(FAM2, 3.0, 4)
+    for alpha in (3, np.int64(3), np.float32(3.0), Fraction(3)):
+        assert planar_cayley_det(FAM2, alpha, 4) == want
+    assert np.array_equal(planar_cayley_det(FAM2, np.array([3, -3]), 4),
+                          planar_cayley_det(FAM2, [3.0, -3.0], 4))
 
 
 def test_planar_det_fraction_axes_match_float_twin():
@@ -403,15 +433,47 @@ def test_find_periodic_keeps_a_root_next_to_a_degenerate_value():
     assert all(cayley_condition(fam, (r,), 10) for r in roots)
 
 
+def test_find_periodic_roots_pinned_bit_for_bit():
+    # every root of n = 3..14 on five tables, as float.hex, hashed: the
+    # values that the stacked refinement (one array call per step on all
+    # open brackets) gave; each bracket's arithmetic is independent of the
+    # others, so refining one bracket at a time must repeat them exactly
+    tables = ((2.0, 1.0), (1.0, 2.0), (2.01, 2.0),
+              (4.3993186997143745, 0.38703092304999054), (3.0, 0.5))
+    lines = []
+    for a, b in tables:
+        fam = ConfocalFamily(Signature(1, 1), (a, b))
+        for n in range(3, 15):
+            roots = find_periodic_caustics_plane(fam, n)
+            lines.append(f"{a!r} {b!r} {n}: " + " ".join(r.hex() for r in roots))
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "5cf3ee78f55da37ff651a4f4c4835f9246aff346"
+
+
 @pytest.mark.parametrize("n", [4, 6, 8, 10, 12, 14])
 def test_find_periodic_determinant_calls(monkeypatch, n):
-    # two scan calls plus one call per refinement step; bisecting every
-    # bracket down to BISECT_TOL took 38
-    calls = []
-    monkeypatch.setattr("pbl.periodicity.planar_cayley_det",
-                        lambda *args: calls.append(1) or planar_cayley_det(*args))
+    # two array calls scan the line, and each refinement step of a bracket
+    # is one scalar call: the scan plus the longest bracket must take at
+    # most 24 (bisecting every bracket down to BISECT_TOL took 38)
+    scans, steps = [], []
+
+    def counted(fam, alpha, n):
+        if np.ndim(alpha):
+            scans.append(alpha)
+        else:
+            steps[-1] += 1
+        return planar_cayley_det(fam, alpha, n)
+
+    def bracket(*args):
+        steps.append(0)
+        return refine(*args)
+
+    refine = periodicity._refine_sign_change
+    monkeypatch.setattr("pbl.periodicity.planar_cayley_det", counted)
+    monkeypatch.setattr("pbl.periodicity._refine_sign_change", bracket)
     find_periodic_caustics_plane(FAM2, n)
-    assert len(calls) <= 24
+    assert len(scans) == 2 and steps
+    assert len(scans) + max(steps) <= 24
 
 
 def test_find_periodic_finds_the_classical_root_far_below_minus_b():
