@@ -3,12 +3,11 @@
 Coefficients are stored in ascending order: p[i] multiplies lambda**i.
 The generic routines (`poly_mul`, `poly_eval`) work for any
 number type that supports + and * (floats, Fractions), which the exact
-rational rank mode relies on.  Root finding and polishing are float only:
-``polynomial_roots`` finds the roots of each row of a stack, in closed form
-on Python floats up to degree 3 and from one stacked eigenvalue call above,
-and the roots of each polynomial are then polished together on Python
-floats by ``newton_polish``, the one polish of a single polynomial and of
-a stack, which also rejects a root that rounding has lost.
+rational rank mode relies on.  Root finding and polishing are float only
+and take one polynomial at a time: ``polynomial_roots`` finds its roots in
+closed form on Python floats up to degree 3 and from one eigenvalue call
+above, and ``newton_polish`` polishes them together on Python floats and
+rejects a root that rounding has lost.
 """
 
 from __future__ import annotations
@@ -55,19 +54,18 @@ NEWTON_STEPS = 3
 POLISH_TOL = 1e-8
 
 
-def newton_polish(coeffs, starts) -> list:
-    """The roots of one float polynomial, each polished from its start in
-    ``starts`` by a few guarded Newton steps in Python floats, a few
-    microseconds a root: a step that would leave the finite floats or raise
-    |p| is not taken, and that root's polish stops there.  The coefficients
-    are converted and the derivative formed once for all the roots.
+def newton_polish(coeffs: list, starts) -> list:
+    """The roots of one polynomial of float coefficients, each polished from
+    its start in ``starts`` by a few guarded Newton steps in Python floats,
+    a few microseconds a root: a step that would leave the finite floats or
+    raise |p| is not taken, and that root's polish stops there.  The
+    derivative is formed once for all the roots.
 
     RootIsolationError unless every coefficient is finite and every
     polished root x has a backward error |p(x)| <= POLISH_TOL
     sum_k |c_k| |x|^k: past that, rounding has lost the root (the
     eigenvalue solve loses two Jacobi coordinates of x = (1e16, 1, 1, 1)
     in the (2, 2) family on the axes (5, 3, 2, 4))."""
-    coeffs = np.asarray(coeffs, dtype=float).tolist()  # same bits, faster than numpy scalars
     if not all(map(math.isfinite, coeffs)):
         raise RootIsolationError("polynomial coefficients are not finite")
     der = [i * c for i, c in enumerate(coeffs)][1:]
@@ -92,20 +90,18 @@ def newton_polish(coeffs, starts) -> list:
     return roots
 
 
-def polynomial_roots(coeffs: np.ndarray) -> list:
-    """Per row of (S, n + 1) ascending coefficients with nonzero leading
-    ones, its real roots and its complex pair of largest imaginary part as
-    (re, im), im > 0, or None, in Python floats: ``closed_form_roots`` row
-    by row up to degree 3, else one stacked ``companion_roots``, where any
-    other pair counts by its real parts among the real roots."""
-    if coeffs.shape[1] <= 4:
-        return [closed_form_roots(c) for c in coeffs.tolist()]
-    out = []
-    for z in companion_roots(coeffs).tolist():
-        z.sort(key=lambda w: abs(w.imag))  # a conjugate pair shares its real part
-        pair = (z[-1].real, abs(z[-1].imag)) if z[-1].imag else None
-        out.append(([w.real for w in (z[:-2] if pair else z)], pair))
-    return out
+def polynomial_roots(coeffs: list) -> tuple:
+    """The real roots of one polynomial of ascending float coefficients with
+    a nonzero leading one, and its complex pair of largest imaginary part as
+    (re, im), im > 0, or None, in Python floats: ``closed_form_roots`` up to
+    degree 3, else ``companion_roots``, where any other pair counts by its
+    real parts among the real roots."""
+    if len(coeffs) <= 4:
+        return closed_form_roots(coeffs)
+    z = companion_roots(coeffs).tolist()
+    z.sort(key=lambda w: abs(w.imag))  # a conjugate pair shares its real part
+    pair = (z[-1].real, abs(z[-1].imag)) if z[-1].imag else None
+    return [w.real for w in (z[:-2] if pair else z)], pair
 
 
 def closed_form_roots(coeffs: list) -> tuple:
@@ -170,19 +166,15 @@ def _quadratic(b: float, c: float, e: int, k: int, more: tuple = ()) -> tuple:
     return [math.ldexp(big, k), small, *more], None
 
 
-def companion_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Sorted complex roots of each row of (S, n + 1) ascending coefficients
-    with nonzero leading ones and n >= 2: numpy's ``polyroots`` row by row,
-    bit for bit, from one stacked ``eigvals`` of the companion matrices.  A
-    row whose companion matrix is not finite gets nan roots."""
-    rows, n = coeffs.shape[0], coeffs.shape[1] - 1
-    mat = np.zeros((rows, n, n))
-    mat.reshape(rows, n * n)[:, n :: n + 1] = 1.0
-    mat[:, :, -1] -= coeffs[:, :-1] / coeffs[:, -1:]
-    try:
-        roots = np.linalg.eigvals(mat).astype(complex)
-    except np.linalg.LinAlgError:  # raised for the whole stack if one matrix is not finite
-        finite = np.isfinite(mat).all((1, 2))
-        roots = np.full((rows, n), math.nan, dtype=complex)
-        roots[finite] = np.linalg.eigvals(mat[finite])
-    return np.sort(roots, axis=-1)
+def companion_roots(coeffs) -> np.ndarray:
+    """Sorted complex roots of one polynomial of ascending coefficients with
+    a nonzero leading one and degree n >= 2: numpy's ``polyroots``, bit for
+    bit, from one ``eigvals`` of the companion matrix.  A companion matrix
+    that is not finite gives nan roots."""
+    c, n = np.asarray(coeffs, dtype=float), len(coeffs) - 1
+    mat = np.zeros((n, n))
+    mat.reshape(-1)[n :: n + 1] = 1.0
+    mat[:, -1] -= c[:-1] / c[-1]
+    if not np.isfinite(mat).all():
+        return np.full(n, math.nan, dtype=complex)
+    return np.sort(np.linalg.eigvals(mat).astype(complex))

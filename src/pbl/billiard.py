@@ -28,7 +28,7 @@ from .confocal import (
     Line,
     _caustic_json,
     _caustic_set,
-    _simple_jacobi_rows,
+    _jacobi,
     _tangency_coefficients,
     caustics,
     chord_discriminant,
@@ -332,8 +332,7 @@ def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
 
 
 #: The error and its reason for a point with no direction, by the failure
-#: code of ``direction_with_caustics``; codes 1 and 2 are those of
-#: ``_simple_jacobi_rows``.
+#: code of ``direction_with_caustics``.
 _NO_DIRECTION = (
     None,
     (NoSolution, "x has a complex pair or a multiple Jacobi coordinate"),
@@ -380,8 +379,8 @@ def direction_with_caustics(fam: ConfocalFamily, x, target):
     canonical sign (first component above 1e-12 positive).
 
     x is one point, or an (S, d) stack of them that is built in one pass:
-    one stack of Jacobi polynomials, one stacked solve over the sign
-    patterns and one tangency check.  Every call admits the caustic set
+    the Jacobi coordinates of each row, then one stacked solve over the
+    sign patterns and one tangency check.  Every call admits the caustic set
     first: a zero, degenerate or colliding caustic raises
     DegenerateConfiguration (``fam.check_caustic_values``), a set off the
     interlacing pattern InadmissibleCaustics.  One point gives the list of
@@ -401,7 +400,14 @@ def direction_with_caustics(fam: ConfocalFamily, x, target):
     d, rows = fam.d, len(X)
     patterns = _patterns(d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lam, fail = _simple_jacobi_rows(fam, X)
+        lam, fail = np.full((rows, d), math.nan), np.ones(rows, dtype=int)
+        for s, row in enumerate(X.tolist()):
+            try:
+                gj = _jacobi(fam, row)
+                if gj.is_simple_real():
+                    lam[s], fail[s] = gj.real_roots, 0
+            except RootIsolationError:
+                fail[s] = 2
         P = np.ones(lam.shape)
         for alpha in cs.finite:
             P = P * (lam - alpha)

@@ -333,15 +333,17 @@ def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
 
     ``fam.pencil_product`` less x_i^2 ``fam.cofactors[i]``, in index order.
     """
-    return _jacobi_polynomials(fam, _as_vector(x, fam.d)[None])[0]
+    return np.array(_jacobi_polynomial(fam, _as_vector(x, fam.d).tolist()))
 
 
-def _jacobi_polynomials(fam: ConfocalFamily, X: np.ndarray) -> np.ndarray:
-    """``jacobi_polynomial`` of each row of the (S, d) points X: (S, d + 1)."""
-    rows = np.zeros((len(X), fam.d + 1, fam.d + 1))
-    rows[:, 0] = fam.pencil_product
-    rows[:, 1:, :-1] = (X * X)[:, :, None] * fam.cofactors
-    return np.subtract.reduce(rows, axis=1)
+def _jacobi_polynomial(fam: ConfocalFamily, x: list) -> list:
+    """``jacobi_polynomial`` of the Python floats x, as a list of them."""
+    coeffs = [float(c) for c in fam.pencil_product]
+    for xi, row in zip(x, fam.cofactors.tolist()):
+        xx = xi * xi
+        for j, c in enumerate(row):
+            coeffs[j] -= xx * c
+    return coeffs
 
 
 def tangency_polynomial(fam: ConfocalFamily, x, v) -> np.ndarray:
@@ -380,54 +382,29 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     are collapsed into a multiple root.  A point so far out that rounding
     loses a coordinate (``newton_polish``) raises RootIsolationError.
     """
-    coeffs, [(roots, complex_pair)] = _jacobi_rows(fam, _as_vector(x, fam.d)[None])
-    polished = sorted(newton_polish(coeffs[0], roots))
-    scale = fam.scale
-    real_roots: list[float] = []
-    i = 0
-    while i < len(polished):
-        j = i
-        while j + 1 < len(polished) and polished[j + 1] - polished[i] <= MULTIPLE_ROOT_TOL * scale:
-            j += 1
-        cluster = polished[i : j + 1]
-        centre = sum(cluster) / len(cluster)
-        real_roots.extend([centre] * len(cluster))
-        i = j + 1
-    return GeneralizedJacobi(tuple(real_roots), complex_pair)
+    return _jacobi(fam, _as_vector(x, fam.d).tolist())
 
 
-def _jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
-    """The Jacobi polynomial of each row of the (S, d) points X, and the
-    row's ``polynomial_roots``, where a pair off the real axis by no more
-    than 1e-9 max(scale, |z|) counts as two real roots.  Coefficients that
-    overflow give nan roots, which count as real, so that
-    ``newton_polish`` rejects them."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _jacobi_polynomials(fam, X)
-    rows = polynomial_roots(coeffs)
-    for s, (roots, pair) in enumerate(rows):
-        if pair is not None and not pair[1] > 1e-9 * max(fam.scale, math.hypot(*pair)):
-            rows[s] = (roots + [pair[0]] * 2, None)
-    return coeffs, rows
-
-
-def _simple_jacobi_rows(fam: ConfocalFamily, X: np.ndarray) -> tuple:
-    """The Jacobi coordinates of each row of the (S, d) points X, ascending,
-    and a code per row: 0 where ``jacobi_coordinates`` gives real and simple
-    ones, which the row holds bit for bit; 1 where it finds a complex pair
-    or a multiple root; 2 where it raises RootIsolationError without
-    finding a pair."""
-    coeffs, rows = _jacobi_rows(fam, X)
-    lam, code = [[math.nan] * fam.d] * len(X), np.ones(len(X), dtype=int)
-    for s, (roots, pair) in enumerate(rows):
-        if pair is None:
-            try:
-                lam[s], code[s] = newton_polish(coeffs[s], roots), 0
-            except RootIsolationError:
-                code[s] = 2
-    lam = np.sort(np.reshape(lam, (len(X), fam.d)), axis=-1)
-    code[(code == 0) & (np.diff(lam, axis=-1) <= MULTIPLE_ROOT_TOL * fam.scale).any(-1)] = 1
-    return lam, code
+def _jacobi(fam: ConfocalFamily, x: list) -> GeneralizedJacobi:
+    """``jacobi_coordinates`` of x, a list of Python floats, unchecked and
+    on Python floats: the roots of the Jacobi polynomial from one
+    ``polynomial_roots`` call, where a pair off the real axis by no more
+    than 1e-9 max(scale, |z|) counts as two real roots, polished by
+    ``newton_polish``, which raises RootIsolationError for coefficients
+    that overflow or a root that rounding has lost.  Roots within
+    ``MULTIPLE_ROOT_TOL * (a_1 + a_d)`` of the least one of their cluster
+    become its mean."""
+    coeffs = _jacobi_polynomial(fam, x)
+    roots, pair = polynomial_roots(coeffs)
+    if pair is not None and not pair[1] > 1e-9 * max(fam.scale, math.hypot(*pair)):
+        roots, pair = roots + [pair[0]] * 2, None
+    tol, clusters = MULTIPLE_ROOT_TOL * fam.scale, []
+    for r in sorted(newton_polish(coeffs, roots)):
+        if clusters and r - clusters[-1][0] <= tol:
+            clusters[-1].append(r)
+        else:
+            clusters.append([r])
+    return GeneralizedJacobi(tuple(sum(c) / len(c) for c in clusters for _ in c), pair)
 
 
 # -------------------------------------------------------------- caustics
@@ -456,14 +433,14 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     disc, scale = chord_discriminant(fam.axes_f, x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")
-    pc = tangency_polynomial(fam, x, v)
+    pc = tangency_polynomial(fam, x, v).tolist()
     light = line_type(v, fam.sig) is LineType.LIGHT_LIKE
     if light:
         pc = pc[:-1]
     c = pc
     while len(c) > 1 and c[-1] == 0.0:  # a zero leading coefficient lowers the degree
         c = c[:-1]
-    [(roots, pair)] = polynomial_roots(c[None])
+    roots, pair = polynomial_roots(c)
     if pair is not None:
         if pair[1] > 1e-6 * max(fam.scale, math.hypot(*pair)):
             raise RootIsolationError(f"complex tangency root {complex(*pair)}; the line "

@@ -220,6 +220,8 @@ def normalized_sqrt_series(fam: ConfocalFamily, params, n_terms: int, exact: boo
         fam = ConfocalFamily(fam.sig, tuple(Fraction(a) for a in fam.axes))
         params = [p if p == INF else Fraction(p) for p in _caustic_set(fam, params)]
     p1 = build_P1(fam, params)
+    if not p1[0]:  # a product of caustics and axes that underflows
+        raise DegenerateConfiguration(f"P1(0) of caustics {params} underflows to 0")
     return sqrt_series([c / p1[0] for c in p1], n_terms)
 
 
@@ -344,26 +346,29 @@ def planar_cayley_det(fam: ConfocalFamily, alpha, n: int):
     bound, so one that is not 0 has the exact sign for the float series
     (``_hankel_det``); for n >= 9 one ``np.linalg.det`` call runs on the
     matrix or the stack.  Where ``fam.is_zero_caustic`` or
-    ``fam.is_degenerate_parameter`` holds (also at +-inf and nan) the
-    series does not exist: an array holds nan, a scalar raises
-    DegenerateConfiguration.  Light-like closure is
+    ``fam.is_degenerate_parameter`` holds (also at +-inf and nan), or where
+    P1(0) = alpha a b underflows to 0, the series does not exist: an array
+    holds nan, a scalar raises DegenerateConfiguration.  Light-like closure is
     ``cayley_condition(fam, (inf,), n)``.  ValueError unless n is an int >= 3.
     """
     _as_count(n, "period", 3)
     if fam.d != 2:
         raise ValueError("determinant scan is specific to the planar case")
     scalar = _is_real(alpha)
+    pencil = [float(c) for c in fam.pencil_product]
     if scalar:
         alpha = float(alpha)
-        if fam.is_degenerate_parameter(alpha) or fam.is_zero_caustic(alpha):
+        if (fam.is_degenerate_parameter(alpha) or fam.is_zero_caustic(alpha)
+                or not alpha * pencil[0]):
             raise DegenerateConfiguration(f"no closure series at caustic {alpha}")
     else:
         if np.asarray(alpha).dtype.kind not in "iuf":
             raise ValueError(f"alpha must be real numbers, got {alpha!r}")
         alpha = np.asarray(alpha, dtype=float)
         good = ~(fam.is_degenerate_parameter(alpha) | fam.is_zero_caustic(alpha))
+        good &= alpha * pencil[0] != 0.0
         alpha = np.where(good, alpha, math.nan)
-    p1 = poly_mul([alpha, -1.0], [float(c) for c in fam.pencil_product])
+    p1 = poly_mul([alpha, -1.0], pencil)
     B = sqrt_series([c / p1[0] for c in p1], n)
     if n <= 8:  # the series is nan where not good
         return _hankel_det(B[3 - n % 2:], (n - 1) // 2)

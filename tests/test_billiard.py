@@ -771,6 +771,27 @@ def test_far_rows_of_a_stack_keep_no_pattern():
         direction_with_caustics(FAM3, X[2], target)
 
 
+def test_a_far_row_of_a_d4_stack_keeps_no_pattern():
+    # d = 4 takes its Jacobi coordinates from the companion matrix, which at
+    # x_1 = 1e160 is not finite: the row has nan roots and raises
+    # RootIsolationError alone, and in a stack it keeps no pattern while the
+    # others keep the bits they have alone
+    fam = ConfocalFamily(Signature(2, 2), (5.0, 3.0, 2.0, 4.0))
+    rng = np.random.default_rng(5)
+    p = random_boundary_point(fam, rng)
+    target = caustics(fam, Line(p, inward_direction(fam, p, rng.normal(size=4))))
+    far = [1e160, 1.0, 1.0, 1.0]
+    X = np.array([p, far, random_boundary_point(fam, rng)])
+    V, kept = direction_with_caustics(fam, X, target)
+    assert not kept[1].any() and not V[1].any()
+    for s in (0, 2):
+        one = direction_with_caustics(fam, X[s], target)
+        assert kept[s].sum() == len(one) > 0
+        assert [v.tobytes() for v in V[s, kept[s]]] == [v.tobytes() for v in one]
+    with pytest.raises(RootIsolationError, match="rounding"):
+        direction_with_caustics(fam, far, target)
+
+
 def test_an_empty_stack_keeps_no_pattern():
     # the stacked Jacobi coordinates of no point had shape (0,), not (0, d),
     # and np.broadcast_to failed on them

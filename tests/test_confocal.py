@@ -33,7 +33,7 @@ from pbl.confocal import (
     tangency_polynomial,
     trajectory_type_from_caustics,
 )
-from pbl._poly import linear_product, newton_polish
+from pbl._poly import companion_roots, linear_product, newton_polish
 from pbl.billiard import line_quadric_intersections, random_boundary_point
 from pbl.errors import (
     AmbiguousSign,
@@ -330,6 +330,16 @@ def test_jacobi_rejects_a_point_that_rounding_loses():
     for far in (1e154, 1e160):
         with pytest.raises(RootIsolationError, match="not finite"):
             jacobi_coordinates(FAM3, [far, 1.0, 1.0])
+
+
+def test_jacobi_rejects_a_non_finite_companion_matrix():
+    # d = 4 solves the Jacobi polynomial by eigenvalues; at x_1 = 1e160 its
+    # coefficients overflow, the companion matrix is not finite and gives
+    # nan roots, and the polish refuses the coefficients
+    fam = ConfocalFamily(Signature(2, 2), (5.0, 3.0, 2.0, 4.0))
+    assert not np.isfinite(companion_roots(jacobi_polynomial(fam, [1e160, 1.0, 1.0, 1.0]))).any()
+    with pytest.raises(RootIsolationError, match="not finite"):
+        jacobi_coordinates(fam, [1e160, 1.0, 1.0, 1.0])
 
 
 def test_newton_polish_keeps_only_roots_with_a_small_backward_error():

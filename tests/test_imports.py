@@ -1,7 +1,8 @@
 """No module of src/pbl or tests/ imports a name it never uses,
 no function or class of src/pbl is left without a reader, no module
-of src/pbl defines a ``_check_*`` function, and only ``_poly`` calls
-``np.linalg.eigvals``.
+of src/pbl defines a ``_check_*`` function, only ``_poly`` calls
+``np.linalg.eigvals``, and only the Jacobi core and ``caustics`` call
+``polynomial_roots``.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -82,3 +83,19 @@ def test_eigenvalues_only_in_poly():
             if isinstance(node, ast.Attribute) and node.attr == "eigvals":
                 found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
     assert found and all(f.startswith("src/pbl/_poly.py:") for f in found), found
+
+
+
+def test_polynomial_roots_called_twice():
+    # roots are found one polynomial at a time, in two places: the Jacobi
+    # core, which serves every Jacobi coordinate, and the caustics of a line
+    calls = []
+    for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {child: node.name for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                 for child in ast.walk(node)}  # walked outer first: inner defs win
+        calls += [f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "polynomial_roots"
+                  in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert sorted(calls) == ["confocal.py:_jacobi", "confocal.py:caustics"], calls

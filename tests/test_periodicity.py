@@ -279,6 +279,24 @@ def test_planar_det_takes_real_caustics_only():
                           planar_cayley_det(FAM2, [3.0, -3.0], 4))
 
 
+def test_an_underflowing_p1_at_zero_is_degenerate():
+    # P1(0) = alpha a b is 2e-325 here, which underflows to 0 although alpha
+    # is outside the zero-caustic band: the scalar routines divided by it
+    # and raised ZeroDivisionError; the array entry is nan, with no warning
+    tiny = ConfocalFamily(Signature(1, 1), (2e-105, 1e-105))
+    assert not tiny.is_zero_caustic(1e-115)
+    for n in (4, 10):
+        with pytest.raises(DegenerateConfiguration):
+            planar_cayley_det(tiny, 1e-115, n)
+        with pytest.raises(DegenerateConfiguration, match="underflows"):
+            cayley_condition(tiny, (1e-115,), n)
+        assert np.isnan(planar_cayley_det(tiny, np.array([1e-115, -1e-115]), n)).all()
+    # the scan of this table overflows the normalized series (inf - inf)
+    # everywhere, as it did before, and finds no period
+    with np.errstate(invalid="ignore"):
+        assert all(find_periodic_caustics_plane(tiny, n) == [] for n in range(3, 11))
+
+
 def test_planar_det_fraction_axes_match_float_twin():
     exact = ConfocalFamily(Signature(1, 1), (Fraction(2), Fraction(1)))
     alphas = np.linspace(-4.95, 4.95, 34)

@@ -76,7 +76,7 @@ def _closed_form(coeffs):
 
 def _eigenvalue_path(coeffs):
     with np.errstate(over="ignore", invalid="ignore"):  # a monic coefficient may overflow
-        z = companion_roots(np.array([coeffs]))[0]
+        z = companion_roots(coeffs)
     return sorted(newton_polish(coeffs, [w.real for w in z if not w.imag])), [w for w in z if w.imag]
 
 
@@ -118,7 +118,7 @@ def test_closed_form_against_the_eigenvalue_path(case):
 
 @pytest.mark.parametrize("threshold", [1e-9, 1e-6])
 def test_a_pair_at_a_threshold_lands_on_its_side(threshold):
-    # _jacobi_rows counts a pair as real within 1e-9 max(scale, |z|), and
+    # the Jacobi core counts a pair as real within 1e-9 max(scale, |z|), and
     # caustics within 1e-6; here scale is 1 and |z| about the threshold
     for w, off in ((0.999 * threshold, False), (1.001 * threshold, True)):
         _, (re, im) = closed_form_roots([-w * w, w * w, -1.0, 1.0])
@@ -136,10 +136,10 @@ def test_closed_form_small_degrees_and_non_finite_coefficients():
 
 def test_polynomial_roots_above_degree_3_reports_the_widest_pair():
     # (lam^2 + 1)(lam - 1)(lam - 2), then (lam^2 + 1)(lam^2 + 4) and
-    # (lam - 1)(lam - 2)(lam - 3)(lam - 4): one stacked eigenvalue call
-    coeffs = np.array([[2.0, -3.0, 3.0, -3.0, 1.0], [4.0, 0.0, 5.0, 0.0, 1.0],
-                       [24.0, -50.0, 35.0, -10.0, 1.0]])
-    (r0, p0), (r1, p1), (r2, p2) = polynomial_roots(coeffs)
+    # (lam - 1)(lam - 2)(lam - 3)(lam - 4): one eigenvalue call each
+    r0, p0 = polynomial_roots([2.0, -3.0, 3.0, -3.0, 1.0])
+    r1, p1 = polynomial_roots([4.0, 0.0, 5.0, 0.0, 1.0])
+    r2, p2 = polynomial_roots([24.0, -50.0, 35.0, -10.0, 1.0])
     assert sorted(r0) == pytest.approx([1.0, 2.0], rel=1e-12) and p0 == pytest.approx((0.0, 1.0))
     assert r1 == pytest.approx([0.0, 0.0], abs=1e-12) and p1 == pytest.approx((0.0, 2.0))
     assert sorted(r2) == pytest.approx([1.0, 2.0, 3.0, 4.0], rel=1e-12) and p2 is None
@@ -159,7 +159,7 @@ CHORD_FAMILIES = [ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0)),
 @pytest.fixture
 def no_eigenvalues(monkeypatch):
     def refuse(coeffs):
-        raise AssertionError(f"companion_roots reached at degree {coeffs.shape[1] - 1}")
+        raise AssertionError(f"companion_roots reached at degree {len(coeffs) - 1}")
 
     monkeypatch.setattr(_poly, "companion_roots", refuse)
 
