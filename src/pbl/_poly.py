@@ -1,7 +1,7 @@
 """Polynomial helpers shared across modules.
 
 Coefficients are stored in ascending order: p[i] multiplies lambda**i.
-The generic routines (`poly_mul`, `poly_eval`) work for any
+The generic routines (`poly_mul`, `linear_product`) work for any
 number type that supports + and * (floats, Fractions), which the exact
 rational rank mode relies on.  Root finding and polishing are float only
 and take one polynomial at a time: ``polynomial_roots`` finds its roots in
@@ -28,14 +28,6 @@ def poly_mul(p, q):
     return out
 
 
-def poly_eval(p, x):
-    """Horner evaluation; preserves the coefficient number type."""
-    acc = 0 * x
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 def linear_product(constants, slopes):
     """Expanded product of linear factors (constants[i] + slopes[i] * lambda)."""
     coeffs = [1]
@@ -59,7 +51,8 @@ def newton_polish(coeffs: list, starts) -> list:
     its start in ``starts`` by a few guarded Newton steps in Python floats,
     a few microseconds a root: a step that would leave the finite floats or
     raise |p| is not taken, and that root's polish stops there.  The
-    derivative is formed once for all the roots.
+    derivative is formed once for all the roots; each evaluation is an
+    inline Horner pass, acc = acc x + c from acc = 0 x, leading term first.
 
     RootIsolationError unless every coefficient is finite and every
     polished root x has a backward error |p(x)| <= POLISH_TOL
@@ -68,22 +61,31 @@ def newton_polish(coeffs: list, starts) -> list:
     in the (2, 2) family on the axes (5, 3, 2, 4))."""
     if not all(map(math.isfinite, coeffs)):
         raise RootIsolationError("polynomial coefficients are not finite")
-    der = [i * c for i, c in enumerate(coeffs)][1:]
-    abs_coeffs = [abs(c) for c in coeffs]
+    high = coeffs[::-1]
+    der = [i * c for i, c in enumerate(coeffs)][:0:-1]
     roots = []
     for x in starts:
         x = float(x)
-        fx = poly_eval(coeffs, x)
+        fx = 0.0 * x
+        for c in high:
+            fx = fx * x + c
         for _ in range(NEWTON_STEPS):
-            dfx = poly_eval(der, x)
+            dfx = 0.0 * x
+            for c in der:
+                dfx = dfx * x + c
             if dfx == 0.0:
                 break
             x_new = x - fx / dfx
-            f_new = poly_eval(coeffs, x_new)
+            f_new = 0.0 * x_new
+            for c in high:
+                f_new = f_new * x_new + c
             if not math.isfinite(x_new) or abs(f_new) > abs(fx):
                 break
             x, fx = x_new, f_new
-        if not abs(fx) <= POLISH_TOL * poly_eval(abs_coeffs, abs(x)):
+        bound = 0.0 * abs(x)
+        for c in high:
+            bound = bound * abs(x) + abs(c)
+        if not abs(fx) <= POLISH_TOL * bound:
             raise RootIsolationError(f"rounding has lost the root near {x}: its backward "
                                      f"error is above {POLISH_TOL}")
         roots.append(x)

@@ -33,7 +33,7 @@ from .errors import (
     RootIsolationError,
 )
 from .metric import (
-    LineType, Signature, line_type, _as_scalar, _as_vector, _exponent, _is_real, _read_only,
+    LineType, Signature, line_type, _as_scalar, _as_vector, _is_real, _light_like, _read_only,
 )
 
 INF = math.inf
@@ -287,45 +287,65 @@ def chord_quadratic(den, x, v) -> tuple:
     return float(q2), float(q1), float(q0) - 1.0
 
 
-def chord_discriminant(den: np.ndarray, x, v) -> tuple:
+def chord_discriminant(den, x, v) -> tuple:
     """(disc, scale): disc = q1^2 - q2 q0 of ``chord_quadratic`` is < 0 where
     the line misses the member, 0 where it touches, > 0 where it cuts.
 
     The scale is disc built from the absolute values of the terms.  Terms
     of opposite metric sign cancel inside q2 and q1, and a tangency has q1
-    and q0 near 0, so the rounding error of disc follows this scale.
-    Stacks give arrays, as in ``chord_quadratic``.
+    and q0 near 0, so the rounding error of disc follows this scale.  One
+    point and direction give floats and stacks arrays, summed as in
+    ``chord_quadratic``.
     """
     q2, q1, q0 = chord_quadratic(den, x, v)
-    aden = np.abs(den)
-    s2 = np.add.reduce(v * v / aden, -1)
-    s1 = np.add.reduce(np.abs(x * v) / aden, -1)
-    s0 = np.add.reduce(x * x / aden, -1) + 1.0
-    scale = s1 * s1 + s2 * s0
-    return q1 * q1 - q2 * q0, scale if scale.ndim else float(scale)
+    if getattr(x, "ndim", 1) > 1 or getattr(v, "ndim", 1) > 1:
+        aden = np.abs(den)
+        s2 = np.add.reduce(v * v / aden, -1)
+        s1 = np.add.reduce(np.abs(x * v) / aden, -1)
+        s0 = np.add.reduce(x * x / aden, -1)
+    else:
+        s2 = s1 = s0 = 0.0
+        for c, a, b in zip(den, x, v):
+            c = abs(c)
+            s2 += b * b / c
+            s1 += abs(a * b) / c
+            s0 += a * a / c
+    scale = s1 * s1 + s2 * (s0 + 1.0)
+    return q1 * q1 - q2 * q0, scale if getattr(scale, "ndim", 0) else float(scale)
 
 
-def integrals_F(fam: ConfocalFamily, x, v) -> np.ndarray:
+def integrals_F(fam: ConfocalFamily, x, v):
     """The d first integrals F_i of the billiard within Q_0.
 
         F_i = eps_i v_i^2 + sum_{j != i} (x_i v_j - x_j v_i)^2
                                          / (eps_j a_i - eps_i a_j)
 
     They are invariant under sliding x along the line and under reflection
-    off Q_0, and they sum to <v, v>.  ``x`` and ``v`` are one point and
-    direction of shape (d,), or stacks of them of one shape (..., d); F
-    has the same shape.  Each F_i is summed in the order written above,
-    so a stack gives the row-by-row values bit for bit.
+    off Q_0, and they sum to <v, v>.  Each F_i is summed in the order
+    written above, the term j = i (numerator 0) in its place.  One point
+    and direction of d entries give a list of Python floats; stacks of
+    them, arrays of one shape (..., d), give F of that shape, each row its
+    line's list bit for bit.
     """
-    xv = np.asarray(x, dtype=float)
-    vv = np.asarray(v, dtype=float)
-    if xv.shape != vv.shape or xv.shape[-1:] != (fam.d,):
+    if getattr(x, "ndim", 1) > 1 or getattr(v, "ndim", 1) > 1:
+        xv, vv = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+        if xv.shape != vv.shape or xv.shape[-1:] != (fam.d,):
+            raise ValueError(f"expected x and v of one shape (..., {fam.d})")
+        cross = xv[..., :, None] * vv[..., None, :] - xv[..., None, :] * vv[..., :, None]
+        terms = cross * cross / fam.pair_denominators
+        terms = np.concatenate([(fam.eps * (vv * vv))[..., None], terms], axis=-1)
+        # cumsum adds strictly left to right; sum pairs the terms once d > 6
+        return np.cumsum(terms, axis=-1)[..., -1]
+    if not len(x) == len(v) == fam.d:
         raise ValueError(f"expected x and v of one shape (..., {fam.d})")
-    cross = xv[..., :, None] * vv[..., None, :] - xv[..., None, :] * vv[..., :, None]
-    terms = cross * cross / fam.pair_denominators
-    terms = np.concatenate([(fam.eps * (vv * vv))[..., None], terms], axis=-1)
-    # cumsum adds strictly left to right; sum pairs the terms once d > 6
-    return np.cumsum(terms, axis=-1)[..., -1]
+    F = []
+    for xi, vi, e, den in zip(x, v, fam.eps.tolist(), fam.pair_denominators.tolist()):
+        f = e * (vi * vi)
+        for xj, vj, c in zip(x, v, den):
+            cross = xi * vj - xj * vi
+            f += cross * cross / c
+        F.append(float(f))
+    return F
 
 
 def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
@@ -346,27 +366,34 @@ def _jacobi_polynomial(fam: ConfocalFamily, x: list) -> list:
     return coeffs
 
 
-def tangency_polynomial(fam: ConfocalFamily, x, v) -> np.ndarray:
+def tangency_polynomial(fam: ConfocalFamily, x, v):
     """Numerator polynomial of the tangency condition for the line (x, v).
 
     Clearing denominators in sum_i eps_i F_i / (a_i - eps_i lambda) = 0 and
     normalising by (-1)^(k-1) gives a polynomial of degree d - 1 whose
     leading coefficient equals <v, v>; its roots are the caustic parameters
     (the leading coefficient vanishes for light-like lines, where one
-    caustic escapes to infinity).  Ascending coefficients, as an array.
+    caustic escapes to infinity).  Ascending coefficients: a list of
+    Python floats for one line, an array for stacks, as in ``integrals_F``.
     """
     return _tangency_coefficients(fam, integrals_F(fam, x, v))
 
 
-def _tangency_coefficients(fam: ConfocalFamily, F) -> np.ndarray:
+def _tangency_coefficients(fam: ConfocalFamily, F):
     """Tangency polynomials of lines from their first integrals.
 
-    ``F`` has shape (..., d); the result has shape (..., d), ascending
-    coefficients along the last axis:
+    ``F`` is one line's d floats, giving a list, or an array of shape
+    (..., d), giving that shape; ascending coefficients along the last axis:
     (-1)^(k-1) sum_i eps_i F_i prod_{j != i} (a_j - eps_j lambda), summed
-    in index order over the cached ``fam.cofactors``.
+    in index order from +0.0 over the cached ``fam.cofactors``.
     """
     sign = -1.0 if fam.k % 2 == 0 else 1.0
+    if getattr(F, "ndim", 1) < 2:
+        pc = [0.0] * fam.d
+        for e, f, row in zip(fam.eps.tolist(), F, fam.cofactors.tolist()):
+            w = sign * e * f
+            pc = [p + w * c for p, c in zip(pc, row)]
+        return pc
     w = sign * fam.eps * np.asarray(F, dtype=float)
     return (w[..., :, None] * fam.cofactors).sum(axis=-2)
 
@@ -425,16 +452,16 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     they are all real (a theorem of Dragovic and Radnovic), so a complex
     pair off the real axis by more than 1e-6 max(scale, |z|), a wrong root
     count or a root that the polish rejects means the line is too
-    degenerate and raises RootIsolationError.  The direction is scaled by
-    ``_exponent`` first, which changes no bit of the roots.
+    degenerate and raises RootIsolationError.  After the ``_as_vector``
+    door all runs on Python floats: ``_light_like`` scales the direction by
+    ``_exponent``, which changes no bit of the roots, and decides its type.
     """
-    x, v = _as_vector(line.base, fam.d), line.direction
-    v = np.ldexp(v, -_exponent(v.tolist()))
-    disc, scale = chord_discriminant(fam.axes_f, x, v)
+    x = _as_vector(line.base, fam.d).tolist()
+    v, _, light = _light_like(line.direction.tolist(), fam.eps.tolist())
+    disc, scale = chord_discriminant(fam.axes_f.tolist(), x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")
-    pc = tangency_polynomial(fam, x, v).tolist()
-    light = line_type(v, fam.sig) is LineType.LIGHT_LIKE
+    pc = tangency_polynomial(fam, x, v)
     if light:
         pc = pc[:-1]
     c = pc

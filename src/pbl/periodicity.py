@@ -231,12 +231,13 @@ def cayley_condition(fam: ConfocalFamily, params, n: int, exact: bool = False) -
     Builds the closure matrix from the normalized square-root series and
     tests column dependence.  ``exact=True`` converts axes and caustics to
     Fractions (floats convert to their exact binary value) and decides the
-    rank without rounding.  ValueError unless n is an int >= 3.
+    rank without rounding, and with no float scale, which the exact
+    coefficients could overflow.  ValueError unless n is an int >= 3.
     """
     _as_count(n, "period", 3)
     B = normalized_sqrt_series(fam, params, n, exact=exact)
     M = cayley_matrix(B, fam.d, n)
-    scale = max(1.0, max(abs(float(b)) for b in B))
+    scale = None if exact else max(1.0, max(abs(float(b)) for b in B))
     return numerical_rank(M, scale=scale) < M.shape[1]
 
 

@@ -11,6 +11,7 @@ against two independent oracles built here from first principles:
   pencil member, i.e. the textbook tangency condition.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -23,7 +24,9 @@ from pbl.confocal import (
     CausticSet,
     ConfocalFamily,
     Line,
+    _tangency_coefficients,
     caustics,
+    chord_discriminant,
     evaluate_quadric,
     integrals_F,
     interlacing_checks,
@@ -428,17 +431,33 @@ def integrals_reference(fam, x, v):
 
 
 def test_integrals_stack_matches_rows():
+    # a stack row and its line's Python floats agree bit for bit on the
+    # first integrals, the chord discriminant and its scale, and the
+    # tangency coefficients; row 1 is light-like, and X[::5, 0] = 0 gives -0.0
+    # terms to the sums
     rng = np.random.default_rng(11)
     for k, l in [(1, 1), (2, 1), (1, 2), (2, 2)]:
         fam = rand_family(rng, k, l)
         X = rng.uniform(-2, 2, (40, fam.d)) * np.exp(rng.normal(size=(40, 1)))
         V = rng.uniform(-2, 2, (40, fam.d))
         X[::5, 0] = 0.0
+        V[1] = 0.0
+        V[1, 0] = V[1, k] = 1.5
         F = integrals_F(fam, X, V)
         assert F.shape == X.shape
-        for x, v, row in zip(X, V, F):
+        disc, scale = chord_discriminant(fam.axes_f, X, V)
+        pc = _tangency_coefficients(fam, F)
+        for x, v, row, *rest in zip(X, V, F, disc, scale, pc):
+            line = integrals_F(fam, x.tolist(), v.tolist())
+            assert all(type(f) is float for f in line)
+            assert np.array(line).tobytes() == row.tobytes()
             assert np.array_equal(row, integrals_F(fam, x, v))
             assert np.array_equal(row, integrals_reference(fam, x, v))
+            single = (*chord_discriminant(fam.axes_f.tolist(), x.tolist(), v.tolist()),
+                      tangency_polynomial(fam, x.tolist(), v.tolist()))
+            assert [float(r).hex() for r in rest[:2]] == [s.hex() for s in single[:2]]
+            assert np.array(single[2]).tobytes() == rest[2].tobytes()
+        assert sq_norm(V[1], fam.sig) == 0.0
         assert np.array_equal(integrals_F(fam, X.reshape(8, 5, -1), V.reshape(8, 5, -1)),
                               F.reshape(8, 5, -1))
 
@@ -585,6 +604,55 @@ def test_caustics_lightlike_count():
         assert len(cs.params) == fam.d - 1
         assert len(cs.finite) == fam.d - 2
         done += 1
+
+
+def _pinned_line(fam, rng, i: int) -> tuple:
+    """Seeded line i: space-, time- or light-like by i % 3, and by i // 3 % 6
+    through an interior point, one near or on a coordinate hyperplane, a
+    point of Q_0 along a tangent direction, a point maybe outside, or a far
+    point on a line through the table (whose terms overflow)."""
+    plus, minus = rng.normal(size=fam.k), rng.normal(size=fam.l)
+    p, q = ((1.0, rng.uniform(0.0, 0.8)), (rng.uniform(0.0, 0.8), 1.0), (1.0, 1.0))[i % 3]
+    v = np.concatenate([p * plus / np.linalg.norm(plus), q * minus / np.linalg.norm(minus)])
+    u = rng.normal(size=fam.d)
+    x = u / math.sqrt(float(np.sum(u * u / fam.axes_f)))  # on Q_0
+    mode = i // 3 % 6
+    if mode in (0, 1, 2):
+        x *= rng.uniform(0.0, 1.0)
+        if mode:
+            x[rng.integers(fam.d)] *= 0.0 if mode == 2 else 10.0 ** -rng.integers(1, 17)
+    elif mode == 3:
+        g, w = x / fam.axes_f, rng.normal(size=fam.d)
+        v = w - (w @ g) / (g @ g) * g
+    elif mode == 4:
+        x *= rng.uniform(1.0, 4.0)
+    else:
+        x = u * 10.0 ** rng.uniform(0.0, 200.0)
+        v = -u + rng.normal(size=fam.d) * 10.0 ** -rng.uniform(0.0, 20.0)
+    return x, v
+
+
+def test_caustics_pinned_bit_for_bit():
+    # the caustic sets as float.hex, or the error class and message, of 800
+    # seeded lines on four families, hashed: the values of the numpy route
+    # that the Python-float one replaced, which must repeat them exactly;
+    # that route warned where the far lines overflow
+    families = [((1, 1), (2.0, 1.0)), ((2, 1), (5.0, 3.0, 2.0)),
+                ((1, 2), (5.0, 2.0, 3.0)), ((2, 2), (5.0, 3.0, 2.0, 4.0))]
+    lines = []
+    for j, (sig, axes) in enumerate(families):
+        fam, rng = ConfocalFamily(Signature(*sig), axes), np.random.default_rng([29, j])
+        for i in range(200):
+            x, v = _pinned_line(fam, rng, i)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    lines.append(" ".join(p.hex() for p in caustics(fam, Line(x, v))))
+            except (NoIntersection, RootIsolationError) as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    assert sum(":" in line for line in lines) > 100
+    assert sum(line.endswith("inf") for line in lines) > 100
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "019e10db9ef416ee686fe7491f3a8e698fd8b546"
 
 
 def test_caustic_set_ordering():

@@ -1,8 +1,9 @@
 """No module of src/pbl or tests/ imports a name it never uses,
 no function or class of src/pbl is left without a reader, no module
 of src/pbl defines a ``_check_*`` function, only ``_poly`` calls
-``np.linalg.eigvals``, and only the Jacobi core and ``caustics`` call
-``polynomial_roots``.
+``np.linalg.eigvals``, only the Jacobi core and ``caustics`` call
+``polynomial_roots``, and ``caustics`` and ``newton_polish`` name no
+``np`` attribute.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -99,3 +100,17 @@ def test_polynomial_roots_called_twice():
                   if isinstance(node, ast.Call) and "polynomial_roots"
                   in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert sorted(calls) == ["confocal.py:_jacobi", "confocal.py:caustics"], calls
+
+
+def test_no_numpy_between_a_line_and_its_caustics():
+    # after the _as_vector door, one line's caustics run on Python floats:
+    # the routines they call choose floats by the shape of their input, and
+    # these two name no numpy attribute themselves
+    found = []
+    for name, func in (("confocal.py", "caustics"), ("_poly.py", "newton_polish")):
+        tree = ast.parse((ROOT / "src" / "pbl" / name).read_text())
+        body = next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == func)
+        found += [f"{name}:{node.lineno} np.{node.attr}" for node in ast.walk(body)
+                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"]
+    assert not found, found

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from pbl import billiard, periodicity
-from pbl._poly import poly_eval
 from pbl.billiard import (
     closure_test,
     direction_with_caustics,
@@ -127,7 +126,10 @@ def test_build_P1_stays_exact_on_fraction_input():
     assert all(isinstance(c, (int, Fraction)) for c in out)
     for t in (Fraction(1, 2), Fraction(-4, 3), Fraction(7)):
         want = (alpha[0] - t) * (alpha[1] - t) * (5 - t) * (3 - t) * (2 + t)
-        assert poly_eval(out, t) == want
+        got = Fraction(0)
+        for c in reversed(out):  # Horner, exact on Fractions
+            got = got * t + c
+        assert got == want
     # the float family's P1 has the same coefficients to rounding
     assert np.allclose(np.array(out, dtype=float), build_P1(FAM3, [float(a) for a in alpha]),
                        rtol=1e-14, atol=0.0)
@@ -295,6 +297,18 @@ def test_an_underflowing_p1_at_zero_is_degenerate():
     # everywhere, as it did before, and finds no period
     with np.errstate(invalid="ignore"):
         assert all(find_periodic_caustics_plane(tiny, n) == [] for n in range(3, 11))
+
+
+def test_exact_cayley_on_a_tiny_table():
+    # the exact series of this table holds coefficients near 1e105**k, which
+    # no float holds: the exact rank reads them as Fractions, with no float
+    # scale (which raised OverflowError, "integer division result too large")
+    tiny = ConfocalFamily(Signature(1, 1), (2e-105, 1e-105))
+    assert not cayley_condition(tiny, (1e-115,), 4, exact=True)
+    a, b = Fraction(2e-105), Fraction(1e-105)
+    exact = ConfocalFamily(Signature(1, 1), (a, b))
+    assert not cayley_condition(exact, (Fraction(1e-115),), 4, exact=True)
+    assert cayley_condition(exact, (a * b / (a + b),), 4, exact=True)
 
 
 def test_planar_det_fraction_axes_match_float_twin():
