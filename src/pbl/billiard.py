@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval
 
 from .confocal import (
     CausticSet,
@@ -51,7 +50,6 @@ from .metric import (
     LineType,
     Signature,
     _as_count,
-    _as_rows,
     _as_scalar,
     _as_vector,
     _exponent,
@@ -215,11 +213,18 @@ def trace(fam: ConfocalFamily, start, direction, n_reflections: int) -> Trajecto
     cs0 = caustics(fam, Line(x, v))
     alpha = np.array(cs0.finite)
     integrals, drift = _segment_integrals(fam, points, directions)
-    # column b: ascending tangency coefficients of segment b
-    pc = _tangency_coefficients(fam, integrals).T
+    # column b: ascending tangency coefficients of segment b, and p_b and
+    # p_b' at every alpha (row b) by Horner in numpy's polyval order
+    pc = _tangency_coefficients(fam, integrals).T[..., None]
     if ltype is LineType.LIGHT_LIKE:
         pc = pc[:-1]
-    step = polyval(alpha, pc) / polyval(alpha, polyder(pc))
+    top, zero = len(pc) - 1, 0.0 * alpha
+    p, dp = pc[top] + zero, top * pc[top] + zero
+    for c in pc[-2::-1]:
+        p = c + p * alpha
+    for j in range(top - 1, 0, -1):
+        dp = j * pc[j] + dp * alpha
+    step = p / dp
     cdrift = float(np.max(np.abs(step) / np.maximum(1.0, np.abs(alpha)), initial=0.0))
     return Trajectory(
         family=fam,
@@ -332,7 +337,7 @@ def _admissible(fam: ConfocalFamily, cs: CausticSet) -> None:
 
 
 #: The error and its reason for a point with no direction, by the failure
-#: code of ``direction_with_caustics``.
+#: code of ``_directions``.
 _NO_DIRECTION = (
     None,
     (NoSolution, "x has a complex pair or a multiple Jacobi coordinate"),
@@ -358,8 +363,8 @@ def _solve_rows(N: np.ndarray, B: np.ndarray) -> tuple:
         return out, solved
 
 
-def direction_with_caustics(fam: ConfocalFamily, x, target):
-    """Directions v through x whose line has the target caustic set.
+def direction_with_caustics(fam: ConfocalFamily, x, target) -> list:
+    """Directions v through the point x whose line has the target caustic set.
 
     Closed form from the generalized Jacobi coordinates lambda_k of x.
     With D_i(lambda) = a_i - eps_i lambda, the tangency discriminant of the
@@ -378,25 +383,30 @@ def direction_with_caustics(fam: ConfocalFamily, x, target):
     kept one lies within 1e-9 of it.  Directions are unit length with a
     canonical sign (first component above 1e-12 positive).
 
-    x is one point, or an (S, d) stack of them that is built in one pass:
-    the Jacobi coordinates of each row, then one stacked solve over the
-    sign patterns and one tangency check.  Every call admits the caustic set
-    first: a zero, degenerate or colliding caustic raises
-    DegenerateConfiguration (``fam.check_caustic_values``), a set off the
-    interlacing pattern InadmissibleCaustics.  One point gives the list of
-    its directions; NoSolution means that x has a complex pair or a
-    multiple Jacobi coordinate, or that no real line through x has these
-    caustics, and RootIsolationError that x is so far out that rounding
-    loses its Jacobi coordinates (``jacobi_coordinates``).  A stack gives
-    (V, kept): V (S, 2^(d-1), d) holds the direction of every sign
-    pattern, kept (S, 2^(d-1)) marks the ones kept, and row s of V[kept] is
-    the list of point s, bit for bit; a point with no direction has no
-    kept pattern and raises nothing.
+    The caustic set is admitted first: a zero, degenerate or colliding
+    caustic raises DegenerateConfiguration (``fam.check_caustic_values``),
+    a set off the interlacing pattern InadmissibleCaustics.  x passes
+    ``_as_vector``.  Returns the list of the directions of x; NoSolution
+    means that x has a complex pair or a multiple Jacobi coordinate, or
+    that no real line through x has these caustics, and RootIsolationError
+    that x is so far out that rounding loses its Jacobi coordinates
+    (``jacobi_coordinates``).
     """
     cs = _caustic_set(fam, target)
     _admissible(fam, cs)
-    single = np.ndim(x) < 2
-    X = _as_vector(x, fam.d)[None] if single else _as_rows(x, fam.d)
+    V, kept, fail = _directions(fam, _as_vector(x, fam.d)[None], cs)
+    if fail[0]:
+        error, reason = _NO_DIRECTION[fail[0]]
+        raise error(reason)
+    return list(V[0, kept[0]])
+
+
+def _directions(fam: ConfocalFamily, X: np.ndarray, cs: CausticSet) -> tuple:
+    """``direction_with_caustics`` unchecked, for an (S, d) stack X of finite
+    points and an admitted caustic set, in one pass: (V, kept, fail).  V
+    (S, 2^(d-1), d) holds the direction of every sign pattern, kept marks
+    the ones kept, row s of V[kept] is the list of point s, bit for bit,
+    and fail (S,) holds each row's ``_NO_DIRECTION`` code, 0 if it has one."""
     d, rows = fam.d, len(X)
     patterns = _patterns(d)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -448,12 +458,7 @@ def direction_with_caustics(fam: ConfocalFamily, x, target):
     V = np.zeros((rows, kept.shape[1], d))
     V[todo] = W
     fail[(fail == 0) & ~kept.any(-1)] = 5
-    if not single:
-        return V, kept
-    if fail[0]:
-        error, reason = _NO_DIRECTION[fail[0]]
-        raise error(reason)
-    return list(V[0, kept[0]])
+    return V, kept, fail
 
 
 @functools.cache

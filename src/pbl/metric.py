@@ -92,18 +92,6 @@ def _as_vector(x, d: int) -> np.ndarray:
     return v
 
 
-def _as_rows(x, d: int) -> np.ndarray:
-    """x as a float array of shape (S, d), the same check for a stack of
-    points: ValueError for another shape or a non-finite entry."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 2 or v.shape[1] != d:
-        raise ValueError(f"expected a stack of {d}-vectors, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        bad = np.flatnonzero(~np.isfinite(v).all(1))[0]
-        raise ValueError(f"expected finite {d}-vectors, got row {bad}: {v[bad]}")
-    return v
-
-
 def _as_count(value, name: str, least: int):
     """value, if it is an int or numpy integer, not a bool, >= least: the
     one check of every count that a public routine takes.  ValueError

@@ -28,8 +28,8 @@ from .billiard import (
     _admissible,
     _bounce,
     _closure_errors,
+    _directions,
     _inward,
-    direction_with_caustics,
     random_boundary_point,
 )
 from .confocal import INF, CausticSet, ConfocalFamily, _caustic_set
@@ -648,16 +648,17 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
     """Simulate closure from random boundary points for a caustic set that
     satisfies the analytic period condition.
 
-    Raises CayleyConditionFailed if the analytic condition fails,
-    ValueError unless samples and seed are ints >= 0, n one >= 3 and tol
-    is finite and >= 0.
+    Raises CayleyConditionFailed if the analytic condition fails, the
+    errors of ``direction_with_caustics`` for a caustic set it does not
+    admit (checked once per call), ValueError unless samples and seed are
+    ints >= 0, n one >= 3 and tol is finite and >= 0.
     Sample i draws from its own stream, seeded with (seed, i), so it does
     not depend on the other samples.  A draw with no real direction toward
     the caustics, a stall, or a last double bounce past n is redrawn, and
     ConstructionFailure ends a sample after SAMPLE_BUDGET draws.
 
     The samples run in rounds: round r makes draw r of every sample still
-    open, with one stacked ``direction_with_caustics`` call, and then
+    open, with one stacked pass of the core ``_directions``, and then
     bounces each drawn start with ``_bounce``, the loop of ``trace``.  Each
     sample takes the first direction of its point, turned inward by
     ``inward_direction``'s unchecked core (a tangent one is redrawn), so
@@ -671,6 +672,8 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         raise CayleyConditionFailed(
             f"caustics {params} do not satisfy the period-{n} condition"
         )
+    cs = _caustic_set(fam, params)
+    _admissible(fam, cs)
     rngs = [np.random.default_rng([seed, i]) for i in range(samples)]
     # per sample: start point and direction, n-th bounce point and direction
     states = np.empty((4, samples, fam.d))
@@ -679,7 +682,7 @@ def poncelet_verify(fam: ConfocalFamily, params, n: int, samples: int = 20,
         if not todo.size:
             break
         p = np.array([random_boundary_point(fam, rngs[i]) for i in todo])
-        V, kept = direction_with_caustics(fam, p, params)
+        V, kept, _ = _directions(fam, p, cs)
         v = V[np.arange(len(todo)), np.argmax(kept, axis=1)]
         ends = []
         for j in np.flatnonzero(kept.any(1)).tolist():

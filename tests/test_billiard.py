@@ -75,6 +75,16 @@ def test_intersections_degenerate_guard():
         line_quadric_intersections(FAM3, 3.0, Line((0.0, 0.0, 0.0), (1.0, 0.0, 0.0)))
 
 
+def test_intersections_along_an_asymptotic_direction():
+    # on (1,1) (2, 1) at lambda = 3, D = (-1, 4): the direction (1, 2) has
+    # q2 = -1 + 4/4 = 0 exactly, so the chord equation is linear and the
+    # line meets the hyperbola once, at t = -q0 / (2 q1); through the
+    # centre q1 = 0 too, and the line misses it
+    ts = line_quadric_intersections(FAM2, 3.0, Line((0.5, 0.1), (1.0, 2.0)))
+    assert ts == [-1.386111111111111]
+    assert line_quadric_intersections(FAM2, 3.0, Line((0.0, 0.0), (1.0, 2.0))) == []
+
+
 # ------------------------------------------------------------- reflection
 
 
@@ -725,22 +735,25 @@ def _direction_rows(fam, seed: int) -> np.ndarray:
     (FAM3, (-2.320953597016259, 2.154286930349592)), (FAM3, (1.0, INF)), (FAM3, (4.0, INF)),
 ], ids=["planar", "planar-negative", "planar-light", "pair6", "light", "light-far"])
 def test_stacked_directions_equal_the_per_point_lists(fam, target):
-    # the stack form builds every row at once; each row must be the list
-    # of its point alone, and that list the point-by-point closed form,
-    # bit for bit, including the rows that have no direction
+    # the core billiard._directions builds every row of a stack at once;
+    # each row must be the public list of its point alone, and that list
+    # the point-by-point closed form, bit for bit, and a row with no
+    # direction must carry the code of its point's error
     X = _direction_rows(fam, 17)
-    V, kept = direction_with_caustics(fam, X, target)
+    V, kept, fail = billiard._directions(fam, X, CausticSet(target))
     reasons, branches = set(), []
-    for x, v_row, k_row in zip(X, V, kept):
+    for x, v_row, k_row, code in zip(X, V, kept, fail.tolist()):
         try:
             ref = _per_point_directions(fam, x, target, branches)
         except NoSolution as exc:
             reasons.add(str(exc))
             assert not k_row.any()
+            assert billiard._NO_DIRECTION[code] == (NoSolution, str(exc))
             with pytest.raises(NoSolution, match=str(exc)):
                 direction_with_caustics(fam, x, target)
             continue
         one = direction_with_caustics(fam, x, target)
+        assert code == 0
         assert len(ref) == len(one) == k_row.sum()
         for a, b, c in zip(ref, one, v_row[k_row]):
             assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -755,16 +768,17 @@ def test_far_rows_of_a_stack_keep_no_pattern():
     # x_1 = 1e16 has its Jacobi coordinates (-1e32, -2, 3; an eigenvalue
     # solve lost the small ones), but no real line through it has these
     # caustics; 1e160 overflows the polynomial and raises
-    # RootIsolationError.  In a stack their rows keep no pattern while the
-    # others keep their bits
+    # RootIsolationError.  In a stack of the core their rows keep no
+    # pattern and carry those codes, while the others keep their bits
     target = (-2.320953597016259, 2.154286930349592)
     p = random_boundary_point(FAM3, np.random.default_rng(5))
     X = np.array([p, [1e16, 1.0, 1.0], [1e160, 1.0, 1.0]])
-    V, kept = direction_with_caustics(FAM3, X, target)
+    V, kept, fail = billiard._directions(FAM3, X, CausticSet(target))
     one = direction_with_caustics(FAM3, p, target)
     assert kept[0].sum() == len(one) > 0
     assert [v.tobytes() for v in V[0, kept[0]]] == [v.tobytes() for v in one]
     assert not kept[1:].any()
+    assert fail.tolist() == [0, 3, 2]
     with pytest.raises(NoSolution, match="no real line"):
         direction_with_caustics(FAM3, X[1], target)
     with pytest.raises(RootIsolationError, match="rounding"):
@@ -774,16 +788,17 @@ def test_far_rows_of_a_stack_keep_no_pattern():
 def test_a_far_row_of_a_d4_stack_keeps_no_pattern():
     # d = 4 takes its Jacobi coordinates from the companion matrix, which at
     # x_1 = 1e160 is not finite: the row has nan roots and raises
-    # RootIsolationError alone, and in a stack it keeps no pattern while the
-    # others keep the bits they have alone
+    # RootIsolationError alone, and in a stack of the core it keeps no
+    # pattern while the others keep the bits they have alone
     fam = ConfocalFamily(Signature(2, 2), (5.0, 3.0, 2.0, 4.0))
     rng = np.random.default_rng(5)
     p = random_boundary_point(fam, rng)
     target = caustics(fam, Line(p, inward_direction(fam, p, rng.normal(size=4))))
     far = [1e160, 1.0, 1.0, 1.0]
     X = np.array([p, far, random_boundary_point(fam, rng)])
-    V, kept = direction_with_caustics(fam, X, target)
+    V, kept, fail = billiard._directions(fam, X, target)
     assert not kept[1].any() and not V[1].any()
+    assert fail.tolist() == [0, 2, 0]
     for s in (0, 2):
         one = direction_with_caustics(fam, X[s], target)
         assert kept[s].sum() == len(one) > 0
@@ -796,10 +811,10 @@ def test_an_empty_stack_keeps_no_pattern():
     # the stacked Jacobi coordinates of no point had shape (0,), not (0, d),
     # and np.broadcast_to failed on them
     for fam, target in ((FAM2, (2.0 / 3.0,)), (FAM3, (-2.320953597016259, 2.154286930349592))):
-        V, kept = direction_with_caustics(fam, np.zeros((0, fam.d)), target)
+        V, kept, fail = billiard._directions(fam, np.zeros((0, fam.d)), CausticSet(target))
         patterns = 2 ** (fam.d - 1)
         assert V.shape == (0, patterns, fam.d) and kept.shape == (0, patterns)
-        assert kept.dtype == bool
+        assert kept.dtype == bool and fail.shape == (0,)
 
 
 def test_solve_rows_masks_a_singular_row():

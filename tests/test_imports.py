@@ -2,8 +2,8 @@
 no function or class of src/pbl is left without a reader, no module
 of src/pbl defines a ``_check_*`` function, only ``_poly`` calls
 ``np.linalg.eigvals``, only the Jacobi core and ``caustics`` call
-``polynomial_roots``, and ``caustics`` and ``newton_polish`` name no
-``np`` attribute.
+``polynomial_roots``, ``caustics`` and ``newton_polish`` name no
+``np`` attribute, and ``import pbl`` leaves ``numpy.polynomial`` unloaded.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -12,6 +12,9 @@ package ``__init__.py`` is skipped, since its imports are the public API.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -66,7 +69,7 @@ def test_no_orphaned_definitions():
 
 def test_no_check_helpers():
     # counts and scalars are checked by the doors of metric, _as_count and
-    # _as_scalar, as points and directions by _as_vector and _as_rows
+    # _as_scalar, as points and directions by _as_vector
     found = []
     for path in sorted((ROOT / "src" / "pbl").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
@@ -114,3 +117,15 @@ def test_no_numpy_between_a_line_and_its_caustics():
         found += [f"{name}:{node.lineno} np.{node.attr}" for node in ast.walk(body)
                   if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"]
     assert not found, found
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # numpy.polynomial loads all its series classes, about 0.75 MB of peak
+    # RSS; trace's caustic drift runs its own Horner, and only the spatial
+    # rotation search reads Gauss-Legendre nodes from it, on first use
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, pbl; print('numpy.polynomial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False", out.stderr

@@ -755,6 +755,50 @@ def test_poncelet_matches_full_trace_reference_spatial(samples):
     assert rep.samples == samples
 
 
+#: the roots of find_periodic_caustics_plane on (1,1) (2, 1) for n = 4, 6, 8
+PONCELET_ROOTS = {
+    4: (-2.0, -0.6666666666666671, 0.6666666666666667),
+    6: (-1.053197264742181, -0.9536672493620416, -0.3094010767585029, 0.25319726474218074,
+        1.3981116938064841, 4.309401076758506),
+    8: (-1.9999999999999987, -1.0050444441498283, -0.9950455141222443, -0.6666666666666666,
+        -0.173664573825367, 0.13461960020501174, 0.6666666666666664, 1.7902258539828222,
+        2.3055889703049597),
+}
+
+
+def test_poncelet_reports_pinned():
+    # repr of every report, seeds 0-2 with 20 samples, for each planar
+    # root and the spatial pair, captured before the rounds went through
+    # the private direction core: every bit of the path is kept
+    reports = [repr(poncelet_verify(FAM2, (root,), n, samples=20, seed=seed))
+               for n, roots in PONCELET_ROOTS.items() for root in roots for seed in (0, 1, 2)]
+    reports += [repr(poncelet_verify(FAM3, PAIR6, 6, samples=20, seed=seed)) for seed in (0, 1, 2)]
+    digest = hashlib.sha1("\n".join(reports).encode()).hexdigest()
+    assert digest == "9d5ebf15e8d8d179d2c571be4a7e7fc6e5ca8828"
+
+
+def test_poncelet_admits_its_caustics_once(monkeypatch):
+    # the caustic set is admitted once per call, before the first round,
+    # and each round of draws runs through the unchecked core
+    admitted, rounds = [], []
+    admissible, directions = billiard._admissible, periodicity._directions
+
+    def counted(*args):
+        admitted.append(args)
+        return admissible(*args)
+
+    def round_of_draws(*args):
+        rounds.append(args)
+        return directions(*args)
+
+    monkeypatch.setattr(billiard, "_admissible", counted)
+    monkeypatch.setattr(periodicity, "_admissible", counted)
+    monkeypatch.setattr(periodicity, "_directions", round_of_draws)
+    rep = poncelet_verify(FAM2, (2.0 / 3.0,), 4, samples=10, seed=0)
+    assert rep.closed == 10
+    assert len(rounds) >= 2 and len(admitted) == 1
+
+
 def test_poncelet_redraws_a_stalled_sample(monkeypatch):
     # at a tolerance of 4e-16 some starts stall midway; each such sample
     # draws again from its own stream, as its one-sample trace would

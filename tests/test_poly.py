@@ -17,8 +17,9 @@ import pytest
 
 from pbl import _poly
 from pbl._poly import closed_form_roots, companion_roots, newton_polish, polynomial_roots
-from pbl.billiard import direction_with_caustics, random_boundary_point
+from pbl.billiard import _directions, random_boundary_point
 from pbl.confocal import (
+    CausticSet,
     ConfocalFamily,
     Line,
     caustics,
@@ -181,7 +182,7 @@ def test_degree_3_and_below_never_reach_eigenvalues(no_eigenvalues):
     for fam, target in ((FAM2, (2.0 / 3.0,)), (FAM3, (-2.320953597016259, 2.154286930349592))):
         rng = np.random.default_rng(3)
         X = np.array([random_boundary_point(fam, rng) for _ in range(8)])
-        V, kept = direction_with_caustics(fam, X, target)
+        V, kept, _ = _directions(fam, X, CausticSet(target))
         assert kept.any()
 
 

@@ -9,13 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from pbl.billiard import closure_test, rectangle_ratio, trace
+from pbl.billiard import closure_test, direction_with_caustics, rectangle_ratio, trace
 from pbl.confocal import ConfocalFamily, jacobi_coordinates
 from pbl.errors import (
     BoundaryCase,
     CuspPoint,
     DegenerateParameter,
     MultipleRoot,
+    NoSolution,
     NotDecoratable,
     PointNotOnConic,
 )
@@ -104,6 +105,27 @@ def test_not_decoratable():
         decorated_coordinates(FAM3, PAIR_POINT)
     with pytest.raises(NotDecoratable):
         decorated_coordinates(FAM3, tropic_point(FAM3, 0.0, 0.7, 1))
+
+
+@pytest.mark.parametrize("lam0", [1.5, 1.9])
+def test_a_double_jacobi_coordinate_is_refused_by_every_reader(lam0):
+    # on (1,1) (a, b) = (2, 1) the pencil equation is the quadratic
+    # lam^2 + (x^2 - y^2 - a + b) lam + b x^2 + a y^2 - a b = 0, with the
+    # double root lam0 where y^2 = x^2 + 2 lam0 - a + b and
+    # x^2 = (a - lam0)^2 / (a + b).  _jacobi clusters its two roots into
+    # one multiple coordinate, which every reader of the point refuses
+    a, b = 2.0, 1.0
+    x2 = (a - lam0) ** 2 / (a + b)
+    x = [math.sqrt(x2), math.sqrt(x2 + 2.0 * lam0 - a + b)]
+    gj = jacobi_coordinates(FAM2, x)
+    assert gj.complex_pair is None and not gj.is_simple_real()
+    assert gj.real_roots[0] == gj.real_roots[1] == pytest.approx(lam0, rel=1e-12)
+    with pytest.raises(NotDecoratable, match="multiple coordinate"):
+        decorated_coordinates(FAM2, x)
+    with pytest.raises(MultipleRoot):
+        relativistic_type(FAM2, x, lam0)
+    with pytest.raises(NoSolution, match="x has a complex pair or a multiple Jacobi coordinate"):
+        direction_with_caustics(FAM2, x, (2.0 / 3.0,))
 
 
 def test_geometric_type_examples():
