@@ -383,6 +383,47 @@ def test_jacobi_polynomial_vanishes_on_coordinates():
             assert abs(val) <= 1e-6 * max(abs(c) for c in pc)
 
 
+def _pinned_point(fam, rng, i: int) -> np.ndarray:
+    """Seeded point i, by i % 5: inside Q_0, maybe outside it, on it, inside
+    and next to a coordinate hyperplane (one x_i times 10^-k, k = 1..16),
+    or far out, up to 1e160 times a point of Q_0."""
+    u = rng.normal(size=fam.d)
+    x = u / math.sqrt(float(np.sum(u * u / fam.axes_f)))  # on Q_0
+    mode = i % 5
+    if mode in (0, 3):
+        x *= rng.uniform(0.0, 1.0)
+        if mode == 3:
+            x[rng.integers(fam.d)] *= 10.0 ** -rng.integers(1, 17)
+    elif mode == 1:
+        x *= rng.uniform(1.0, 4.0)
+    elif mode == 4:
+        x *= 10.0 ** rng.uniform(0.0, 160.0)
+    return x
+
+
+def test_jacobi_pinned_bit_for_bit():
+    # the Jacobi coordinates and complex pair as float.hex, or the error
+    # class and message, of 16,000 seeded points on four families, hashed:
+    # the values of the rule of two hand-set tolerances that the rounding
+    # floor replaced, which no point here comes near
+    families = [((1, 1), (2.0, 1.0)), ((2, 1), (5.0, 3.0, 2.0)),
+                ((1, 2), (5.0, 2.0, 3.0)), ((2, 2), (5.0, 3.0, 2.0, 4.0))]
+    lines = []
+    for j, (sig, axes) in enumerate(families):
+        fam, rng = ConfocalFamily(Signature(*sig), axes), np.random.default_rng([31, j])
+        for i in range(4000):
+            x = _pinned_point(fam, rng, i)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    gj = jacobi_coordinates(fam, x)
+                lines.append(" ".join(r.hex() for r in gj.real_roots + (gj.complex_pair or ())))
+            except RootIsolationError as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    assert 500 < sum(":" in line for line in lines) < 2000
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "5e8d7d124870672c55062e5287b37e8bb87f39da"
+
+
 def test_interior_band_count():
     # interior points carry exactly two coordinates in (-a_{k+1}, a_k),
     # one negative and one positive
