@@ -28,6 +28,7 @@ from .confocal import (
     _caustic_json,
     _caustic_set,
     _jacobi,
+    _jacobi_polynomial,
     _tangency_coefficients,
     caustics,
     chord_discriminant,
@@ -101,8 +102,10 @@ def reflect_at_boundary(fam: ConfocalFamily, p, v):
     res = evaluate_quadric(fam, 0.0, pv)
     if abs(res) > BOUNDARY_TOL:
         raise PointNotOnBoundary(f"Q_0 residual {res} too large at {pv}")
-    out, light = _reflect(vv.tolist(), (fam.eps * (pv / fam.axes_f)).tolist(), fam.eps.tolist())
-    return np.array(out), light
+    e = _exponent(vv.tolist())
+    out, light = _reflect(np.ldexp(vv, -e).tolist(), (fam.eps * (pv / fam.axes_f)).tolist(),
+                          fam.eps.tolist())
+    return np.ldexp(out, e), light
 
 
 @dataclass
@@ -413,7 +416,7 @@ def _directions(fam: ConfocalFamily, X: np.ndarray, cs: CausticSet) -> tuple:
         lam, fail = np.full((rows, d), math.nan), np.ones(rows, dtype=int)
         for s, row in enumerate(X.tolist()):
             try:
-                gj = _jacobi(fam, row)
+                gj = _jacobi(_jacobi_polynomial(fam, row))
                 if gj.is_simple_real():
                     lam[s], fail[s] = gj.real_roots, 0
             except RootIsolationError:

@@ -38,9 +38,6 @@ from .metric import (
 
 INF = math.inf
 
-#: Roots closer than this (times a_1 + a_d) are reported as a multiple root.
-MULTIPLE_ROOT_TOL = 1e-9
-
 #: Relative tolerance of the degeneracy rules: a pencil parameter at some
 #: eps_i a_i, a zero caustic and two colliding caustics (times a_1 + a_d),
 #: and a line touching a member (times the scale of ``chord_discriminant``).
@@ -353,17 +350,20 @@ def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
 
     ``fam.pencil_product`` less x_i^2 ``fam.cofactors[i]``, in index order.
     """
-    return np.array(_jacobi_polynomial(fam, _as_vector(x, fam.d).tolist()))
+    return np.array(_jacobi_polynomial(fam, _as_vector(x, fam.d).tolist())[0])
 
 
-def _jacobi_polynomial(fam: ConfocalFamily, x: list) -> list:
-    """``jacobi_polynomial`` of the Python floats x, as a list of them."""
+def _jacobi_polynomial(fam: ConfocalFamily, x: list) -> tuple:
+    """``jacobi_polynomial`` of the Python floats x, as a list of them, and
+    the list of the t_j, the sums of the absolute terms that formed them."""
     coeffs = [float(c) for c in fam.pencil_product]
+    terms = [abs(c) for c in coeffs]
     for xi, row in zip(x, fam.cofactors.tolist()):
         xx = xi * xi
         for j, c in enumerate(row):
             coeffs[j] -= xx * c
-    return coeffs
+            terms[j] += xx * abs(c)
+    return coeffs, terms
 
 
 def tangency_polynomial(fam: ConfocalFamily, x, v):
@@ -405,33 +405,50 @@ def jacobi_coordinates(fam: ConfocalFamily, x) -> GeneralizedJacobi:
     """Generalized Jacobi coordinates of x: all pencil members through x.
 
     Either all d solutions are real, or d - 2 are real plus one conjugate
-    complex pair.  Real roots closer than ``MULTIPLE_ROOT_TOL * (a_1 + a_d)``
-    are collapsed into a multiple root.  A point so far out that rounding
-    loses a coordinate (``newton_polish``) raises RootIsolationError.
+    complex pair.  A coordinate is multiple where the rounding floor of the
+    Jacobi polynomial says so (``_jacobi``).  A point so far out that
+    rounding loses a coordinate (``newton_polish``) raises RootIsolationError.
     """
-    return _jacobi(fam, _as_vector(x, fam.d).tolist())
+    return _jacobi(_jacobi_polynomial(fam, _as_vector(x, fam.d).tolist()))
 
 
-def _jacobi(fam: ConfocalFamily, x: list) -> GeneralizedJacobi:
-    """``jacobi_coordinates`` of x, a list of Python floats, unchecked and
-    on Python floats: the roots of the Jacobi polynomial from one
-    ``polynomial_roots`` call, where a pair off the real axis by no more
-    than 1e-9 max(scale, |z|) counts as two real roots, polished by
-    ``newton_polish``, which raises RootIsolationError for coefficients
-    that overflow or a root that rounding has lost.  Roots within
-    ``MULTIPLE_ROOT_TOL * (a_1 + a_d)`` of the least one of their cluster
-    become its mean."""
-    coeffs = _jacobi_polynomial(fam, x)
-    roots, pair = polynomial_roots(coeffs)
-    if pair is not None and not pair[1] > 1e-9 * max(fam.scale, math.hypot(*pair)):
+def _at_floor(poly: tuple, m) -> bool:
+    """The one multiple-root rule: ``poly`` of ``_jacobi_polynomial`` reads 0
+    at m within its rounding floor, |p(m)| <= 4 d u sum_j t_j |m|^j, u = 2^-53
+    (Higham, "Accuracy and Stability of Numerical Algorithms", ch. 3): with
+    the family's coefficients as data, c_j (d + 1 terms, each rounded at most
+    twice, summed in d steps) is within gamma_{d+2} t_j of its exact value,
+    and Horner adds gamma_{2d} sum_j |c_j| |m|^j, so p reads below (3d + 2) u
+    sum_j t_j |m|^j at an exact root, and at the midpoint of the two computed
+    roots of a double root, O(u) from it.  Both sides are divided by 2^(k d),
+    exactly, for m = mu 2^k, |mu| in [1/2, 1), k >= 0, so that no far
+    coordinate overflows; a bound that is not finite decides nothing."""
+    k = max(math.frexp(m)[1], 0)
+    p, bound, w, f, mu = 0.0, 0.0, 1.0, math.ldexp(1.0, -k), math.ldexp(m, -k)
+    for c, t in zip(reversed(poly[0]), reversed(poly[1])):
+        p, bound, w = p * mu + c * w, bound * abs(mu) + t * w, w * f
+    return abs(p) <= 4 * (len(poly[0]) - 1) * 2.0**-53 * bound < INF
+
+
+def _jacobi(poly: tuple) -> GeneralizedJacobi:
+    """``jacobi_coordinates`` from ``poly`` of ``_jacobi_polynomial``, on
+    Python floats: the roots of one ``polynomial_roots`` call, clustered by
+    ``_at_floor`` alone, tried at the real part of a complex pair (then a
+    double real root) and at the midpoint of adjacent real roots.  A cluster
+    is its mean, repeated; ``newton_polish`` polishes each simple root on its
+    own and raises RootIsolationError for overflow or a lost root."""
+    roots, pair = polynomial_roots(poly[0])
+    if pair is not None and _at_floor(poly, pair[0]):
         roots, pair = roots + [pair[0]] * 2, None
-    tol, clusters = MULTIPLE_ROOT_TOL * fam.scale, []
-    for r in sorted(newton_polish(coeffs, roots)):
-        if clusters and r - clusters[-1][0] <= tol:
+    clusters = []
+    for r in sorted(roots):
+        if clusters and _at_floor(poly, 0.5 * (clusters[-1][-1] + r)):
             clusters[-1].append(r)
         else:
             clusters.append([r])
-    return GeneralizedJacobi(tuple(sum(c) / len(c) for c in clusters for _ in c), pair)
+    simple = newton_polish(poly[0], [c[0] for c in clusters if len(c) == 1])
+    multiple = [sum(c) / len(c) for c in clusters if len(c) > 1 for _ in c]
+    return GeneralizedJacobi(tuple(sorted(simple + multiple)), pair)
 
 
 # -------------------------------------------------------------- caustics

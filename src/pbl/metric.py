@@ -222,27 +222,25 @@ def reflect_direction(v, n, sig: Signature) -> np.ndarray:
         v' = v - 2 (<v, n> / <n, n>) n
 
     Raises ``LightLikeNormal`` when n is light-like (``_light_like``), in
-    which case the reflection is not defined.
+    which case the reflection is not defined.  v is scaled by ``_exponent``
+    for ``_reflect`` and v' back, which changes no bit of v'.
     """
-    out, light = _reflect(_as_vector(v, sig.d).tolist(), _as_vector(n, sig.d).tolist(),
+    vv = _as_vector(v, sig.d)
+    e = _exponent(vv.tolist())
+    out, light = _reflect(np.ldexp(vv, -e).tolist(), _as_vector(n, sig.d).tolist(),
                           sig.eps.tolist())
     if light:
         raise LightLikeNormal("normal is light-like; reflection undefined")
-    return np.array(out)
+    return np.ldexp(out, e)
 
 
 def _reflect(v, n, eps) -> tuple:
-    """``reflect_direction`` unchecked, on floats: (v', False), or (-v, True)
-    where n is light-like.  v' is formed with n scaled by ``_light_like``,
-    and a v outside [2^-400, 2^400] is scaled likewise for ``_fdot``, and
-    v' back: no bit of v' changes."""
+    """``reflect_direction`` unchecked, on floats, for v scaled by ``_exponent``:
+    (v', False), or (-v, True) where n is light-like.  v' is formed with n
+    scaled by ``_light_like``."""
     nn, n2, light = _light_like(n, eps)
     if light:
         return [-c for c in v], True
-    e = _exponent(v)
-    if abs(e) > 400:
-        out, _ = _reflect([math.ldexp(c, -e) for c in v], nn, eps)
-        return [math.ldexp(c, e) for c in out], False
     w = 2.0 * _fdot(v, nn, eps) / n2
     return [a - w * b for a, b in zip(v, nn)], False
 

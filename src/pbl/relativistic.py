@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from .confocal import ConfocalFamily, jacobi_coordinates
+from .confocal import ConfocalFamily, _at_floor, _jacobi, _jacobi_polynomial, jacobi_coordinates
 from .errors import (
     BoundaryCase,
     CuspPoint,
@@ -31,9 +31,6 @@ from .errors import (
     PointNotOnConic,
 )
 from .metric import MDistance, _as_scalar, _as_vector, _is_real, mdistance, pseudo_cross
-
-#: Matching tolerance (relative to a_1 + a_d) when locating a coordinate.
-MATCH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -69,20 +66,20 @@ def _as_lambda(lam):
 def relativistic_type(fam: ConfocalFamily, x, lam0: float) -> RelType:
     """Relativistic type of the pencil member Q_{lam0} at the point x.
 
-    ``lam0`` must be one of the generalized Jacobi coordinates of x.  A
-    multiple coordinate has no well-defined type and raises
-    ``MultipleRoot``.
+    ``lam0`` must be a Jacobi coordinate of x: the Jacobi polynomial reads
+    0 there within its rounding floor (``_at_floor``), else ValueError.  It
+    has the multiplicity of the nearest coordinate in ``_jacobi``'s
+    clusters; a multiple one has no well-defined type (``MultipleRoot``).
     """
     _as_lambda(lam0)
-    gj = jacobi_coordinates(fam, x)
-    matches = [r for r in gj.real_roots if abs(r - lam0) <= MATCH_TOL * fam.scale]
-    if not matches:
+    poly = _jacobi_polynomial(fam, _as_vector(x, fam.d).tolist())
+    gj = _jacobi(poly)
+    if not gj.real_roots or not _at_floor(poly, lam0):
         raise ValueError(f"lambda = {lam0} is not a Jacobi coordinate of the point")
-    if len(matches) > 1:
+    nearest = min(gj.real_roots, key=lambda r: abs(r - lam0))
+    if gj.real_roots.count(nearest) > 1:
         raise MultipleRoot(f"lambda = {lam0} is a multiple coordinate at this point")
-    matched = matches[0]
-    below = sum(1 for r in gj.real_roots if r < matched)
-    return _type_from_counts(below, gj.complex_pair is not None)
+    return _type_from_counts(gj.real_roots.index(nearest), gj.complex_pair is not None)
 
 
 def decorated_coordinates(fam: ConfocalFamily, x) -> tuple:

@@ -3,7 +3,8 @@ no function or class of src/pbl is left without a reader, no module
 of src/pbl defines a ``_check_*`` function, only ``_poly`` calls
 ``np.linalg.eigvals``, only the Jacobi core and ``caustics`` call
 ``polynomial_roots``, ``caustics`` and ``newton_polish`` name no
-``np`` attribute, and ``import pbl`` leaves ``numpy.polynomial`` unloaded.
+``np`` attribute, ``import pbl`` leaves ``numpy.polynomial`` unloaded,
+and ``relativistic`` binds no module-level ``*_TOL`` name.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -129,3 +130,19 @@ def test_import_leaves_numpy_polynomial_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False", out.stderr
+
+
+def test_relativistic_binds_no_tolerance():
+    # whether a Jacobi coordinate is multiple is decided once, by the
+    # rounding floor of confocal._at_floor; relativistic reads the clusters
+    # and neither defines nor imports a tolerance of its own
+    tree = ast.parse((ROOT / "src" / "pbl" / "relativistic.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    assert "ConfocalFamily" in bound
+    assert not sorted(name for name in bound if name.endswith("_TOL")), bound

@@ -63,14 +63,19 @@ def test_relativistic_type_examples():
 
 
 def test_relativistic_type_needs_coordinate():
-    with pytest.raises(ValueError):
-        relativistic_type(FAM3, [math.sqrt(5.0), 0.0, 0.0], 1.2345)
+    # 0.0 is a coordinate (test_relativistic_type_examples); 1e-9 from it
+    # is off by more than rounding, though within the old matching
+    # tolerance of 1e-7 (a_1 + a_d)
+    for lam in (1.2345, 1e-9, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="not a Jacobi coordinate"):
+            relativistic_type(FAM3, [math.sqrt(5.0), 0.0, 0.0], lam)
 
 
 def test_relativistic_type_multiple_root():
-    # lambda0 is a double coordinate of a tropic-surface point; it comes
-    # back as two real roots within MATCH_TOL of lambda0 (split by
-    # rounding), and the type must then be refused
+    # lambda0 is a double coordinate of a tropic-surface point; _jacobi
+    # reads it as a repeated root, since the Jacobi polynomial is 0 within
+    # its rounding floor between the two roots that rounding splits it
+    # into, and the type must then be refused
     p = tropic_point(FAM3, 1.0, 0.3, 1)
     gj = jacobi_coordinates(FAM3, p)
     assert gj.complex_pair is None and len(gj.real_roots) == 3
@@ -107,13 +112,15 @@ def test_not_decoratable():
         decorated_coordinates(FAM3, tropic_point(FAM3, 0.0, 0.7, 1))
 
 
-@pytest.mark.parametrize("lam0", [1.5, 1.9])
+@pytest.mark.parametrize("lam0", [0.5, 1.5, 1.9])
 def test_a_double_jacobi_coordinate_is_refused_by_every_reader(lam0):
     # on (1,1) (a, b) = (2, 1) the pencil equation is the quadratic
     # lam^2 + (x^2 - y^2 - a + b) lam + b x^2 + a y^2 - a b = 0, with the
     # double root lam0 where y^2 = x^2 + 2 lam0 - a + b and
     # x^2 = (a - lam0)^2 / (a + b).  _jacobi clusters its two roots into
-    # one multiple coordinate, which every reader of the point refuses
+    # one multiple coordinate, which every reader of the point refuses.
+    # At lam0 = 1/2, x = (sqrt 0.75, sqrt 0.75), rounding split the root
+    # into lam0 -+ 1.49e-8, which the readers used to read apart
     a, b = 2.0, 1.0
     x2 = (a - lam0) ** 2 / (a + b)
     x = [math.sqrt(x2), math.sqrt(x2 + 2.0 * lam0 - a + b)]
@@ -122,10 +129,68 @@ def test_a_double_jacobi_coordinate_is_refused_by_every_reader(lam0):
     assert gj.real_roots[0] == gj.real_roots[1] == pytest.approx(lam0, rel=1e-12)
     with pytest.raises(NotDecoratable, match="multiple coordinate"):
         decorated_coordinates(FAM2, x)
-    with pytest.raises(MultipleRoot):
-        relativistic_type(FAM2, x, lam0)
+    for lam in (lam0, lam0 - 1.49e-8, lam0 + 1.49e-8):
+        with pytest.raises(MultipleRoot):
+            relativistic_type(FAM2, x, lam)
     with pytest.raises(NoSolution, match="x has a complex pair or a multiple Jacobi coordinate"):
         direction_with_caustics(FAM2, x, (2.0 / 3.0,))
+
+
+def test_every_tropic_point_reads_a_double_coordinate():
+    # lambda is a double Jacobi coordinate of every point of Sigma^+-;
+    # rounding splits it into two real roots or a complex pair, with a
+    # gap of order sqrt(u) (a_1 + a_d), which the rounding floor joins.
+    # The draw is the benchmark's point queries': lambda at least 0.05
+    # from the cusp edge, either sheet
+    rng, done = np.random.default_rng(31), 0
+    while done < 500:
+        lam, t = rng.uniform(-1.9, 5.5), rng.uniform(0.0, 2.0 * math.pi)
+        if abs(lam - cusp_edge_lambda(FAM3, t)) <= 0.05:
+            continue
+        done += 1
+        p = tropic_point(FAM3, lam, t, int(rng.choice([-1, 1])))
+        gj = jacobi_coordinates(FAM3, p)
+        nearest = min(gj.real_roots, key=lambda r: abs(r - lam))
+        assert gj.complex_pair is None and gj.real_roots.count(nearest) == 2
+        assert nearest == pytest.approx(lam, abs=1e-9 * FAM3.scale)
+        with pytest.raises(MultipleRoot):
+            relativistic_type(FAM3, p, lam)
+        with pytest.raises(NotDecoratable, match="multiple coordinate"):
+            decorated_coordinates(FAM3, p)
+
+
+def test_every_cusp_edge_point_reads_a_triple_coordinate():
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        t = rng.uniform(0.0, 2.0 * math.pi)
+        lam = cusp_edge_lambda(FAM3, t)
+        p = tropic_point(FAM3, lam, t, int(rng.choice([-1, 1])))
+        gj = jacobi_coordinates(FAM3, p)
+        assert gj.complex_pair is None and len(set(gj.real_roots)) == 1
+        assert gj.real_roots[0] == pytest.approx(lam, abs=1e-12 * FAM3.scale)
+        with pytest.raises(MultipleRoot):
+            relativistic_type(FAM3, p, lam)
+        with pytest.raises(NotDecoratable, match="multiple coordinate"):
+            decorated_coordinates(FAM3, p)
+
+
+@pytest.mark.parametrize("lam0", [0.5, 1.5, 1.9])
+def test_a_point_off_the_double_coordinate_set_is_decorated(lam0):
+    # the double point of test_a_double_jacobi_coordinate_is_refused_by_every_reader
+    # with y^2 less 1e-10: the discriminant grows by 4 (a - lam0) 1e-10, so
+    # the roots split by about 2 sqrt((a - lam0) 1e-10) and the polynomial
+    # reads (a - lam0) 1e-10 between them, 10^3 to 10^4 times its floor
+    a, b = 2.0, 1.0
+    x2 = (a - lam0) ** 2 / (a + b)
+    x = [math.sqrt(x2), math.sqrt(x2 + 2.0 * lam0 - a + b - 1e-10)]
+    gj = jacobi_coordinates(FAM2, x)
+    assert gj.is_simple_real()
+    half = math.sqrt((a - lam0) * 1e-10)
+    assert gj.real_roots == pytest.approx([lam0 - half, lam0 + half], rel=1e-4)
+    deco = decorated_coordinates(FAM2, x)
+    assert [str(t) for t, _ in deco] == ["E", "H^1"]
+    for t, lam in deco:
+        assert relativistic_type(FAM2, x, lam) == t
 
 
 def test_geometric_type_examples():
