@@ -13,6 +13,7 @@ against two independent oracles built here from first principles:
 
 import hashlib
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from pbl.confocal import (
     INF,
     CausticSet,
     ConfocalFamily,
+    InterlacingReport,
     Line,
     _tangency_coefficients,
     caustics,
@@ -45,7 +47,7 @@ from pbl.errors import (
     NoIntersection,
     RootIsolationError,
 )
-from pbl.metric import LineType, Signature, sq_norm
+from pbl.metric import LineType, Signature, line_type, sq_norm
 
 FAM3 = ConfocalFamily(Signature(2, 1), (5.0, 3.0, 2.0))
 FAM2 = ConfocalFamily(Signature(1, 1), (2.0, 1.0))
@@ -823,3 +825,30 @@ def test_interlacing_random_chords():
             rep = interlacing_report(fam, Line(x, v))
             assert rep.passed, (fam.sig, rep.checks)
             done += 1
+
+
+def test_interlacing_report_is_caustics_and_line_type():
+    # the report reads the line type off its own caustic solve; on 800
+    # seeded lines it is the composition of caustics, line_type and
+    # interlacing_checks, and it raises where caustics raises
+    families = [((1, 1), (2.0, 1.0)), ((2, 1), (5.0, 3.0, 2.0)),
+                ((1, 2), (5.0, 2.0, 3.0)), ((2, 2), (5.0, 3.0, 2.0, 4.0))]
+    failed = 0
+    for j, (sig, axes) in enumerate(families):
+        fam, rng = ConfocalFamily(Signature(*sig), axes), np.random.default_rng([32, j])
+        for i in range(200):
+            x, v = _pinned_line(fam, rng, i)
+            line = Line(x, v)
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    cs = caustics(fam, line)
+                except (NoIntersection, RootIsolationError) as exc:
+                    failed += 1
+                    with pytest.raises(type(exc), match=re.escape(str(exc))):
+                        interlacing_report(fam, line)
+                    continue
+                rep = interlacing_report(fam, line)
+            ltype = line_type(v, fam.sig)
+            checks, b, c, pos, neg = interlacing_checks(fam, cs, ltype)
+            assert rep == InterlacingReport(cs, ltype, b, c, pos, neg, checks, all(checks.values()))
+    assert 100 < failed < 400

@@ -24,6 +24,8 @@ from pbl.confocal import (
     Line,
     caustics,
     jacobi_coordinates,
+    jacobi_polynomial,
+    tangency_polynomial,
 )
 from pbl.errors import RootIsolationError
 from pbl.metric import Signature
@@ -199,3 +201,105 @@ def test_generalized_jacobi_holds_python_floats():
         assert gj.complex_pair is None or all(type(c) is float for c in gj.complex_pair)
     assert jacobi_coordinates(FAM3, [1.0007637328373358, 3.177710407756604,
                                      2.205485521961548]).complex_pair is not None
+
+
+# ------------------------------------------------- the fixed-point exit
+
+
+def _polish_every_step(coeffs: list, starts) -> list:
+    """The reference polish: ``newton_polish`` with no fixed-point exit, so
+    that every root takes all ``NEWTON_STEPS`` guarded steps."""
+    if not all(map(math.isfinite, coeffs)):
+        raise RootIsolationError("polynomial coefficients are not finite")
+    high = coeffs[::-1]
+    der = [i * c for i, c in enumerate(coeffs)][:0:-1]
+    roots = []
+    for x in starts:
+        x = float(x)
+        fx = 0.0 * x
+        for c in high:
+            fx = fx * x + c
+        for _ in range(_poly.NEWTON_STEPS):
+            dfx = 0.0 * x
+            for c in der:
+                dfx = dfx * x + c
+            if dfx == 0.0:
+                break
+            x_new = x - fx / dfx
+            f_new = 0.0 * x_new
+            for c in high:
+                f_new = f_new * x_new + c
+            if not math.isfinite(x_new) or abs(f_new) > abs(fx):
+                break
+            x, fx = x_new, f_new
+        bound = 0.0 * abs(x)
+        for c in high:
+            bound = bound * abs(x) + abs(c)
+        if not abs(fx) <= _poly.POLISH_TOL * bound:
+            raise RootIsolationError(f"rounding has lost the root near {x}: its backward "
+                                     f"error is above {_poly.POLISH_TOL}")
+        roots.append(x)
+    return roots
+
+
+def _polished(polish, coeffs, starts) -> str:
+    """The polished roots as float.hex, or the error class and message."""
+    try:
+        return " ".join(r.hex() for r in polish(coeffs, starts))
+    except RootIsolationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_newton_polish_matches_every_step_on_seeded_polynomials():
+    # Jacobi polynomials of seeded points, inside to far out, and tangency
+    # polynomials of seeded space-, time- and light-like lines, in four
+    # signatures; the starts are the closed-form or eigenvalue roots, and
+    # the same moved by 10^-k relative, so that some roots need every step
+    families = [((1, 1), (2.0, 1.0)), ((2, 1), (5.0, 3.0, 2.0)),
+                ((1, 2), (5.0, 2.0, 3.0)), ((2, 2), (5.0, 3.0, 2.0, 4.0))]
+    outcomes, stopped_early = [], 0
+    for j, (sig, axes) in enumerate(families):
+        fam, rng = ConfocalFamily(Signature(*sig), axes), np.random.default_rng([32, 16 + j])
+        for i in range(300):
+            x = rng.uniform(-0.6, 0.6, fam.d) * np.sqrt(fam.axes_f) * 10.0 ** rng.uniform(0, 12)
+            v = rng.normal(size=fam.d)
+            if i % 3 == 2:  # light-like: its leading coefficient is 0 and is dropped
+                v[:fam.k] *= math.sqrt(float(v[fam.k:] @ v[fam.k:]) / float(v[:fam.k] @ v[:fam.k]))
+            for coeffs in (jacobi_polynomial(fam, x).tolist(), tangency_polynomial(fam, x, v)):
+                while len(coeffs) > 1 and coeffs[-1] == 0.0:
+                    coeffs = coeffs[:-1]
+                roots, _ = polynomial_roots(coeffs)
+                for starts in (roots, [r * (1.0 + 10.0 ** -rng.uniform(2, 15)) for r in roots]):
+                    want = _polished(_polish_every_step, coeffs, starts)
+                    assert _polished(newton_polish, coeffs, starts) == want
+                    outcomes.append(want)
+                    stopped_early += sum(_polish_every_step(coeffs, [r])[0] == r
+                                         for r in starts if ":" not in want)
+    assert stopped_early > 1000 and sum(":" in o for o in outcomes) < len(outcomes) // 10
+
+
+@pytest.mark.parametrize("coeffs, start, want", [
+    ([0.0, -1.0], -0.0, 0.0),   # -0.0 - (-0.0) steps to +0.0, then stays
+    ([0.0, -1.0], 0.0, 0.0),
+    ([0.0, 1.0], -0.0, -0.0),
+    ([0.0, 1.0, 1.0], -0.0, -0.0),
+    ([0.0, -1.0, 1.0], -0.0, 0.0),
+])
+def test_newton_polish_tells_the_zeros_apart(coeffs, start, want):
+    # a step from -0.0 to +0.0 compares equal but is taken: the exit reads bits
+    (got,) = newton_polish(coeffs, [start])
+    assert got.hex() == want.hex() and math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert _polished(newton_polish, coeffs, [start]) == _polished(_polish_every_step, coeffs,
+                                                                  [start])
+
+
+def test_newton_polish_follows_a_two_cycle():
+    # x^2 - 2 reads +-4.44e-16 at the floats on either side of sqrt(2), and
+    # Newton swaps them on every step, each step passing the |p| guard
+    hi = math.sqrt(2.0)
+    lo = math.nextafter(hi, 0.0)
+    assert abs(hi * hi - 2.0) == abs(lo * lo - 2.0)
+    for start, end in ((hi, lo), (lo, hi)):
+        assert _poly.NEWTON_STEPS % 2 == 1
+        assert newton_polish([-2.0, 0.0, 1.0], [start]) == [end]
+        assert _polish_every_step([-2.0, 0.0, 1.0], [start]) == [end]

@@ -4,6 +4,7 @@ The analytic tropic partial derivatives are validated against central
 finite differences before any downstream test relies on them.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from pbl.errors import (
     NotDecoratable,
     PointNotOnConic,
 )
-from pbl.metric import LineType, MDistance, Signature, line_type, sq_norm
+from pbl.metric import LineType, MDistance, Signature, line_type, mdistance, sq_norm
 from pbl.periodicity import lightlike_period, numerical_rank, poncelet_verify
 from pbl.relativistic import (
     GeomType3,
@@ -469,3 +470,93 @@ def test_focal_residual_guards():
         focal_residual(FAM2, 0.0, [1.0, 1.0])
     with pytest.raises(DegenerateParameter):
         focal_residual(FAM2, 2.0, [1.0, 1.0])
+
+
+# ------------------------------------------------------ pinned bit for bit
+
+
+def _pinned_conic_point(fam, rng, i: int) -> tuple:
+    """Seeded (lambda, x) i on the member C_lambda of a (1, 1) family, on
+    the branch -b < lambda < a, lambda < -b or lambda > a by i % 3; every
+    fourth point is moved off its conic by 10^-k relative, k = 5..12, so
+    that both sides of the on-conic test are pinned."""
+    a, b = (float(c) for c in fam.axes)
+    branch, u = i % 3, rng.uniform(-2.0, 2.0)
+    if branch == 0:
+        lam = rng.uniform(-b, a) * (1.0 - 1e-3)
+        x = [math.sqrt(a - lam) * math.cos(3 * u), math.sqrt(b + lam) * math.sin(3 * u)]
+    elif branch == 1:
+        lam = -b - (a + b) * rng.uniform(1e-3, 3.0)
+        x = [math.sqrt(a - lam) * math.cosh(u), math.sqrt(-b - lam) * math.sinh(u)]
+    else:
+        lam = a + (a + b) * rng.uniform(1e-3, 3.0)
+        x = [math.sqrt(lam - a) * math.sinh(u), math.sqrt(b + lam) * math.cosh(u)]
+    if i % 4 == 3:
+        x[int(rng.integers(2))] *= 1.0 + 10.0 ** -rng.integers(5, 13)
+    return lam, np.array(x)
+
+
+def _pinned_tropic_args(fam, rng, i: int) -> tuple:
+    """Seeded (lambda, t, sheet) i of a (2, 1) family, on the sheet
+    (-1)^i: by i // 2 % 4, lambda anywhere in [-2c, 2a], within
+    10^-1..10^-13 of the cusp edge, on it, or far out, up to 10^100."""
+    a, _, c = (float(v) for v in fam.axes)
+    t, mode = rng.uniform(0.0, 2.0 * math.pi), i // 2 % 4
+    if mode == 0:
+        lam = rng.uniform(-2.0 * c, 2.0 * a)
+    elif mode in (1, 2):
+        lam = cusp_edge_lambda(fam, t)
+        if mode == 1:
+            lam += (-1.0) ** rng.integers(2) * 10.0 ** -rng.uniform(1.0, 13.0)
+    else:
+        lam = (-1.0) ** rng.integers(2) * 10.0 ** rng.uniform(0.0, 100.0)
+    return lam, t, (1, -1)[i % 2]
+
+
+def test_focal_residuals_pinned_bit_for_bit():
+    # residuals as float.hex, or the error class and message, of 3,600
+    # seeded points on three (1, 1) families and their three lambda
+    # branches, and the distances of 1,200 seeded point pairs in four
+    # signatures, scales 10^-100 to 10^100, hashed: the values of the
+    # numpy distances that the float core replaced
+    lines = []
+    for j, axes in enumerate(((2.0, 1.0), (3.0, 0.25), (1e6, 3e5))):
+        fam, rng = ConfocalFamily(Signature(1, 1), axes), np.random.default_rng([32, j])
+        for i in range(1200):
+            lam, x = _pinned_conic_point(fam, rng, i)
+            try:
+                r = focal_residual(fam, lam, x)
+                lines.append(f"{r.x_pair.hex()} {r.y_pair.hex()} {r.kind_ok}")
+            except PointNotOnConic as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    assert 200 < sum(":" in line for line in lines) < 900
+    for j, sig in enumerate(((1, 1), (2, 1), (1, 2), (2, 2))):
+        rng, d = np.random.default_rng([32, 4 + j]), sum(sig)
+        for i in range(300):
+            x = rng.normal(size=d) * 10.0 ** rng.uniform(-100.0, 100.0)
+            y = x + rng.normal(size=d) * np.abs(x) * 10.0 ** -rng.uniform(0.0, 16.0)
+            m = mdistance(x, y if i % 2 else rng.normal(size=d) * np.abs(x), Signature(*sig))
+            lines.append(f"{m.magnitude.hex()} {m.imaginary}")
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "693aec91f21d5d1e2c483b7702cfcb161cd9fda3"
+
+
+def test_tropic_normals_pinned_bit_for_bit():
+    # the partials and the normal as float.hex, or the error class and
+    # message, at 3,200 seeded (lambda, t) on both sheets of two (2, 1)
+    # families, a quarter of them next to the cusp edge, hashed: the values
+    # of the numpy arrays and norms that the float cores replaced
+    lines = []
+    for j, axes in enumerate(((5.0, 3.0, 2.0), (7.0, 1.5, 0.5))):
+        fam, rng = ConfocalFamily(Signature(2, 1), axes), np.random.default_rng([32, 8 + j])
+        for i in range(1600):
+            lam, t, sheet = _pinned_tropic_args(fam, rng, i)
+            parts = tropic_partials(fam, lam, t, sheet)
+            lines.append(" ".join(c.hex() for r in parts for c in r.tolist()))
+            try:
+                lines.append(" ".join(c.hex() for c in tropic_surface_normal(fam, lam, t, sheet)))
+            except CuspPoint as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    assert 800 < sum(":" in line for line in lines) < 1600
+    digest = hashlib.sha1("\n".join(lines).encode()).hexdigest()
+    assert digest == "97e3c1ef91f7744aa5142d19627ca335592e7c82"
