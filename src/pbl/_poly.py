@@ -50,8 +50,10 @@ def newton_polish(coeffs: list, starts) -> list:
     """The roots of one polynomial of float coefficients, each polished from
     its start in ``starts`` by a few guarded Newton steps in Python floats,
     a few microseconds a root: a step that would leave the finite floats or
-    raise |p| is not taken, and that root's polish stops there.  The
-    derivative is formed once for all the roots; each evaluation is an
+    raise |p| is not taken, and that root's polish stops there.  It stops
+    too at a step that returns the same float, bit for bit (so -0.0 and 0.0
+    differ), since every later step would repeat it.  The derivative and
+    the |c_k| are formed once for all the roots; each evaluation is an
     inline Horner pass, acc = acc x + c from acc = 0 x, leading term first.
 
     RootIsolationError unless every coefficient is finite and every
@@ -63,6 +65,7 @@ def newton_polish(coeffs: list, starts) -> list:
         raise RootIsolationError("polynomial coefficients are not finite")
     high = coeffs[::-1]
     der = [i * c for i, c in enumerate(coeffs)][:0:-1]
+    sizes = [abs(c) for c in high]
     roots = []
     for x in starts:
         x = float(x)
@@ -76,15 +79,17 @@ def newton_polish(coeffs: list, starts) -> list:
             if dfx == 0.0:
                 break
             x_new = x - fx / dfx
+            if x_new == x and math.copysign(1.0, x_new) == math.copysign(1.0, x):
+                break  # a fixed point: every later step would repeat this one
             f_new = 0.0 * x_new
             for c in high:
                 f_new = f_new * x_new + c
             if not math.isfinite(x_new) or abs(f_new) > abs(fx):
                 break
             x, fx = x_new, f_new
-        bound = 0.0 * abs(x)
-        for c in high:
-            bound = bound * abs(x) + abs(c)
+        size, bound = abs(x), 0.0
+        for c in sizes:
+            bound = bound * size + c
         if not abs(fx) <= POLISH_TOL * bound:
             raise RootIsolationError(f"rounding has lost the root near {x}: its backward "
                                      f"error is above {POLISH_TOL}")

@@ -33,7 +33,7 @@ from .errors import (
     RootIsolationError,
 )
 from .metric import (
-    LineType, Signature, line_type, _as_scalar, _as_vector, _is_real, _light_like, _read_only,
+    LineType, Signature, _as_scalar, _as_vector, _is_real, _line_type, _read_only,
 )
 
 INF = math.inf
@@ -52,8 +52,8 @@ class ConfocalFamily:
     finite and positive; Fractions are kept so that the rational closure
     tests can work exactly.  All geometric routines coerce to float.  The
     read-only float arrays ``eps``, ``axes_f``, ``signed_axes``,
-    ``cofactors`` and ``pair_denominators``, and the ``pencil_product``
-    tuple, are built once.
+    ``cofactors`` and ``pair_denominators``, the ``pencil_product`` tuple,
+    and ``_float_rows``, those two as Python floats, are built once.
     """
 
     sig: Signature
@@ -108,6 +108,13 @@ class ConfocalFamily:
     def pencil_product(self) -> tuple:
         """Ascending coefficients of prod_j (a_j - eps_j lambda); exact for Fraction axes."""
         return tuple(linear_product(self.axes, [-1] * self.k + [1] * self.l))
+
+    @cached_property
+    def _float_rows(self) -> tuple:
+        """(``pencil_product``, ``cofactors``) as a tuple of Python floats and
+        a tuple of such rows, for the routines that take one point or line."""
+        return (tuple(float(c) for c in self.pencil_product),
+                tuple(map(tuple, self.cofactors.tolist())))
 
     @cached_property
     def pair_denominators(self) -> np.ndarray:
@@ -176,7 +183,7 @@ class Line:
     def __init__(self, base, direction):
         self.base = _as_vector(base, np.size(base))
         self.direction = _as_vector(direction, self.base.size)
-        if not np.any(self.direction):
+        if not any(self.direction.tolist()):
             raise ValueError("direction must be nonzero")
 
 
@@ -356,9 +363,10 @@ def jacobi_polynomial(fam: ConfocalFamily, x) -> np.ndarray:
 def _jacobi_polynomial(fam: ConfocalFamily, x: list) -> tuple:
     """``jacobi_polynomial`` of the Python floats x, as a list of them, and
     the list of the t_j, the sums of the absolute terms that formed them."""
-    coeffs = [float(c) for c in fam.pencil_product]
+    pencil, rows = fam._float_rows
+    coeffs = list(pencil)
     terms = [abs(c) for c in coeffs]
-    for xi, row in zip(x, fam.cofactors.tolist()):
+    for xi, row in zip(x, rows):
         xx = xi * xi
         for j, c in enumerate(row):
             coeffs[j] -= xx * c
@@ -390,7 +398,7 @@ def _tangency_coefficients(fam: ConfocalFamily, F):
     sign = -1.0 if fam.k % 2 == 0 else 1.0
     if getattr(F, "ndim", 1) < 2:
         pc = [0.0] * fam.d
-        for e, f, row in zip(fam.eps.tolist(), F, fam.cofactors.tolist()):
+        for e, f, row in zip(fam.eps.tolist(), F, fam._float_rows[1]):
             w = sign * e * f
             pc = [p + w * c for p, c in zip(pc, row)]
         return pc
@@ -425,8 +433,9 @@ def _at_floor(poly: tuple, m) -> bool:
     coordinate overflows; a bound that is not finite decides nothing."""
     k = max(math.frexp(m)[1], 0)
     p, bound, w, f, mu = 0.0, 0.0, 1.0, math.ldexp(1.0, -k), math.ldexp(m, -k)
+    size = abs(mu)
     for c, t in zip(reversed(poly[0]), reversed(poly[1])):
-        p, bound, w = p * mu + c * w, bound * abs(mu) + t * w, w * f
+        p, bound, w = p * mu + c * w, bound * size + t * w, w * f
     return abs(p) <= 4 * (len(poly[0]) - 1) * 2.0**-53 * bound < INF
 
 
@@ -470,11 +479,17 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     pair off the real axis by more than 1e-6 max(scale, |z|), a wrong root
     count or a root that the polish rejects means the line is too
     degenerate and raises RootIsolationError.  After the ``_as_vector``
-    door all runs on Python floats: ``_light_like`` scales the direction by
+    door all runs on Python floats: ``_line_type`` scales the direction by
     ``_exponent``, which changes no bit of the roots, and decides its type.
     """
+    return _caustics(fam, line)[0]
+
+
+def _caustics(fam: ConfocalFamily, line: Line) -> tuple:
+    """(``caustics``, ``line_type``) of the line, from one ``_line_type`` call."""
     x = _as_vector(line.base, fam.d).tolist()
-    v, _, light = _light_like(line.direction.tolist(), fam.eps.tolist())
+    v, ltype = _line_type(line.direction.tolist(), fam.eps.tolist())
+    light = ltype is LineType.LIGHT_LIKE
     disc, scale = chord_discriminant(fam.axes_f.tolist(), x, v)
     if disc < -DEGENERATE_TOL * scale:
         raise NoIntersection("line does not meet the reference ellipsoid")
@@ -493,7 +508,7 @@ def caustics(fam: ConfocalFamily, line: Line) -> CausticSet:
     if len(roots) != len(pc) - 1:
         raise RootIsolationError(f"expected {len(pc) - 1} tangency roots, found {len(roots)}")
     polished = tuple(newton_polish(pc, roots))
-    return CausticSet(polished + ((INF,) if light else ()))
+    return CausticSet(polished + ((INF,) if light else ())), ltype
 
 
 def trajectory_type_from_caustics(
@@ -568,7 +583,7 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
     light-like one k - 1 and l - 1 plus infinity, which b counts.
     """
     k, l = fam.k, fam.l
-    s = fam.signed_axes
+    s = fam._scalar_rule[1]
     pos_poles = [si for si in s if si > 0]
     neg_poles = [si for si in s if si < 0]
     cs = _caustic_set(fam, params)
@@ -604,8 +619,7 @@ def interlacing_checks(fam: ConfocalFamily, params, ltype: LineType):
 
 def interlacing_report(fam: ConfocalFamily, line: Line) -> InterlacingReport:
     """Verify the interlacing of caustics and degenerate parameters."""
-    cs = caustics(fam, line)
-    ltype = line_type(line.direction, fam.sig)
+    cs, ltype = _caustics(fam, line)
     checks, b, c, pos_positions, neg_positions = interlacing_checks(fam, cs, ltype)
     return InterlacingReport(
         caustic_set=cs,

@@ -199,12 +199,18 @@ def sq_norm(x, sig: Signature) -> float:
 
 def line_type(v, sig: Signature) -> LineType:
     """Classify a direction vector as space-, time- or light-like."""
-    vv, s, light = _light_like(_as_vector(v, sig.d).tolist(), sig.eps.tolist())
+    return _line_type(_as_vector(v, sig.d).tolist(), sig.eps.tolist())[1]
+
+
+def _line_type(v, eps) -> tuple:
+    """``line_type`` unchecked, on floats: (vs, type), vs being v scaled as
+    ``_light_like`` scales it.  ValueError for v = 0."""
+    vv, s, light = _light_like(v, eps)
     if light:
         if not any(vv):
             raise ValueError("zero vector has no line type")
-        return LineType.LIGHT_LIKE
-    return LineType.SPACE_LIKE if s > 0 else LineType.TIME_LIKE
+        return vv, LineType.LIGHT_LIKE
+    return vv, LineType.SPACE_LIKE if s > 0 else LineType.TIME_LIKE
 
 
 def pseudo_normal(w, sig: Signature) -> np.ndarray:
@@ -251,19 +257,43 @@ def pseudo_cross(x, y) -> np.ndarray:
     Componentwise: (x2 y3 - x3 y2,  x3 y1 - x1 y3,  -(x1 y2 - x2 y1)).
     The result is metric-orthogonal to both arguments.
     """
-    xv = _as_vector(x, 3)
-    yv = _as_vector(y, 3)
-    return np.array([
-        xv[1] * yv[2] - xv[2] * yv[1],
-        xv[2] * yv[0] - xv[0] * yv[2],
-        -(xv[0] * yv[1] - xv[1] * yv[0]),
-    ])
+    return np.array(_pseudo_cross(_as_vector(x, 3).tolist(), _as_vector(y, 3).tolist()))
+
+
+def _pseudo_cross(x, y) -> list:
+    """``pseudo_cross`` unchecked, of two sequences of 3 floats."""
+    return [x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], -(x[0] * y[1] - x[1] * y[0])]
+
+
+def _norm(w, eps=None) -> float:
+    """sqrt |<w, w>| with the sign of <w, w>, for a sequence of floats w and
+    signs eps (all + by default, for the Euclidean norm): w scaled by
+    ``_exponent`` for one ``_fdot`` chain, and the root scaled back, so that
+    no square overflows or underflows.  Where none does unscaled, this is
+    ``np.sqrt(np.dot(eps * w, w))`` bit for bit, as ``np.linalg.norm`` for
+    eps = 1; a root past the float range reads infinity."""
+    e = _exponent(w)
+    ws = [math.ldexp(c, -e) for c in w]
+    s = _fdot(ws, ws, eps)
+    try:
+        return math.copysign(math.ldexp(math.sqrt(abs(s)), e), s)
+    except OverflowError:
+        return math.copysign(math.inf, s)
 
 
 def mdistance(x, y, sig: Signature) -> MDistance:
     """Distance between points x and y; imaginary when <x-y, x-y> < 0."""
-    diff = _as_vector(x, sig.d) - _as_vector(y, sig.d)
-    s = float(np.dot(sig.eps * diff, diff))
-    if s >= 0.0:
-        return MDistance(math.sqrt(s), False)
-    return MDistance(math.sqrt(-s), True)
+    return _mdistance(_as_vector(x, sig.d).tolist(), _as_vector(y, sig.d).tolist(),
+                      sig.eps.tolist())
+
+
+def _mdistance(x, y, eps) -> MDistance:
+    """``mdistance`` unchecked, of two sequences of finite floats, signs
+    eps: the ``_norm`` of x - y, or twice that of x/2 - y/2 where some
+    difference leaves the float range."""
+    w = [a - b for a, b in zip(x, y)]
+    if math.isfinite(sum(w)):
+        r = _norm(w, eps)
+    else:
+        r = 2.0 * _norm([0.5 * a - 0.5 * b for a, b in zip(x, y)], eps)
+    return MDistance(abs(r), r < 0.0)

@@ -30,7 +30,7 @@ from .errors import (
     NotDecoratable,
     PointNotOnConic,
 )
-from .metric import MDistance, _as_scalar, _as_vector, _is_real, mdistance, pseudo_cross
+from .metric import MDistance, _as_scalar, _as_vector, _is_real, _mdistance, _norm, _pseudo_cross
 
 
 @dataclass(frozen=True)
@@ -174,7 +174,13 @@ def tropic_partials(fam: ConfocalFamily, lam: float, t: float, sheet: int):
     Returns (r, r_lam, r_t, r_lamlam, r_lamt, r_tt); lambda and t must be
     finite (ValueError).
     """
+    return tuple(np.array(r) for r in _tropic_partials(fam, lam, t, sheet))
+
+
+def _tropic_partials(fam: ConfocalFamily, lam: float, t: float, sheet: int) -> tuple:
+    """``tropic_partials`` as lists of Python floats, after the same door."""
     a, b, c, s = _tropic_args(fam, lam, t, sheet)
+    lam = float(lam)
     ca, cb = math.sqrt(a + c), math.sqrt(b + c)
     ct, st = math.cos(t), math.sin(t)
     w = math.sqrt(ct * ct / (a + c) + st * st / (b + c))
@@ -182,13 +188,12 @@ def tropic_partials(fam: ConfocalFamily, lam: float, t: float, sheet: int):
     wp = st * ct * kdiff / w
     wpp = kdiff * math.cos(2 * t) / w - (kdiff * st * ct) ** 2 / w ** 3
 
-    r = np.array([(a - lam) * ct / ca, (b - lam) * st / cb, s * (c + lam) * w])
-    r_l = np.array([-ct / ca, -st / cb, s * w])
-    r_t = np.array([-(a - lam) * st / ca, (b - lam) * ct / cb, s * (c + lam) * wp])
-    r_ll = np.zeros(3)
-    r_lt = np.array([st / ca, -ct / cb, s * wp])
-    r_tt = np.array([-(a - lam) * ct / ca, -(b - lam) * st / cb, s * (c + lam) * wpp])
-    return r, r_l, r_t, r_ll, r_lt, r_tt
+    r = [(a - lam) * ct / ca, (b - lam) * st / cb, s * (c + lam) * w]
+    r_l = [-ct / ca, -st / cb, s * w]
+    r_t = [-(a - lam) * st / ca, (b - lam) * ct / cb, s * (c + lam) * wp]
+    r_lt = [st / ca, -ct / cb, s * wp]
+    r_tt = [-(a - lam) * ct / ca, -(b - lam) * st / cb, s * (c + lam) * wpp]
+    return r, r_l, r_t, [0.0] * 3, r_lt, r_tt
 
 
 def tropic_cone_residual(fam: ConfocalFamily, lam: float, p) -> float:
@@ -243,14 +248,14 @@ def tropic_surface_normal(fam: ConfocalFamily, lam: float, t: float, sheet: int)
     The result is light-like everywhere it is defined.  On cusp edges the
     partials are parallel and the normal degenerates; ``CuspPoint`` is
     raised when the Euclidean cross product falls below 1e-10 of its
-    natural scale.
+    natural scale |r_lambda| |r_t|.  The norms are ``_norm``'s, which no
+    square overflows.
     """
-    _, r_l, r_t, *_ = tropic_partials(fam, lam, t, sheet)
-    n = pseudo_cross(r_l, r_t)
-    scale = float(np.linalg.norm(r_l) * np.linalg.norm(r_t))
-    if float(np.linalg.norm(n)) <= 1e-10 * max(scale, 1e-300):
+    _, r_l, r_t, *_ = _tropic_partials(fam, lam, t, sheet)
+    n = _pseudo_cross(r_l, r_t)
+    if _norm(n) <= 1e-10 * max(_norm(r_l) * _norm(r_t), 1e-300):
         raise CuspPoint(f"normal degenerates at (lambda, t) = ({lam}, {t})")
-    return n
+    return np.array(n)
 
 
 # ------------------------------------------------------- planar relativistic
@@ -333,17 +338,16 @@ def focal_residual(fam: ConfocalFamily, lam: float, x) -> FocalResidual:
     are imaginary, 2 sqrt(lambda - a) and 2 sqrt(b + lambda).
     """
     a, b = _ab(fam)
-    xv = _as_vector(x, 2)
+    xv = _as_vector(x, 2).tolist()
     if fam.is_degenerate_parameter(_as_lambda(lam)):
         raise DegenerateParameter(f"lambda = {lam} is degenerate")
-    val = xv[0] ** 2 / (a - lam) + xv[1] ** 2 / (b + lam) - 1.0
+    lam = float(lam)
+    val = xv[0] * xv[0] / (a - lam) + xv[1] * xv[1] / (b + lam) - 1.0
     if abs(val) > 1e-9 * max(1.0, abs(xv[0]) + abs(xv[1])):
         raise PointNotOnConic(f"point is not on the conic (residual {val})")
-    r = math.sqrt(a + b)
-    f1, f2 = np.array([r, 0.0]), np.array([-r, 0.0])
-    g1, g2 = np.array([0.0, r]), np.array([0.0, -r])
-    dx1, dx2 = mdistance(xv, f1, fam.sig), mdistance(xv, f2, fam.sig)
-    dy1, dy2 = mdistance(xv, g1, fam.sig), mdistance(xv, g2, fam.sig)
+    r, eps = math.sqrt(a + b), (1.0, -1.0)
+    dx1, dx2 = _mdistance(xv, (r, 0.0), eps), _mdistance(xv, (-r, 0.0), eps)
+    dy1, dy2 = _mdistance(xv, (0.0, r), eps), _mdistance(xv, (0.0, -r), eps)
     zero_tol = 1e-9 * math.sqrt(fam.scale)
     if -b < lam < a:
         tx, tx_im = 2 * math.sqrt(a - lam), False

@@ -2,9 +2,12 @@
 no function or class of src/pbl is left without a reader, no module
 of src/pbl defines a ``_check_*`` function, only ``_poly`` calls
 ``np.linalg.eigvals``, only the Jacobi core and ``caustics`` call
-``polynomial_roots``, ``caustics`` and ``newton_polish`` name no
-``np`` attribute, ``import pbl`` leaves ``numpy.polynomial`` unloaded,
-and ``relativistic`` binds no module-level ``*_TOL`` name.
+``polynomial_roots``, the caustics core and ``newton_polish`` name no
+``np`` attribute, ``focal_residual``, ``tropic_surface_normal`` and
+``interlacing_report`` check no vector twice and name no ``np``
+attribute but the ``np.array`` they return, ``import pbl`` leaves
+``numpy.polynomial`` unloaded, and ``relativistic`` binds no
+module-level ``*_TOL`` name.
 
 No linter is a dependency of the project, so the checks read each file
 with ``ast``: a name bound by an import must appear as a name somewhere
@@ -17,6 +20,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,21 +108,54 @@ def test_polynomial_roots_called_twice():
         calls += [f"{path.name}:{owner.get(node, '<module>')}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and "polynomial_roots"
                   in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert sorted(calls) == ["confocal.py:_jacobi", "confocal.py:caustics"], calls
+    assert sorted(calls) == ["confocal.py:_caustics", "confocal.py:_jacobi"], calls
 
 
 def test_no_numpy_between_a_line_and_its_caustics():
     # after the _as_vector door, one line's caustics run on Python floats:
     # the routines they call choose floats by the shape of their input, and
-    # these two name no numpy attribute themselves
+    # the core and the polish name no numpy attribute themselves
     found = []
-    for name, func in (("confocal.py", "caustics"), ("_poly.py", "newton_polish")):
-        tree = ast.parse((ROOT / "src" / "pbl" / name).read_text())
-        body = next(node for node in ast.walk(tree)
-                    if isinstance(node, ast.FunctionDef) and node.name == func)
-        found += [f"{name}:{node.lineno} np.{node.attr}" for node in ast.walk(body)
-                  if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"]
+    for name, func in (("confocal.py", "_caustics"), ("_poly.py", "newton_polish")):
+        found += [f"{name}:{node.lineno} np.{node.attr}"
+                  for node in _numpy_attributes(_function(name, func))]
     assert not found, found
+
+
+def _function(name: str, func: str) -> ast.FunctionDef:
+    """The definition of ``func`` in the module ``name`` of src/pbl."""
+    tree = ast.parse((ROOT / "src" / "pbl" / name).read_text())
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == func)
+
+
+def _numpy_attributes(func: ast.FunctionDef) -> list:
+    """The ``np.*`` nodes of the function's body; annotations do not count."""
+    return [node for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "np"]
+
+
+#: Public routines that check their vectors at the door of metric.
+CHECKING_ROUTINES = {"mdistance", "pseudo_cross", "tropic_partials", "line_type"}
+
+
+@pytest.mark.parametrize("name, func, arrays", [
+    ("relativistic.py", "focal_residual", 0),
+    ("relativistic.py", "tropic_surface_normal", 1),
+    ("confocal.py", "interlacing_report", 0),
+])
+def test_point_queries_check_once(name, func, arrays):
+    # after its door, a point query runs on the float cores: it calls no
+    # public routine that checks a vector again, and names no numpy
+    # attribute but the np.array of the vector it returns
+    body = _function(name, func)
+    calls = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+             for node in ast.walk(body) if isinstance(node, ast.Call)}
+    assert not calls & CHECKING_ROUTINES, calls & CHECKING_ROUTINES
+    numpy = _numpy_attributes(body)
+    assert [node.attr for node in numpy] == ["array"] * arrays
+    assert all(isinstance(ret.value, ast.Call) and ret.value.func in numpy
+               for ret in ast.walk(body) if isinstance(ret, ast.Return) and arrays)
 
 
 def test_import_leaves_numpy_polynomial_out():

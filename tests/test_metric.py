@@ -346,6 +346,30 @@ def test_mdistance_examples():
     assert not d.imaginary and d.magnitude == pytest.approx(math.sqrt(3.0))
 
 
+@pytest.mark.parametrize("x, want", [
+    ([1e200, 0.0], MDistance(1e200, False)),   # <d, d> overflowed, with a warning
+    ([1e-200, 0.0], MDistance(1e-200, False)),  # <d, d> underflowed to 0
+    ([1e-170, 2e-170], MDistance(math.sqrt(3.0) * 1e-170, True)),  # read a real 0
+])
+def test_mdistance_at_the_ends_of_the_float_range(x, want):
+    # the difference is scaled by _exponent before it is squared
+    assert mdistance(x, [0.0, 0.0], SIG11) == want
+    assert mdistance([0.0, 0.0], x, SIG11) == want
+
+
+@pytest.mark.parametrize("x, y, want", [
+    ([1e308, 0.0], [-1e308, 0.0], MDistance(math.inf, False)),
+    ([0.0, 1e308], [0.0, -1e308], MDistance(math.inf, True)),
+    ([1.5e308, 1e308], [-0.5e308, 0.0], MDistance(math.sqrt(3.0) * 1e308, False)),
+])
+def test_mdistance_of_a_difference_past_the_float_range(x, y, want):
+    # x - y overflows: the distance is twice that of the halves, and a
+    # distance past the float range reads infinity with its sign
+    d = mdistance(x, y, SIG11)
+    assert d.imaginary is want.imaginary
+    assert d.magnitude == pytest.approx(want.magnitude, rel=1e-15)
+
+
 @given(vec3, vec3)
 def test_mdistance_symmetry(x, y):
     d1 = mdistance(x, y, SIG21)

@@ -328,6 +328,16 @@ def test_surface_normal_cusp_guard():
         tropic_surface_normal(FAM3, 4.0, math.pi / 4, 1)
 
 
+@pytest.mark.parametrize("lam", [1e160, -1e160])
+def test_surface_normal_far_out(lam):
+    # |n| is about 1e160, far from the cusp edge; its square overflows, so
+    # the guard takes the norms scaled (it raised CuspPoint here)
+    n = tropic_surface_normal(FAM3, lam, 0.3, 1)
+    assert line_type(n, FAM3.sig) is LineType.LIGHT_LIKE
+    near = tropic_surface_normal(FAM3, math.copysign(1e150, lam), 0.3, 1)
+    assert n / 1e160 == pytest.approx(near / 1e150, rel=1e-9)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1.0"])
 @pytest.mark.parametrize("call", [
     lambda bad: tropic_point(FAM3, bad, 0.3, 1),
